@@ -17,7 +17,7 @@ from .divisive import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
-from .emst import EdgeStats, brute_force_mst_weight, build_emst, edge_statistics
+from .emst import EdgeStats, build_emst, edge_statistics
 from .errors import ConfigError, DegenerateInputError, InputError
 from .io import RunConfig, newick_string, read_points_csv, run_pipeline, write_outputs
 from .meta import (
@@ -83,7 +83,6 @@ __all__ = [
     "RunConfig",
     "SpanningForest",
     "TreeDistance",
-    "brute_force_mst_weight",
     "build_emst",
     "build_meta_emst",
     "center_and_radius",

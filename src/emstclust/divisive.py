@@ -8,8 +8,8 @@ unchanged for every removal decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .emst import EdgeStats, build_emst, edge_statistics
 from .errors import DegenerateInputError, InputError
@@ -20,7 +20,6 @@ from .metrics import (
     path_distance_table,
 )
 from .model import (
-    MODE_STD,
     MODE_ZAHN,
     Cluster,
     ClusterReport,
@@ -35,30 +34,38 @@ CRITERION_THRESHOLD = "threshold"
 CRITERION_LONGEST = "longest"
 CRITERION_ZAHN = "zahn"
 
-_Adjacency = dict[int, list[tuple[int, float, tuple[int, int]]]]
+_Adjacency = dict[int, dict[int, float]]
 
 
-def _adjacency(forest: SpanningForest) -> _Adjacency:
+def _heaviest_first(e: Edge) -> tuple[float, int, int]:
+    return (-e.weight, e.u, e.v)
+
+
+def _adjacency(edges: Iterable[Edge]) -> _Adjacency:
     adj: _Adjacency = {}
-    for e in sorted(forest.edges):
-        adj.setdefault(e.u, []).append((e.v, e.weight, e.endpoints))
-        adj.setdefault(e.v, []).append((e.u, e.weight, e.endpoints))
+    for e in edges:
+        adj.setdefault(e.u, {})[e.v] = e.weight
+        adj.setdefault(e.v, {})[e.u] = e.weight
     return adj
 
 
 def _neighborhood_weights(
-    adj: _Adjacency, start: int, exclude: tuple[int, int], depth: int
+    adj: _Adjacency, start: int, other: int, depth: int
 ) -> list[float]:
     """Weights of all edges within `depth` hops of `start`, never crossing
-    the excluded edge."""
+    the edge (start, other).
+
+    In a forest `other` is reachable from `start` only through that edge, so
+    marking both visited up front excludes exactly the edge itself.
+    """
     weights: list[float] = []
-    visited = {start}
+    visited = {start, other}
     frontier = [start]
     for _ in range(depth):
         nxt: list[int] = []
         for v in frontier:
-            for nb, w, key in adj.get(v, ()):
-                if key == exclude or nb in visited:
+            for nb, w in adj[v].items():
+                if nb in visited:
                     continue
                 visited.add(nb)
                 weights.append(w)
@@ -69,29 +76,21 @@ def _neighborhood_weights(
     return weights
 
 
-def _mean_std(weights: list[float]) -> tuple[float, float]:
-    if not weights:
-        return 0.0, 0.0
-    mean = math.fsum(weights) / len(weights)
-    variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
-    return mean, math.sqrt(variance)
-
-
 def _zahn_test(adj: _Adjacency, e: Edge, config: CriterionConfig) -> bool:
     c = config.zahn_c
-    side_a = _neighborhood_weights(adj, e.u, e.endpoints, config.zahn_depth)
-    side_b = _neighborhood_weights(adj, e.v, e.endpoints, config.zahn_depth)
+    side_a = _neighborhood_weights(adj, e.u, e.v, config.zahn_depth)
+    side_b = _neighborhood_weights(adj, e.v, e.u, config.zahn_depth)
     if not side_a and not side_b:
         return False
     w = e.weight
     thresholds = []
     deviations = []
     for side in (side_a, side_b):
-        mean, std = _mean_std(side)
-        thresholds.append(mean + c * std)
-        deviations.append(c * std)
+        stats = EdgeStats.of(side)
+        thresholds.append(stats.mean + c * stats.std)
+        deviations.append(c * stats.std)
         # Condition 1 compares only against sides that actually have edges.
-        if side and w > mean + c * std:
+        if side and w > thresholds[-1]:
             return True
     if w > max(thresholds):
         return True
@@ -119,7 +118,25 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
     """
     if e not in tree.edges:
         raise InputError(f"edge {e.endpoints} is not in the tree")
-    return _zahn_test(_adjacency(tree), e, config)
+    return _zahn_test(_adjacency(tree.edges), e, config)
+
+
+def _select(
+    order: list[Edge], adj: _Adjacency | None, stats: EdgeStats, config: CriterionConfig
+) -> tuple[int, str]:
+    """Position in `order` of the edge to remove next, and the clause that
+    chose it. `order` holds the remaining edges sorted by _heaviest_first;
+    `adj` is their adjacency, needed in MODE_ZAHN only."""
+    if not order:
+        raise DegenerateInputError("no edges left to remove")
+    if config.mode == MODE_ZAHN:
+        for i, e in enumerate(order):
+            if _zahn_test(adj, e, config):
+                return i, CRITERION_ZAHN
+        return 0, CRITERION_LONGEST
+    if order[0].weight > stats.mean + stats.std:
+        return 0, CRITERION_THRESHOLD
+    return 0, CRITERION_LONGEST
 
 
 def select_edge_to_remove(
@@ -127,26 +144,17 @@ def select_edge_to_remove(
 ) -> tuple[Edge, str]:
     """Pick the next edge to remove and report which clause selected it.
 
-    In MODE_STD the globally heaviest remaining edge is returned, tagged
-    "threshold" when its weight exceeds stats.mean + stats.std (the original
-    tree's statistics) and "longest" otherwise. In MODE_ZAHN the heaviest
-    inconsistent edge is returned tagged "zahn", falling back to the
-    globally heaviest edge tagged "longest" when no edge is inconsistent.
-    Weight ties are broken lexicographically on (min endpoint, max endpoint).
+    The forest's edges are ordered heaviest first, weight ties broken
+    lexicographically on (min endpoint, max endpoint). In MODE_STD the first
+    edge of that order is returned, tagged "threshold" when its weight
+    exceeds stats.mean + stats.std (the original tree's statistics) and
+    "longest" otherwise. In MODE_ZAHN the first edge of that order that
+    zahn_inconsistent flags is returned tagged "zahn", falling back to the
+    first edge tagged "longest" when no edge is inconsistent.
     """
-    if not forest.edges:
-        raise DegenerateInputError("no edges left to remove")
-    heaviest = min(forest.edges, key=lambda e: (-e.weight, e.u, e.v))
-    if config.mode == MODE_ZAHN:
-        adj = _adjacency(forest)
-        flagged = [e for e in forest.edges if _zahn_test(adj, e, config)]
-        if flagged:
-            pick = min(flagged, key=lambda e: (-e.weight, e.u, e.v))
-            return pick, CRITERION_ZAHN
-        return heaviest, CRITERION_LONGEST
-    if heaviest.weight > stats.mean + stats.std:
-        return heaviest, CRITERION_THRESHOLD
-    return heaviest, CRITERION_LONGEST
+    order = sorted(forest.edges, key=_heaviest_first)
+    i, fired = _select(order, _adjacency(order), stats, config)
+    return order[i], fired
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,7 @@ class ClusteringResult:
         return dict(sorted(out.items()))
 
 
-def _clusters_from_forest(n: int, edges: set[Edge]) -> tuple[Cluster, ...]:
+def _clusters_from_forest(n: int, edges: list[Edge]) -> tuple[Cluster, ...]:
     forest = SpanningForest(vertex_count=n, edges=frozenset(edges))
     components = forest.components()
     grouped: dict[int, list[Edge]] = {i: [] for i in range(len(components))}
@@ -243,11 +251,16 @@ def emstrd(
 ) -> ClusteringResult:
     """Split a dataset into k clusters by removing k - 1 EMST edges.
 
-    Builds the EMST, fixes its edge weight statistics, then removes one edge
-    per iteration as chosen by select_edge_to_remove until k components
-    remain. Because the criterion depends only on the original statistics
-    and the current forest, the k + 1 clustering always refines the k
-    clustering for the same dataset and configuration.
+    Builds the EMST, fixes its edge weight statistics and sorts its edges
+    once, heaviest first with ties broken on (min endpoint, max endpoint).
+    Each of the k - 1 removals takes an edge out of that single ordered list
+    by the rule select_edge_to_remove documents: in MODE_STD always the
+    first edge, in MODE_ZAHN the first edge the neighborhood test flags in
+    the remaining forest (else the first edge). The forest is validated once
+    more when the final clusters are formed, not after every removal.
+    Because the criterion depends only on the original statistics and the
+    current forest, the k + 1 clustering always refines the k clustering for
+    the same dataset and configuration.
     """
     if config is None:
         config = CriterionConfig()
@@ -258,15 +271,20 @@ def emstrd(
 
     tree = build_emst(dataset)
     stats = edge_statistics(tree) if tree.edges else EdgeStats(0.0, 0.0)
-    remaining = set(tree.edges)
+    order = sorted(tree.edges, key=_heaviest_first)
+    # Only the zahn test reads neighborhoods. The adjacency is dropped before
+    # the per-cluster path tables, which set the peak memory.
+    adj = _adjacency(order) if config.mode == MODE_ZAHN else None
     removed: list[tuple[Edge, str]] = []
     while 1 + len(removed) < k:
-        forest = SpanningForest(vertex_count=n, edges=frozenset(remaining))
-        edge, fired = select_edge_to_remove(forest, stats, config)
-        remaining.remove(edge)
+        i, fired = _select(order, adj, stats, config)
+        edge = order.pop(i)
+        if adj is not None:
+            del adj[edge.u][edge.v], adj[edge.v][edge.u]
         removed.append((edge, fired))
+    del adj
 
-    clusters = _clusters_from_forest(n, remaining)
+    clusters = _clusters_from_forest(n, order)
     reports: list[ClusterReport] = []
     centers: list[Point] = []
     for cluster in clusters:

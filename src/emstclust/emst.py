@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +18,19 @@ class EdgeStats:
 
     mean: float
     std: float
+
+    @classmethod
+    def of(cls, weights: Sequence[float]) -> EdgeStats:
+        """Statistics of a weight list; both are 0 for an empty list.
+
+        math.fsum rounds correctly, so the result does not depend on the
+        order of the weights.
+        """
+        if not weights:
+            return cls(0.0, 0.0)
+        mean = math.fsum(weights) / len(weights)
+        variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
+        return cls(mean=mean, std=math.sqrt(variance))
 
     @property
     def variance(self) -> float:
@@ -64,6 +78,14 @@ def build_emst(dataset: Dataset) -> SpanningForest:
 
             masked = np.where(in_tree, np.inf, best_d2)
             nearest = masked.min()
+            if not math.isfinite(nearest):
+                # Every outside point is at d2 = inf, so Prim can no longer
+                # order the candidates and would re-pick a tree vertex.
+                raise InputError(
+                    "squared-distance overflow: some coordinate differences"
+                    " are too large to square in float64, so the EMST"
+                    " cannot be built"
+                )
             cand = np.flatnonzero(masked == nearest)
             order = np.lexsort((best_hi[cand], best_lo[cand]))
             nxt = int(cand[order[0]])
@@ -78,55 +100,9 @@ def build_emst(dataset: Dataset) -> SpanningForest:
 def edge_statistics(forest: SpanningForest) -> EdgeStats:
     """Mean and population standard deviation of the forest's edge weights.
 
-    Raises DegenerateInputError for a forest with no edges. Summation runs
-    over edges in canonical endpoint order so the result is reproducible.
+    Raises DegenerateInputError for a forest with no edges.
     """
     if not forest.edges:
         raise DegenerateInputError("edge statistics need at least one edge")
-    weights = [e.weight for e in sorted(forest.edges)]
-    mean = math.fsum(weights) / len(weights)
-    variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
-    return EdgeStats(mean=mean, std=math.sqrt(variance))
+    return EdgeStats.of([e.weight for e in forest.edges])
 
-
-def brute_force_mst_weight(dataset: Dataset) -> float:
-    """Exact minimum spanning tree weight by exhaustive search.
-
-    Enumerates all n^(n-2) labeled trees through vectorized Prufer sequence
-    decoding and returns the smallest total weight. Intended as an
-    independent reference for small inputs, so the size is capped at 8.
-    """
-    n = len(dataset.points)
-    if n > 8:
-        raise InputError(f"exhaustive tree search is capped at 8 points, got {n}")
-    if n == 1:
-        return 0.0
-    pts = dataset.points
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = euclidean_distance(pts[i], pts[j])
-    if n == 2:
-        return float(dist[0, 1])
-
-    grids = np.meshgrid(*([np.arange(n)] * (n - 2)), indexing="ij")
-    seqs = np.stack(grids, axis=-1).reshape(-1, n - 2)
-    count = seqs.shape[0]
-    rows = np.arange(count)
-    degree = np.ones((count, n), dtype=np.int64)
-    for t in range(n - 2):
-        degree[rows, seqs[:, t]] += 1
-
-    totals = np.zeros(count)
-    for t in range(n - 2):
-        # The smallest remaining leaf joins the next sequence symbol.
-        leaf = np.argmax(degree == 1, axis=1)
-        other = seqs[:, t]
-        totals += dist[leaf, other]
-        degree[rows, leaf] -= 1
-        degree[rows, other] -= 1
-    first = np.argmax(degree == 1, axis=1)
-    degree[rows, first] -= 1
-    second = np.argmax(degree == 1, axis=1)
-    totals += dist[first, second]
-    return float(totals.min())

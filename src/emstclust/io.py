@@ -229,18 +229,15 @@ def write_outputs(
     result: ClusteringResult,
     meta: MetaResult,
     config: RunConfig,
-    dataset: Dataset | None = None,
+    dataset: Dataset,
 ) -> list[Path]:
     """Write every output file for a finished run, returning their paths.
 
     Always writes assignments.csv, clusters.json, dendrogram.json,
     dendrogram.newick, and meta.json. With emit_svg set, dendrogram.svg is
-    added, plus scatter.svg when the data is 2-D. The dataset argument is
-    only needed for the scatter; when omitted it is re-read from
-    config.input_path.
+    added, plus scatter.svg when the data is 2-D. dataset is the clustered
+    input; compactness and the scatter are computed from it.
     """
-    if dataset is None:
-        dataset = read_points_csv(config.input_path)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 

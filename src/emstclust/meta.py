@@ -13,7 +13,7 @@ from typing import Sequence
 from .emst import build_emst
 from .errors import InputError
 from .metrics import center_and_radius, path_distance_table
-from .model import Cluster, Dendrogram, MergeRecord, Point, SpanningForest
+from .model import Cluster, Dendrogram, MergeRecord, Point, SpanningForest, _UnionFind
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,12 @@ def emstucc(centers: Sequence[Point]) -> MetaResult:
     meta = build_meta_emst(centers)
     k = meta.vertex_count
 
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    groups = _UnionFind(k)
     node_of = list(range(k))
     records: list[MergeRecord] = []
     ordered = sorted(meta.edges, key=lambda e: (e.weight, e.u, e.v))
     for m, edge in enumerate(ordered, start=1):
-        ra, rb = find(edge.u), find(edge.v)
+        ra, rb = groups.find(edge.u), groups.find(edge.v)
         new_node = k - 1 + m
         records.append(
             MergeRecord(
@@ -120,7 +113,7 @@ def emstucc(centers: Sequence[Point]) -> MetaResult:
                 new_node=new_node,
             )
         )
-        parent[ra] = rb
+        groups.union(ra, rb)
         node_of[rb] = new_node
 
     dendrogram = Dendrogram(leaf_count=k, merges=tuple(records))

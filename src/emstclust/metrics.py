@@ -109,6 +109,9 @@ def path_distance_table(cluster: Cluster) -> DistanceTable:
         start = pos[v]
         row[start : start + size[v]] -= 2.0 * parent_w[v]
         dist[pos[v]] = row
+    # Subtracting in another order than the sums were taken can leave a zero
+    # path (between duplicate points) at -1 ulp.
+    np.maximum(dist, 0.0, out=dist)
 
     upper = np.triu(dist, 1)
     dist = upper + upper.T
@@ -160,42 +163,34 @@ def centroid(points: Sequence[Point]) -> Point:
     return Point(means)
 
 
-def centroid_radius(points: Sequence[Point]) -> float:
-    """RMS deviation from the centroid: sqrt(mean squared deviation)."""
-    arr = _coordinate_matrix(points)
-    mu = np.array(centroid(points).coords)
-    sq = ((arr - mu) ** 2).sum(axis=1)
-    return math.sqrt(math.fsum(sq.tolist()) / arr.shape[0])
-
-
 def centroid_diameter(points: Sequence[Point]) -> float:
     """RMS distance over ordered distinct pairs.
 
     Defined as sqrt(sum over all ordered pairs (i, j), i != j, of
-    ||x_i - x_j||^2 divided by n(n-1)). Computed through the identity
+    ||x_i - x_j||^2 divided by n(n-1)). The identity
     sum_ij ||x_i - x_j||^2 = 2n * sum_i ||x_i - mu||^2, which is exact
-    algebra, not an approximation. A single point yields 0.
+    algebra, makes it centroid_radius * sqrt(2n / (n - 1)). A single point
+    yields 0.
     """
-    arr = _coordinate_matrix(points)
-    n = arr.shape[0]
+    n = len(points)
     if n == 1:
         return 0.0
-    mu = np.array(centroid(points).coords)
-    sq = ((arr - mu) ** 2).sum(axis=1)
-    total = 2.0 * n * math.fsum(sq.tolist())
-    return math.sqrt(total / (n * (n - 1)))
+    return cluster_variance(points) * math.sqrt(2.0 * n / (n - 1))
 
 
 def cluster_variance(points: Sequence[Point]) -> float:
     """Root mean squared Euclidean distance from the points to their centroid.
 
-    Numerically this equals centroid_radius; it is computed through
-    euclidean_distance against the centroid rather than coordinate algebra.
+    This is the centroid radius too: centroid_radius is this same function.
+    It is computed through euclidean_distance against the centroid.
     """
     pts = list(points)
     mu = centroid(pts)
     sq = [euclidean_distance(p, mu) ** 2 for p in pts]
     return math.sqrt(math.fsum(sq) / len(pts))
+
+
+centroid_radius = cluster_variance
 
 
 class Compactness(NamedTuple):

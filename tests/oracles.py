@@ -12,7 +12,17 @@ import itertools
 import math
 import random
 
-from emstclust import Cluster, Edge, Point, SpanningForest
+import numpy as np
+
+from emstclust import (
+    Cluster,
+    Dataset,
+    Edge,
+    InputError,
+    Point,
+    SpanningForest,
+    euclidean_distance,
+)
 
 
 def brute_mst_weight_subsets(points: list[Point]) -> float:
@@ -46,6 +56,125 @@ def brute_mst_weight_subsets(points: list[Point]) -> float:
             if total < best:
                 best = total
     return best
+
+
+def brute_force_mst_weight(dataset: Dataset) -> float:
+    """Exact minimum spanning tree weight by exhaustive search.
+
+    Enumerates all n^(n-2) labeled trees through vectorized Prufer sequence
+    decoding and returns the smallest total weight. Intended as an
+    independent reference for small inputs, so the size is capped at 8.
+    """
+    n = len(dataset.points)
+    if n > 8:
+        raise InputError(f"exhaustive tree search is capped at 8 points, got {n}")
+    if n == 1:
+        return 0.0
+    pts = dataset.points
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = euclidean_distance(pts[i], pts[j])
+    if n == 2:
+        return float(dist[0, 1])
+
+    grids = np.meshgrid(*([np.arange(n)] * (n - 2)), indexing="ij")
+    seqs = np.stack(grids, axis=-1).reshape(-1, n - 2)
+    count = seqs.shape[0]
+    rows = np.arange(count)
+    degree = np.ones((count, n), dtype=np.int64)
+    for t in range(n - 2):
+        degree[rows, seqs[:, t]] += 1
+
+    totals = np.zeros(count)
+    for t in range(n - 2):
+        # The smallest remaining leaf joins the next sequence symbol.
+        leaf = np.argmax(degree == 1, axis=1)
+        other = seqs[:, t]
+        totals += dist[leaf, other]
+        degree[rows, leaf] -= 1
+        degree[rows, other] -= 1
+    first = np.argmax(degree == 1, axis=1)
+    degree[rows, first] -= 1
+    second = np.argmax(degree == 1, axis=1)
+    totals += dist[first, second]
+    return float(totals.min())
+
+
+def mean_std(weights: list[float]) -> tuple[float, float]:
+    """Mean and population standard deviation; (0, 0) for no weights."""
+    if not weights:
+        return 0.0, 0.0
+    mean = math.fsum(weights) / len(weights)
+    variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
+    return mean, math.sqrt(variance)
+
+
+def _heaviest_first(e: Edge) -> tuple[float, int, int]:
+    return (-e.weight, e.u, e.v)
+
+
+def _side_weights(edges: list[Edge], start: int, depth: int) -> list[float]:
+    """Weights of the edges both of whose endpoints lie within `depth` hops
+    of `start` in the forest `edges`."""
+    hops = {start: 0}
+    for h in range(1, depth + 1):
+        for e in edges:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if hops.get(a) == h - 1 and b not in hops:
+                    hops[b] = h
+    return [e.weight for e in edges if e.u in hops and e.v in hops]
+
+
+def zahn_clauses(edges: list[Edge], e: Edge, c: float, f: float, depth: int) -> set[int]:
+    """Numbers of the zahn_inconsistent conditions (1, 2, 3) that hold for
+    tree edge e, recomputing both neighborhoods from scratch."""
+    others = [x for x in edges if x != e]
+    sides = [_side_weights(others, e.u, depth), _side_weights(others, e.v, depth)]
+    if not sides[0] and not sides[1]:
+        return set()
+    stats = [mean_std(side) for side in sides]
+    w = e.weight
+    held = set()
+    if any(side and w > m + c * sd for side, (m, sd) in zip(sides, stats)):
+        held.add(1)
+    if w > max(m + c * sd for m, sd in stats):
+        held.add(2)
+    top = max(c * sd for _, sd in stats)
+    if top > 0.0 and w / top > f:
+        held.add(3)
+    return held
+
+
+def removal_replay(
+    edges: list[Edge], k: int, mode: str, c: float = 2.0, f: float = 2.0, depth: int = 2
+) -> list[tuple[Edge, str, set[int]]]:
+    """The k - 1 removals of the divisive stage, replayed from the rules.
+
+    "std": the k - 1 heaviest edges in (-w, u, v) order, tagged "threshold"
+    when heavier than the whole tree's mean + std, else "longest". "zahn":
+    per removal, the heaviest edge of the current forest for which some
+    condition holds, tagged "zahn", else the heaviest edge tagged "longest".
+    Each entry also carries the zahn conditions that held for the edge.
+    """
+    if mode == "std":
+        mean, std = mean_std([e.weight for e in edges])
+        return [
+            (e, "threshold" if e.weight > mean + std else "longest", set())
+            for e in sorted(edges, key=_heaviest_first)[: k - 1]
+        ]
+    remaining = list(edges)
+    out = []
+    for _ in range(k - 1):
+        flagged = [(e, zahn_clauses(remaining, e, c, f, depth)) for e in remaining]
+        flagged = [(e, held) for e, held in flagged if held]
+        if flagged:
+            e, held = min(flagged, key=lambda item: _heaviest_first(item[0]))
+            out.append((e, "zahn", held))
+        else:
+            out.append((min(remaining, key=_heaviest_first), "longest", set()))
+        remaining.remove(out[-1][0])
+    return out
 
 
 def path_distance_oracle(n: int, edges: list[Edge]) -> dict[tuple[int, int], float]:

@@ -18,7 +18,6 @@ from emstclust import (
     MODE_ZAHN,
     Point,
     RunConfig,
-    brute_force_mst_weight,
     build_emst,
     center_and_radius,
     central_cluster,
@@ -32,6 +31,7 @@ from emstclust import (
     zahn_inconsistent,
 )
 from oracles import (
+    brute_force_mst_weight,
     eccentricities_oracle,
     gaussian_blobs,
     random_tree,

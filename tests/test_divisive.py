@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from emstclust import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
-from oracles import gaussian_blobs, tree_as_forest
+from oracles import gaussian_blobs, removal_replay, tree_as_forest
 
 
 def dataset_1d(*values):
@@ -275,3 +276,54 @@ class TestEmstrd:
         first = {i for i, lab in enumerate(labels) if lab == 0}
         one_side = {i for i, cid in got.items() if cid == got[0]}
         assert one_side in (first, set(range(len(points))) - first)
+
+
+def replay_datasets(seed: int):
+    """Uniform 3-D points, small-integer 2-D points (ties and duplicates)
+    and 1-D points, n between 20 and 60."""
+    rng = random.Random(seed)
+    for make in (
+        lambda: (rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10)),
+        lambda: (float(rng.randint(0, 6)), float(rng.randint(0, 6))),
+        lambda: (rng.uniform(0, 100),),
+    ):
+        yield Dataset(tuple(Point(make()) for _ in range(rng.randint(20, 60))))
+
+
+class TestRemovalReplay:
+    # (c, f, depth); large c with small f lets condition 3 decide alone.
+    ZAHN_CONFIGS = [(2.0, 2.0, 2), (1.0, 1.2, 1), (1.5, 1.3, 3), (3.0, 1.1, 2)]
+
+    def test_std_matches_replay(self):
+        rng = random.Random(811)
+        for seed in range(4):
+            for ds in replay_datasets(seed):
+                edges = list(build_emst(ds).edges)
+                for k in (2, rng.randint(3, 12), len(ds)):
+                    expected = removal_replay(edges, k, "std")
+                    got = emstrd(ds, k, STD).removed_edges
+                    assert list(got) == [(e, tag) for e, tag, _ in expected]
+
+    def test_zahn_matches_replay_and_every_outcome_occurs(self):
+        rng = random.Random(821)
+        first_clause = Counter()
+        cases = [ds for seed in range(4) for ds in replay_datasets(seed)]
+        cases.append(Dataset(tuple(Point((x, y)) for x in range(4) for y in range(4))))
+        for ds in cases:
+            edges = list(build_emst(ds).edges)
+            for c, f, depth in self.ZAHN_CONFIGS:
+                k = rng.randint(2, 10)
+                config = CriterionConfig(
+                    mode=MODE_ZAHN, zahn_c=c, zahn_f=f, zahn_depth=depth
+                )
+                expected = removal_replay(edges, k, "zahn", c, f, depth)
+                got = emstrd(ds, k, config).removed_edges
+                assert list(got) == [(e, tag) for e, tag, _ in expected]
+                first_clause.update(
+                    min(held) if held else tag for _, tag, held in expected
+                )
+        assert first_clause[1] and first_clause[3]
+        assert first_clause[CRITERION_LONGEST]
+        # Condition 2 implies condition 1 on the side with the larger
+        # threshold (an empty side's threshold is 0), so it never decides.
+        assert 2 not in first_clause

@@ -12,11 +12,14 @@ from emstclust import (
     DegenerateInputError,
     InputError,
     Point,
-    brute_force_mst_weight,
     build_emst,
     edge_statistics,
 )
-from oracles import brute_mst_weight_subsets, max_min_separation
+from oracles import (
+    brute_force_mst_weight,
+    brute_mst_weight_subsets,
+    max_min_separation,
+)
 
 
 def dataset_1d(*values):
@@ -54,6 +57,12 @@ class TestBuildEmst:
         tree = build_emst(dataset_1d(5, 5, 5))
         assert tree.component_count == 1
         assert all(e.weight == 0.0 for e in tree.edges)
+
+    def test_squared_distance_overflow_rejected(self):
+        # d^2 overflows to inf here; Prim used to re-pick a tree vertex and
+        # return a one-edge "tree" over four points.
+        with pytest.raises(InputError, match="squared-distance overflow"):
+            build_emst(dataset_1d(0, 1e200, 2e200, 3e200))
 
     def test_deterministic_under_ties(self):
         # A 3x3 unit lattice has many equal-weight candidate edges.

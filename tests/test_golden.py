@@ -1,0 +1,61 @@
+"""Byte-for-byte regression gate on saved pipeline outputs.
+
+Each directory under tests/golden holds one seeded input (n <= 200) and the
+files run_pipeline wrote for it under `std/` and `zahn/`, saved before the
+divisive removal loop was rewritten (commit f96ad15). The cases cover
+lattice ties, duplicate points, 1-D data, k=1, k=n, identical points and
+one 2-D run with SVG output; the zahn runs use non-default c, f and depth.
+Refactors must reproduce these files exactly. Never regenerate them to make
+this test pass: a byte that moves is a behaviour change that needs its own
+justification.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from emstclust import MODE_STD, MODE_ZAHN, CriterionConfig, RunConfig, run_pipeline
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (case, k, zahn_c, zahn_f, zahn_depth, svg)
+CASES = [
+    ("blobs2d_svg", 4, 1.5, 1.5, 3, True),
+    ("grid2d_ties", 7, 1.0, 2.5, 2, False),
+    ("duplicates2d", 5, 1.2, 1.5, 1, False),
+    ("line1d", 6, 1.5, 3.0, 2, False),
+    ("blobs3d_k1", 1, 1.5, 1.5, 3, False),
+    ("small_kn", 12, 1.0, 1.0, 2, False),
+    ("uniform5d", 10, 1.0, 1.5, 2, False),
+    ("chain1d", 4, 1.0, 2.0, 3, False),
+    ("blobs3d_k20", 20, 2.5, 1.2, 2, False),
+    ("identical", 3, 1.5, 1.5, 2, False),
+]
+
+
+@pytest.mark.parametrize("run", ["std", "zahn"])
+@pytest.mark.parametrize("case, k, zahn_c, zahn_f, zahn_depth, svg", CASES)
+def test_outputs_match_golden(tmp_path, case, k, zahn_c, zahn_f, zahn_depth, svg, run):
+    if run == "std":
+        criterion = CriterionConfig(mode=MODE_STD)
+    else:
+        criterion = CriterionConfig(
+            mode=MODE_ZAHN, zahn_c=zahn_c, zahn_f=zahn_f, zahn_depth=zahn_depth
+        )
+    written = run_pipeline(
+        RunConfig(
+            input_path=GOLDEN / case / "input.csv",
+            k=k,
+            criterion=criterion,
+            output_dir=tmp_path,
+            emit_svg=svg,
+        )
+    )
+    expected = GOLDEN / case / run
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in expected.iterdir()
+    )
+    for path in written:
+        assert path.read_bytes() == (expected / path.name).read_bytes(), path.name

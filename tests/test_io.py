@@ -280,6 +280,14 @@ class TestCli:
         )
         assert code == 2
 
+    def test_squared_distance_overflow_exit_two(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "0\n1e200\n2e200\n3e200\n")
+        code = main(
+            ["--input", str(path), "--k", "4", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "squared-distance overflow" in capsys.readouterr().err
+
     def test_k_zero_exit_three(self, tmp_path):
         path = write_csv(tmp_path, CHAIN_CSV)
         code = main(

@@ -78,6 +78,18 @@ class TestPathDistanceTable:
             for (u, v), d in expected.items():
                 assert table.distance(u, v) == pytest.approx(d, abs=1e-9)
 
+    def test_duplicate_points_never_negative(self):
+        # Rerooting from (2, 0) through a sqrt(2) edge used to leave the zero
+        # path between the two copies of (3, 2) at -1 ulp, which the table
+        # rejected, so emstrd failed on this valid input.
+        ds = Dataset((p(2, 0), p(3, 2), p(3, 2), p(2, 1)))
+        result = emstrd(ds, 1)
+        table = path_distance_table(result.clusters[0])
+        assert table.distance(1, 2) == 0.0
+        expected = path_distance_oracle(4, sorted(result.clusters[0].edges))
+        for (u, v), d in expected.items():
+            assert table.distance(u, v) == pytest.approx(d, abs=1e-12)
+
 
 class TestEccentricityCenterDiameter:
     def test_chain_eccentricities(self):
@@ -203,9 +215,16 @@ class TestCentroidMeasures:
                 p(*(rng.uniform(-100, 100) for _ in range(dim)))
                 for _ in range(n)
             ]
-            assert cluster_variance(pts) == pytest.approx(
-                centroid_radius(pts), abs=1e-12
+            mu = centroid(pts).coords
+            by_coordinates = math.sqrt(
+                math.fsum(
+                    math.fsum((c - m) ** 2 for c, m in zip(q.coords, mu))
+                    for q in pts
+                )
+                / n
             )
+            assert centroid_radius(pts) == cluster_variance(pts)
+            assert cluster_variance(pts) == pytest.approx(by_coordinates, abs=1e-12)
 
     def test_translation_invariance(self):
         rng = random.Random(601)
