@@ -31,6 +31,7 @@ from .meta import (
 from .metrics import (
     Compactness,
     DistanceTable,
+    TreeEccentricities,
     center_and_radius,
     centroid,
     centroid_diameter,
@@ -40,6 +41,7 @@ from .metrics import (
     diameter_and_set,
     eccentricity,
     path_distance_table,
+    tree_eccentricities,
 )
 from .model import (
     MODE_STD,
@@ -83,6 +85,7 @@ __all__ = [
     "RunConfig",
     "SpanningForest",
     "TreeDistance",
+    "TreeEccentricities",
     "build_emst",
     "build_meta_emst",
     "center_and_radius",
@@ -104,6 +107,7 @@ __all__ = [
     "run_pipeline",
     "select_edge_to_remove",
     "tree_distance",
+    "tree_eccentricities",
     "write_outputs",
     "zahn_inconsistent",
 ]

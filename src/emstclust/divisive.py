@@ -17,7 +17,8 @@ from .metrics import (
     center_and_radius,
     cluster_variance,
     diameter_and_set,
-    path_distance_table,
+    path_distance_table,  # noqa: F401 -- the benchmark's layer trace looks it up here
+    tree_eccentricities,
 )
 from .model import (
     MODE_ZAHN,
@@ -231,9 +232,9 @@ def _clusters_from_forest(n: int, edges: list[Edge]) -> tuple[Cluster, ...]:
 
 
 def _report_for(cluster: Cluster, dataset: Dataset) -> tuple[ClusterReport, Point]:
-    table = path_distance_table(cluster)
-    centers, radius = center_and_radius(table)
-    diameter, _ = diameter_and_set(table)
+    ecc = tree_eccentricities(cluster)
+    centers, radius = center_and_radius(ecc)
+    diameter, _ = diameter_and_set(ecc)
     center_index = min(centers)
     member_points = [dataset.points[i] for i in sorted(cluster.members)]
     report = ClusterReport(
@@ -272,8 +273,7 @@ def emstrd(
     tree = build_emst(dataset)
     stats = edge_statistics(tree) if tree.edges else EdgeStats(0.0, 0.0)
     order = sorted(tree.edges, key=_heaviest_first)
-    # Only the zahn test reads neighborhoods. The adjacency is dropped before
-    # the per-cluster path tables, which set the peak memory.
+    # Only the zahn test reads neighborhoods, so std mode builds no adjacency.
     adj = _adjacency(order) if config.mode == MODE_ZAHN else None
     removed: list[tuple[Edge, str]] = []
     while 1 + len(removed) < k:

@@ -1,9 +1,9 @@
 """Batch input and output: CSV ingestion, result serialization, pipeline.
 
-All output files are written atomically (write to a temporary sibling, then
-rename) and every real number is serialized with 17 significant digits so a
-reader parsing the file recovers bit-identical values. Identical input and
-configuration therefore produce byte-identical files across runs.
+All output files are written atomically (write to a uniquely named temporary
+sibling, then rename) and every real number is serialized with 17 significant
+digits so a reader parsing the file recovers bit-identical values. Identical
+input and configuration therefore produce byte-identical files across runs.
 """
 
 from __future__ import annotations
@@ -174,10 +174,18 @@ def newick_string(dendrogram: Dendrogram) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    # A random sibling name keeps concurrent runs into one directory off each
+    # other's temporary file. Mode "x" never opens an existing file, and unlike
+    # tempfile.mkstemp (always 0600) it gives the permissions open() gives.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _assignments_csv(result: ClusteringResult) -> str:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .emst import build_emst
 from .errors import InputError
-from .metrics import center_and_radius, path_distance_table
+from .metrics import center_and_radius, tree_eccentricities
 from .model import Cluster, Dendrogram, MergeRecord, Point, SpanningForest, _UnionFind
 
 
@@ -64,7 +64,7 @@ def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
         members=frozenset(range(meta_tree.vertex_count)),
         edges=meta_tree.edges,
     )
-    centers, radius = center_and_radius(path_distance_table(whole))
+    centers, radius = center_and_radius(tree_eccentricities(whole))
     return min(centers), radius
 
 

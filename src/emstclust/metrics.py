@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,16 +58,41 @@ class DistanceTable:
     def distance(self, x: int, y: int) -> float:
         return float(self.distances[self.index_of(x), self.index_of(y)])
 
+    @property
+    def eccentricities(self) -> np.ndarray:
+        """Each vertex's largest distance, parallel to vertices."""
+        return self.distances.max(axis=1)
 
-def path_distance_table(cluster: Cluster) -> DistanceTable:
-    """All-pairs path distances over a cluster's subtree.
 
-    Roots the tree at the lowest member, takes one DFS preorder so every
-    subtree is a contiguous index interval, then derives each vertex's row
-    from its parent's row (add w outside the subtree, subtract w inside).
-    The strict upper triangle is mirrored afterwards, which makes symmetry
-    and the zero diagonal exact. O(m^2) time and memory.
+@dataclass(frozen=True)
+class TreeEccentricities:
+    """Each vertex's eccentricity in one component, without the distances.
+
+    eccentricities[i] is the largest path distance from vertices[i] to any
+    other vertex; tree_eccentricities computes it.
     """
+
+    vertices: tuple[int, ...]
+    eccentricities: np.ndarray
+
+
+class _RootedTree(NamedTuple):
+    """A cluster's tree rooted at its lowest member, in local indices.
+
+    Local index i is members[i]. order is a stack DFS preorder over the
+    sorted-edge adjacency, so every subtree occupies the contiguous positions
+    pos[v] .. pos[v] + size[v] - 1 of it.
+    """
+
+    members: list[int]
+    order: list[int]
+    parent: list[int]
+    parent_w: list[float]
+    pos: list[int]
+    size: list[int]
+
+
+def _rooted(cluster: Cluster) -> _RootedTree:
     members = sorted(cluster.members)
     m = len(members)
     local = {v: i for i, v in enumerate(members)}
@@ -100,24 +125,100 @@ def path_distance_table(cluster: Cluster) -> DistanceTable:
     for v in reversed(order):
         if parent[v] >= 0:
             size[parent[v]] += size[v]
+    return _RootedTree(members, order, parent, parent_w, pos, size)
 
-    dist = np.zeros((m, m))
-    for v in order[1:]:
-        dist[0, pos[v]] = dist[0, pos[parent[v]]] + parent_w[v]
-    for v in order[1:]:
-        row = dist[pos[parent[v]]] + parent_w[v]
-        start = pos[v]
-        row[start : start + size[v]] -= 2.0 * parent_w[v]
-        dist[pos[v]] = row
-    # Subtracting in another order than the sums were taken can leave a zero
-    # path (between duplicate points) at -1 ulp.
-    np.maximum(dist, 0.0, out=dist)
 
-    upper = np.triu(dist, 1)
+def _row_tails(tree: _RootedTree) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (p, tail) once per vertex, where p is the vertex's preorder
+    position and tail[j] its raw path distance to the vertex at position
+    p + j.
+
+    The root's row is summed along the preorder. Every other row is its
+    parent's row plus w outside the vertex's subtree and minus w inside it,
+    taken as `row + w` and then `row[subtree] -= 2.0 * w`, so each entry is
+    the same float whatever order the rows are visited in. Only tails are
+    formed: a vertex and all of its descendants sit after its position.
+    The child with the largest subtree is visited last and reuses its
+    parent's buffer in place; its siblings get new ones. At most
+    1 + log2(m) buffers are then alive. A yielded tail is overwritten later, so consume it
+    before advancing.
+    """
+    _, order, parent, parent_w, pos, size = tree
+    m = len(order)
+    children: list[list[int]] = [[] for _ in range(m)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    root = np.zeros(m)
+    for v in order[1:]:
+        root[pos[v]] = root[pos[parent[v]]] + parent_w[v]
+
+    # Entries are (vertex, the parent's tail, whether to reuse that buffer).
+    stack: list[tuple[int, np.ndarray, bool]] = [(order[0], root, True)]
+    while stack:
+        v, above, reuse = stack.pop()
+        if parent[v] < 0:
+            tail = above
+        else:
+            w = parent_w[v]
+            tail = above[pos[v] - pos[parent[v]] :]
+            if reuse:
+                tail += w
+            else:
+                tail = tail + w
+            tail[: size[v]] -= 2.0 * w
+        yield pos[v], tail
+        kids = children[v]
+        if kids:
+            heavy = max(kids, key=size.__getitem__)
+            stack.append((heavy, tail, True))
+            stack.extend((c, tail, False) for c in kids if c != heavy)
+
+
+def path_distance_table(cluster: Cluster) -> DistanceTable:
+    """All-pairs path distances over a cluster's subtree.
+
+    Roots the tree at the lowest member, takes one DFS preorder so every
+    subtree is a contiguous index interval, then derives each vertex's row
+    from its parent's row (add w outside the subtree, subtract w inside).
+    The strict upper triangle is mirrored afterwards, which makes symmetry
+    and the zero diagonal exact. O(m^2) time and memory: tree_eccentricities
+    gives the same eccentricities without the matrix.
+    """
+    tree = _rooted(cluster)
+    m = len(tree.order)
+    upper = np.zeros((m, m))
+    for p, tail in _row_tails(tree):
+        # Subtracting in another order than the sums were taken can leave a
+        # zero path (between duplicate points) at -1 ulp.
+        np.maximum(tail[1:], 0.0, out=upper[p, p + 1 :])
     dist = upper + upper.T
-    perm = np.array([pos[i] for i in range(m)])
+    perm = np.array(tree.pos)
     dist = dist[np.ix_(perm, perm)]
-    return DistanceTable(vertices=tuple(members), distances=dist)
+    return DistanceTable(vertices=tuple(tree.members), distances=dist)
+
+
+def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
+    """Each member's largest path distance to any other member.
+
+    Equal, float for float, to path_distance_table(cluster).eccentricities:
+    for preorder positions i < j the table holds max(raw, 0) of row i's raw
+    entry j at (i, j) and at (j, i), so a vertex's eccentricity is the
+    largest of 0, its own raw row after its position, and the raw entries in
+    its column from the rows before it. The rows are streamed one at a time
+    and only those two maxima kept, so memory is O(m log m) while time stays
+    O(m^2).
+    """
+    tree = _rooted(cluster)
+    m = len(tree.order)
+    row_max = np.zeros(m)
+    col_max = np.zeros(m)
+    for p, tail in _row_tails(tree):
+        if p + 1 < m:
+            row_max[p] = tail[1:].max()
+            np.maximum(col_max[p + 1 :], tail[1:], out=col_max[p + 1 :])
+    ecc = np.maximum(row_max, col_max)[tree.pos]
+    ecc.flags.writeable = False
+    return TreeEccentricities(vertices=tuple(tree.members), eccentricities=ecc)
 
 
 def eccentricity(table: DistanceTable, vertex: int) -> float:
@@ -125,9 +226,11 @@ def eccentricity(table: DistanceTable, vertex: int) -> float:
     return float(table.distances[table.index_of(vertex)].max())
 
 
-def center_and_radius(table: DistanceTable) -> tuple[frozenset[int], float]:
+def center_and_radius(
+    table: DistanceTable | TreeEccentricities,
+) -> tuple[frozenset[int], float]:
     """Vertices of minimum eccentricity and that minimum (the radius)."""
-    ecc = table.distances.max(axis=1)
+    ecc = table.eccentricities
     radius = float(ecc.min())
     centers = frozenset(
         table.vertices[i] for i in np.flatnonzero(ecc == radius)
@@ -135,9 +238,11 @@ def center_and_radius(table: DistanceTable) -> tuple[frozenset[int], float]:
     return centers, radius
 
 
-def diameter_and_set(table: DistanceTable) -> tuple[float, frozenset[int]]:
+def diameter_and_set(
+    table: DistanceTable | TreeEccentricities,
+) -> tuple[float, frozenset[int]]:
     """Largest eccentricity and the vertices attaining it."""
-    ecc = table.distances.max(axis=1)
+    ecc = table.eccentricities
     diameter = float(ecc.max())
     attaining = frozenset(
         table.vertices[i] for i in np.flatnonzero(ecc == diameter)

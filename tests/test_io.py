@@ -24,6 +24,7 @@ from emstclust import (
     run_pipeline,
     write_outputs,
 )
+from emstclust import io as emst_io
 from emstclust.cli import main
 from oracles import count_internal, leaf_depths, parse_newick
 
@@ -241,6 +242,46 @@ class TestWriteOutputs:
         assert (out / "dendrogram.newick").read_text() == "C0;\n"
         meta = json.loads((out / "meta.json").read_text())
         assert meta == {"central_cluster": 0, "meta_radius": 0.0}
+
+
+class TestAtomicWrite:
+    def test_leftover_at_a_fixed_temporary_name_does_not_block(self, tmp_path):
+        # Temporary files used to be <name>.tmp, shared by every run into the
+        # directory, so anything left at that name made the write fail.
+        clean = run_pipeline(chain_config(tmp_path, out="clean"))
+        config = chain_config(tmp_path)
+        (config.output_dir / "clusters.json.tmp").mkdir(parents=True)
+        written = run_pipeline(config)
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in clean]
+
+    def test_bytes_and_permissions_of_a_plain_open(self, tmp_path):
+        text = "point_index,cluster_id\n0,0\nnon-ascii \u00e9\n"
+        target = tmp_path / "out.csv"
+        emst_io._atomic_write(target, text)
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        assert target.read_bytes() == plain.read_bytes()
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "plain.csv"]
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "meta.json"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(emst_io.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            emst_io._atomic_write(target, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]
+        assert target.read_text() == "old\n"
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            emst_io._atomic_write(tmp_path / "meta.json", "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:

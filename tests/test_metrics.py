@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from emstclust import (
@@ -13,6 +15,7 @@ from emstclust import (
     Edge,
     InputError,
     Point,
+    build_emst,
     center_and_radius,
     centroid,
     centroid_diameter,
@@ -23,6 +26,7 @@ from emstclust import (
     eccentricity,
     emstrd,
     path_distance_table,
+    tree_eccentricities,
 )
 from oracles import (
     eccentricities_oracle,
@@ -147,6 +151,88 @@ class TestEccentricityCenterDiameter:
             expected = eccentricities_oracle(n, edges)
             for v in range(n):
                 assert eccentricity(table, v) == pytest.approx(expected[v], abs=1e-9)
+
+
+PARENT_OF = {
+    "path": lambda i, rng: i - 1,
+    "star": lambda i, rng: 0,
+    "binary": lambda i, rng: (i - 1) // 2,
+    "random": lambda i, rng: rng.randrange(i),
+}
+
+WEIGHT_OF = {
+    "duplicates": lambda rng: rng.choice([0.0, 0.0, 0.5, 1.0]),
+    "integer_ties": lambda rng: float(rng.randint(0, 3)),
+    "mixed_scale": lambda rng: rng.choice([1e-3, 1e6]) * rng.uniform(1.0, 2.0),
+    "uniform": lambda rng: rng.uniform(0.0, 10.0),
+}
+
+
+def shaped_cluster(rng, n, shape, weight, offset=0):
+    """A tree of the given shape on members offset .. offset + n - 1, with
+    vertex labels shuffled so the lowest member can sit anywhere in it."""
+    label = list(range(offset, offset + n))
+    rng.shuffle(label)
+    edges = [
+        Edge(label[i], label[PARENT_OF[shape](i, rng)], WEIGHT_OF[weight](rng))
+        for i in range(1, n)
+    ]
+    return Cluster(frozenset(label), frozenset(edges))
+
+
+def assert_same_as_table(cluster):
+    table = path_distance_table(cluster)
+    result = tree_eccentricities(cluster)
+    assert result.vertices == table.vertices
+    # Bit for bit, the sign of zero included.
+    assert result.eccentricities.tobytes() == table.eccentricities.tobytes()
+    assert list(result.eccentricities) == list(table.distances.max(axis=1))
+    assert center_and_radius(result) == center_and_radius(table)
+    assert diameter_and_set(result) == diameter_and_set(table)
+
+
+class TestTreeEccentricities:
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_OF))
+    @pytest.mark.parametrize("shape", sorted(PARENT_OF))
+    def test_equals_table_exactly(self, shape, weight):
+        rng = random.Random(f"{shape}-{weight}")
+        for _ in range(30):
+            cluster = shaped_cluster(
+                rng, rng.randint(1, 60), shape, weight, offset=rng.randint(0, 9)
+            )
+            assert_same_as_table(cluster)
+
+    def test_singleton(self):
+        cluster = tree_as_cluster(1, [])
+        assert_same_as_table(cluster)
+        result = tree_eccentricities(cluster)
+        assert result.vertices == (0,)
+        assert result.eccentricities.tolist() == [0.0]
+
+    def test_emst_of_small_integer_points(self):
+        # Duplicate points and sqrt weights: sums and differences taken in
+        # other orders leave zero paths at -1 ulp before the clamp.
+        rng = random.Random(907)
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            ds = Dataset(
+                tuple(p(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n))
+            )
+            tree = build_emst(ds)
+            assert_same_as_table(Cluster(frozenset(range(n)), tree.edges))
+
+    @pytest.mark.parametrize("shape", ["path", "star", "binary"])
+    def test_memory_far_below_the_table(self, shape):
+        m = 5000
+        rng = random.Random(shape)
+        cluster = shaped_cluster(rng, m, shape, "uniform")
+        tracemalloc.start()
+        try:
+            tree_eccentricities(cluster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * m * m
 
 
 class TestCentroidMeasures:
