@@ -84,17 +84,13 @@ def _zahn_test(adj: _Adjacency, e: Edge, config: CriterionConfig) -> bool:
     if not side_a and not side_b:
         return False
     w = e.weight
-    thresholds = []
     deviations = []
     for side in (side_a, side_b):
         stats = EdgeStats.of(side)
-        thresholds.append(stats.mean + c * stats.std)
         deviations.append(c * stats.std)
         # Condition 1 compares only against sides that actually have edges.
-        if side and w > thresholds[-1]:
+        if side and w > stats.mean + deviations[-1]:
             return True
-    if w > max(thresholds):
-        return True
     top_dev = max(deviations)
     if top_dev > 0.0 and w / top_dev > config.zahn_f:
         return True
@@ -116,6 +112,9 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
 
     An empty neighborhood contributes mean 0 and deviation 0 where a value
     is required; an edge with both neighborhoods empty is never inconsistent.
+    Condition 2 is implied by condition 1, so only 1 and 3 are evaluated:
+    an empty side's bound is 0 and a non-empty side's is >= 0, so some
+    non-empty side attains the maximum, and condition 1 holds on it.
     """
     if e not in tree.edges:
         raise InputError(f"edge {e.endpoints} is not in the tree")

@@ -47,52 +47,49 @@ def build_emst(dataset: Dataset) -> SpanningForest:
     returned tree are computed with euclidean_distance so that every
     downstream comparison sees one consistent value.
 
+    Per outside vertex j the scan keeps only the squared distance to the
+    tree and its source vertex. That suffices for the tie rule: the
+    candidate edges (a, j) of one fixed j are in canonical order exactly
+    when their sources a are in increasing order (if a < j < b, then
+    (a, j) < (j, b)), so a tie replaces the source only by a smaller one.
+    Tree vertices hold NaN as their squared distance, which no comparison
+    selects and np.fmin skips.
+
     A single-point dataset yields a forest with no edges.
     """
     n = len(dataset.points)
     edges: list[Edge] = []
     if n >= 2:
         coords = np.array([p.coords for p in dataset.points], dtype=np.float64)
-        ids = np.arange(n)
-        in_tree = np.zeros(n, dtype=bool)
         best_d2 = np.full(n, np.inf)
-        best_from = np.full(n, -1, dtype=np.int64)
-        best_lo = np.full(n, n, dtype=np.int64)
-        best_hi = np.full(n, n, dtype=np.int64)
-        in_tree[0] = True
+        best_from = np.zeros(n, dtype=np.int64)  # vertex 0 is the first source of all
+        best_d2[0] = np.nan
         cur = 0
         for _ in range(n - 1):
             diff = coords - coords[cur]
             d2 = np.einsum("ij,ij->i", diff, diff)
-            lo = np.minimum(ids, cur)
-            hi = np.maximum(ids, cur)
-            closer = d2 < best_d2
-            tie = (d2 == best_d2) & (
-                (lo < best_lo) | ((lo == best_lo) & (hi < best_hi))
-            )
-            upd = ~in_tree & (closer | tie)
-            best_d2[upd] = d2[upd]
+            upd = (d2 < best_d2) | ((d2 == best_d2) & (cur < best_from))
+            np.copyto(best_d2, d2, where=upd)
             best_from[upd] = cur
-            best_lo[upd] = lo[upd]
-            best_hi[upd] = hi[upd]
 
-            masked = np.where(in_tree, np.inf, best_d2)
-            nearest = masked.min()
+            nearest = np.fmin.reduce(best_d2)
             if not math.isfinite(nearest):
                 # Every outside point is at d2 = inf, so Prim can no longer
-                # order the candidates and would re-pick a tree vertex.
+                # order the candidates.
                 raise InputError(
                     "squared-distance overflow: some coordinate differences"
                     " are too large to square in float64, so the EMST"
                     " cannot be built"
                 )
-            cand = np.flatnonzero(masked == nearest)
-            order = np.lexsort((best_hi[cand], best_lo[cand]))
-            nxt = int(cand[order[0]])
+            cand = np.flatnonzero(best_d2 == nearest)
+            if len(cand) > 1:
+                a = best_from[cand]
+                cand = cand[np.lexsort((np.maximum(a, cand), np.minimum(a, cand)))]
+            nxt = int(cand[0])
             src = int(best_from[nxt])
             weight = euclidean_distance(dataset.points[src], dataset.points[nxt])
             edges.append(Edge(src, nxt, weight))
-            in_tree[nxt] = True
+            best_d2[nxt] = np.nan
             cur = nxt
     return SpanningForest(vertex_count=n, edges=frozenset(edges))
 

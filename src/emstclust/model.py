@@ -167,12 +167,14 @@ class SpanningForest:
 
     @property
     def total_weight(self) -> float:
-        return math.fsum(e.weight for e in sorted(self.edges))
+        """Sum of the edge weights; math.fsum rounds correctly, so the
+        set's iteration order cannot change it."""
+        return math.fsum(e.weight for e in self.edges)
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, ordered by lowest member."""
         uf = _UnionFind(self.vertex_count)
-        for e in sorted(self.edges):
+        for e in self.edges:
             uf.union(e.u, e.v)
         groups: dict[int, list[int]] = {}
         for v in range(self.vertex_count):

@@ -25,6 +25,13 @@ from emstclust import (
 )
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def brute_mst_weight_subsets(points: list[Point]) -> float:
     """Minimum spanning tree weight by trying every (n-1)-edge subset."""
     n = len(points)
@@ -37,16 +44,9 @@ def brute_mst_weight_subsets(points: list[Point]) -> float:
     best = math.inf
     for subset in itertools.combinations(all_edges, n - 1):
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         acyclic = True
         for u, v, _ in subset:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 acyclic = False
                 break
@@ -56,6 +56,32 @@ def brute_mst_weight_subsets(points: list[Point]) -> float:
             if total < best:
                 best = total
     return best
+
+
+def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
+    """The unique minimum spanning tree under the canonical edge order.
+
+    Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
+    computed by the same numpy row expression as build_emst, so ties and
+    rounding agree. Returns (u, v, weight) triples, weight being
+    euclidean_distance.
+    """
+    n = len(points)
+    coords = np.array([p.coords for p in points], dtype=np.float64)
+    pairs = []
+    for u in range(n):
+        diff = coords - coords[u]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        pairs.extend((float(d2[v]), u, v) for v in range(u + 1, n))
+    pairs.sort()
+    parent = list(range(n))
+    tree = set()
+    for _, u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.add((u, v, euclidean_distance(points[u], points[v])))
+    return tree
 
 
 def brute_force_mst_weight(dataset: Dataset) -> float:

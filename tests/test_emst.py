@@ -18,6 +18,7 @@ from emstclust import (
 from oracles import (
     brute_force_mst_weight,
     brute_mst_weight_subsets,
+    canonical_kruskal,
     max_min_separation,
 )
 
@@ -109,6 +110,63 @@ class TestBuildEmst:
                 for j in parts[1]
             )
             assert achieved == pytest.approx(max_min_separation(list(ds.points)), abs=1e-9)
+
+
+def integer_grid(rng, n, dim, side):
+    return [tuple(float(rng.randrange(side)) for _ in range(dim)) for _ in range(n)]
+
+
+def duplicates(rng, n, dim):
+    base = [tuple(rng.uniform(-5, 5) for _ in range(dim)) for _ in range(max(1, n // 4))]
+    return [rng.choice(base) for _ in range(n)]
+
+
+def collinear(rng, n, dim):
+    direction = [rng.uniform(-1, 1) for _ in range(dim)]
+    return [tuple(t * c for c in direction) for t in (rng.randrange(12) for _ in range(n))]
+
+
+CANONICAL_CASES = {
+    "one_point": [(3.0, 1.0)],
+    "two_points": [(1.0, 1.0), (0.0, 0.0)],
+    "two_identical": [(2.0,), (2.0,)],
+    "lattice_3x3": [(float(x), float(y)) for x in range(3) for y in range(3)],
+    "lattice_3x3_reversed": [(float(x), float(y)) for x in range(2, -1, -1) for y in range(3)],
+    "lattice_4x4x2": [(float(x), float(y), float(z)) for z in range(2) for y in range(4) for x in range(4)],
+    "all_identical": [(1.5, -2.0, 0.25)] * 7,
+    "collinear_equal_steps": [(float(t), 2.0 * t) for t in (4, 0, 2, 1, 3, 1)],
+}
+
+
+def random_canonical_cases():
+    rng = random.Random(61)
+    cases = []
+    for dim in (1, 2, 3, 5, 8, 16):
+        for _ in range(4):
+            n = rng.randint(2, 40)
+            cases.append(integer_grid(rng, n, dim, 3))
+            cases.append(duplicates(rng, n, dim))
+            cases.append(collinear(rng, n, dim))
+    return cases
+
+
+class TestCanonicalEdgeSet:
+    """build_emst returns the unique tree of the canonical edge order
+    (d^2, min endpoint, max endpoint), weights included."""
+
+    @staticmethod
+    def check(coords):
+        points = [Point(c) for c in coords]
+        tree = build_emst(Dataset(tuple(points)))
+        assert {(e.u, e.v, e.weight) for e in tree.edges} == canonical_kruskal(points)
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_fixed_cases(self, name):
+        self.check(CANONICAL_CASES[name])
+
+    def test_random_ties_duplicates_and_lines(self):
+        for coords in random_canonical_cases():
+            self.check(coords)
 
 
 class TestBruteForce:
