@@ -23,6 +23,7 @@ from emstclust import (
     SpanningForest,
     euclidean_distance,
 )
+from emstclust.emst import _sq_dist
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -62,16 +63,15 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     """The unique minimum spanning tree under the canonical edge order.
 
     Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
-    computed by the same numpy row expression as build_emst, so ties and
-    rounding agree. Returns (u, v, weight) triples, weight being
-    euclidean_distance.
+    emstclust.emst._sq_dist of each row of differences, the one expression
+    both EMST builders compare, so ties and rounding agree. Returns
+    (u, v, weight) triples, weight being euclidean_distance.
     """
     n = len(points)
     coords = np.array([p.coords for p in points], dtype=np.float64)
     pairs = []
     for u in range(n):
-        diff = coords - coords[u]
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = _sq_dist(coords - coords[u])
         pairs.extend((float(d2[v]), u, v) for v in range(u + 1, n))
     pairs.sort()
     parent = list(range(n))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from emstclust import (
     run_pipeline,
     write_outputs,
 )
+import emstclust
 from emstclust import io as emst_io
 from emstclust.cli import main
 from oracles import count_internal, leaf_depths, parse_newick
@@ -329,6 +331,17 @@ class TestCli:
         assert code == 2
         assert "squared-distance overflow" in capsys.readouterr().err
 
+    def test_two_groups_overflow_exit_two(self, tmp_path, capsys):
+        # 2000 points in 2-D go to the k-d tree kernel, not to Prim.
+        near = [f"{i % 7 / 7!r},{i % 11 / 11!r}" for i in range(1000)]
+        far = [f"1e200,{i % 13 / 13!r}" for i in range(1000)]
+        path = write_csv(tmp_path, "\n".join(near + far) + "\n")
+        code = main(
+            ["--input", str(path), "--k", "2", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "squared-distance overflow" in capsys.readouterr().err
+
     def test_k_zero_exit_three(self, tmp_path):
         path = write_csv(tmp_path, CHAIN_CSV)
         code = main(
@@ -411,6 +424,10 @@ class TestCli:
         path = write_csv(tmp_path, CHAIN_CSV)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
+        # The child imports the package this test imported, installed or not.
+        package_root = str(Path(emstclust.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         for out in (out_a, out_b):
             proc = subprocess.run(
                 [
@@ -427,6 +444,7 @@ class TestCli:
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
         files_a = sorted(q.name for q in out_a.iterdir())
