@@ -1,10 +1,14 @@
 """Byte-for-byte regression gate on saved pipeline outputs.
 
-Each directory under tests/golden holds one seeded input (n <= 200) and the
-files run_pipeline wrote for it under `std/` and `zahn/`, saved before the
-divisive removal loop was rewritten (commit f96ad15). The cases cover
-lattice ties, duplicate points, 1-D data, k=1, k=n, identical points and
-one 2-D run with SVG output; the zahn runs use non-default c, f and depth.
+Each directory under tests/golden holds one seeded input and the files
+run_pipeline wrote for it under `std/` and `zahn/`. The first ten cases
+(n <= 200, so the EMST always comes from dense Prim) were saved before the
+divisive removal loop was rewritten (commit f96ad15). They cover lattice
+ties, duplicate points, 1-D data, k=1, k=n, identical points and one 2-D run
+with SVG output; the zahn runs use non-default c, f and depth. The two
+`*_kdtree` cases lie above the k-d tree crossover (2-D blobs, n = 1500, with
+SVG; a duplicate-heavy 3-D integer grid, n = 2500, k=1) and were saved by
+the code of commit f6f75dd, before the pipeline became array-native.
 Refactors must reproduce these files exactly. Never regenerate them to make
 this test pass: a byte that moves is a behaviour change that needs its own
 justification.
@@ -32,6 +36,8 @@ CASES = [
     ("chain1d", 4, 1.0, 2.0, 3, False),
     ("blobs3d_k20", 20, 2.5, 1.2, 2, False),
     ("identical", 3, 1.5, 1.5, 2, False),
+    ("blobs2d_k6_kdtree", 6, 1.5, 2.0, 2, True),
+    ("grid3d_dup_k1_kdtree", 1, 2.0, 1.5, 2, False),
 ]
 
 
