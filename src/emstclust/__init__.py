@@ -53,6 +53,7 @@ from .model import (
     Dendrogram,
     Edge,
     MergeRecord,
+    Partition,
     Point,
     SpanningForest,
     euclidean_distance,
@@ -81,6 +82,7 @@ __all__ = [
     "MODE_ZAHN",
     "MergeRecord",
     "MetaResult",
+    "Partition",
     "Point",
     "RunConfig",
     "SpanningForest",

@@ -9,16 +9,21 @@ unchanged for every removal decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
-from .emst import EdgeStats, build_emst, edge_statistics
+import numpy as np
+
+# build_emst, edge_statistics, cluster_variance and path_distance_table are
+# not used here: the benchmark's layer trace looks them up in this module.
+from .emst import EdgeStats, _emst_arrays, build_emst, edge_statistics  # noqa: F401
 from .errors import DegenerateInputError, InputError
-from .metrics import (
+from .metrics import (  # noqa: F401
+    _rms_spread,
+    _tree_eccentricities,
     center_and_radius,
     cluster_variance,
     diameter_and_set,
-    path_distance_table,  # noqa: F401 -- the benchmark's layer trace looks it up here
-    tree_eccentricities,
+    path_distance_table,
 )
 from .model import (
     MODE_ZAHN,
@@ -27,6 +32,7 @@ from .model import (
     CriterionConfig,
     Dataset,
     Edge,
+    Partition,
     Point,
     SpanningForest,
 )
@@ -36,17 +42,24 @@ CRITERION_LONGEST = "longest"
 CRITERION_ZAHN = "zahn"
 
 _Adjacency = dict[int, dict[int, float]]
+# A tree's edges as parallel lists: u, v and weight.
+_EdgeLists = tuple[list[int], list[int], list[float]]
 
 
-def _heaviest_first(e: Edge) -> tuple[float, int, int]:
-    return (-e.weight, e.u, e.v)
+def _edge_lists(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> _EdgeLists:
+    return u.tolist(), v.tolist(), w.tolist()
 
 
-def _adjacency(edges: Iterable[Edge]) -> _Adjacency:
+def _heaviest_first(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]:
+    """Edge positions ordered by weight descending, ties by (u, v)."""
+    return np.lexsort((v, u, -w)).tolist()
+
+
+def _adjacency(edges: _EdgeLists) -> _Adjacency:
     adj: _Adjacency = {}
-    for e in edges:
-        adj.setdefault(e.u, {})[e.v] = e.weight
-        adj.setdefault(e.v, {})[e.u] = e.weight
+    for a, b, w in zip(*edges):
+        adj.setdefault(a, {})[b] = w
+        adj.setdefault(b, {})[a] = w
     return adj
 
 
@@ -77,13 +90,12 @@ def _neighborhood_weights(
     return weights
 
 
-def _zahn_test(adj: _Adjacency, e: Edge, config: CriterionConfig) -> bool:
+def _zahn_test(adj: _Adjacency, u: int, v: int, w: float, config: CriterionConfig) -> bool:
     c = config.zahn_c
-    side_a = _neighborhood_weights(adj, e.u, e.v, config.zahn_depth)
-    side_b = _neighborhood_weights(adj, e.v, e.u, config.zahn_depth)
+    side_a = _neighborhood_weights(adj, u, v, config.zahn_depth)
+    side_b = _neighborhood_weights(adj, v, u, config.zahn_depth)
     if not side_a and not side_b:
         return False
-    w = e.weight
     deviations = []
     for side in (side_a, side_b):
         stats = EdgeStats.of(side)
@@ -118,23 +130,28 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
     """
     if e not in tree.edges:
         raise InputError(f"edge {e.endpoints} is not in the tree")
-    return _zahn_test(_adjacency(tree.edges), e, config)
+    return _zahn_test(_adjacency(_edge_lists(tree.u, tree.v, tree.w)), e.u, e.v, e.weight, config)
 
 
 def _select(
-    order: list[Edge], adj: _Adjacency | None, stats: EdgeStats, config: CriterionConfig
+    order: list[int],
+    edges: _EdgeLists,
+    adj: _Adjacency | None,
+    stats: EdgeStats,
+    config: CriterionConfig,
 ) -> tuple[int, str]:
     """Position in `order` of the edge to remove next, and the clause that
-    chose it. `order` holds the remaining edges sorted by _heaviest_first;
-    `adj` is their adjacency, needed in MODE_ZAHN only."""
+    chose it. `order` holds the positions in `edges` of the remaining edges,
+    heaviest first; `adj` is their adjacency, needed in MODE_ZAHN only."""
     if not order:
         raise DegenerateInputError("no edges left to remove")
+    us, vs, ws = edges
     if config.mode == MODE_ZAHN:
         for i, e in enumerate(order):
-            if _zahn_test(adj, e, config):
+            if _zahn_test(adj, us[e], vs[e], ws[e], config):
                 return i, CRITERION_ZAHN
         return 0, CRITERION_LONGEST
-    if order[0].weight > stats.mean + stats.std:
+    if ws[order[0]] > stats.mean + stats.std:
         return 0, CRITERION_THRESHOLD
     return 0, CRITERION_LONGEST
 
@@ -152,98 +169,68 @@ def select_edge_to_remove(
     zahn_inconsistent flags is returned tagged "zahn", falling back to the
     first edge tagged "longest" when no edge is inconsistent.
     """
-    order = sorted(forest.edges, key=_heaviest_first)
-    i, fired = _select(order, _adjacency(order), stats, config)
-    return order[i], fired
+    us, vs, ws = edges = _edge_lists(forest.u, forest.v, forest.w)
+    order = _heaviest_first(forest.u, forest.v, forest.w)
+    adj = _adjacency(edges) if config.mode == MODE_ZAHN else None
+    i, fired = _select(order, edges, adj, stats, config)
+    e = order[i]
+    return Edge(us[e], vs[e], ws[e]), fired
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Outcome of a divisive run: clusters, their reports, and the removal log.
 
-    clusters are ordered by lowest member index and that order defines the
-    cluster ids used everywhere else. reports and centers run parallel to
-    clusters; removed_edges lists (edge, fired criterion) in removal order.
+    partition holds the clusters as arrays, ordered by lowest member; that
+    order defines the cluster ids used everywhere else. reports run parallel
+    to it, and center_set holds each cluster's center point. removed lists
+    (u, v, weight, fired criterion) per removed edge, in removal order.
+    clusters, centers and removed_edges give the same as objects (Cluster,
+    Point, (Edge, criterion)) and are built on first access.
     """
 
-    clusters: tuple[Cluster, ...]
+    partition: Partition
     reports: tuple[ClusterReport, ...]
-    centers: tuple[Point, ...]
-    removed_edges: tuple[tuple[Edge, str], ...]
-
-    def __post_init__(self) -> None:
-        clusters = tuple(self.clusters)
-        reports = tuple(self.reports)
-        centers = tuple(self.centers)
-        removed = tuple(self.removed_edges)
-        if not clusters:
-            raise InputError("a result needs at least one cluster")
-        if len(reports) != len(clusters) or len(centers) != len(clusters):
-            raise InputError("reports and centers must run parallel to clusters")
-        if len(removed) != len(clusters) - 1:
-            raise InputError(
-                f"{len(clusters)} clusters need {len(clusters) - 1} removals,"
-                f" got {len(removed)}"
-            )
-        seen: set[int] = set()
-        for cluster, report in zip(clusters, reports):
-            if not cluster.members.isdisjoint(seen):
-                raise InputError("clusters overlap")
-            seen |= cluster.members
-            if report.center_index not in cluster.members:
-                raise InputError(
-                    f"center {report.center_index} is outside its cluster"
-                )
-            if report.size != cluster.size:
-                raise InputError("report size disagrees with cluster size")
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "removed_edges", removed)
+    center_set: Dataset
+    removed: tuple[tuple[int, int, float, str], ...]
 
     @property
     def cluster_count(self) -> int:
-        return len(self.clusters)
+        return self.partition.count
+
+    @cached_property
+    def clusters(self) -> tuple[Cluster, ...]:
+        part = self.partition
+        return tuple(
+            Cluster._of_arrays(part.members_of(c), *part.edges_of(c))
+            for c in range(part.count)
+        )
+
+    @cached_property
+    def centers(self) -> tuple[Point, ...]:
+        return self.center_set.points
+
+    @cached_property
+    def removed_edges(self) -> tuple[tuple[Edge, str], ...]:
+        return tuple((Edge(u, v, w), fired) for u, v, w, fired in self.removed)
 
     def assignments(self) -> dict[int, int]:
         """Point index to cluster id, ids following the cluster order."""
-        out: dict[int, int] = {}
-        for cid, cluster in enumerate(self.clusters):
-            for member in cluster.members:
-                out[member] = cid
-        return dict(sorted(out.items()))
+        return dict(enumerate(self.partition.labels.tolist()))
 
 
-def _clusters_from_forest(n: int, edges: list[Edge]) -> tuple[Cluster, ...]:
-    forest = SpanningForest(vertex_count=n, edges=frozenset(edges))
-    components = forest.components()
-    grouped: dict[int, list[Edge]] = {i: [] for i in range(len(components))}
-    owner: dict[int, int] = {}
-    for i, comp in enumerate(components):
-        for v in comp:
-            owner[v] = i
-    for e in edges:
-        grouped[owner[e.u]].append(e)
-    return tuple(
-        Cluster(members=comp, edges=frozenset(grouped[i]))
-        for i, comp in enumerate(components)
-    )
-
-
-def _report_for(cluster: Cluster, dataset: Dataset) -> tuple[ClusterReport, Point]:
-    ecc = tree_eccentricities(cluster)
+def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
+    ids = part.members_of(c)
+    ecc = _tree_eccentricities(ids, *part.edges_of(c))
     centers, radius = center_and_radius(ecc)
     diameter, _ = diameter_and_set(ecc)
-    center_index = min(centers)
-    member_points = [dataset.points[i] for i in sorted(cluster.members)]
-    report = ClusterReport(
-        center_index=center_index,
+    return ClusterReport(
+        center_index=min(centers),
         radius=radius,
         diameter=diameter,
-        variance=cluster_variance(member_points),
-        size=cluster.size,
+        variance=_rms_spread(coords[ids].tolist()),
+        size=len(ids),
     )
-    return report, dataset.points[center_index]
 
 
 def emstrd(
@@ -256,43 +243,41 @@ def emstrd(
     Each of the k - 1 removals takes an edge out of that single ordered list
     by the rule select_edge_to_remove documents: in MODE_STD always the
     first edge, in MODE_ZAHN the first edge the neighborhood test flags in
-    the remaining forest (else the first edge). The forest is validated once
-    more when the final clusters are formed, not after every removal.
-    Because the criterion depends only on the original statistics and the
-    current forest, the k + 1 clustering always refines the k clustering for
-    the same dataset and configuration.
+    the remaining forest (else the first edge). The clusters are the
+    components of the kept edges, found in one pass; the tree was checked
+    once when it was built, and nothing is validated again. Because the
+    criterion depends only on the original statistics and the current
+    forest, the k + 1 clustering always refines the k clustering for the
+    same dataset and configuration.
     """
     if config is None:
         config = CriterionConfig()
-    n = len(dataset.points)
+    coords = dataset.coords
+    n = len(coords)
     k = int(k)
     if k < 1 or k > n:
         raise InputError(f"k must be in [1, {n}], got {k}")
 
-    tree = build_emst(dataset)
-    stats = edge_statistics(tree) if tree.edges else EdgeStats(0.0, 0.0)
-    order = sorted(tree.edges, key=_heaviest_first)
+    u, v, w = _emst_arrays(coords)
+    us, vs, ws = edges = _edge_lists(u, v, w)
+    stats = EdgeStats.of(ws)
+    order = _heaviest_first(u, v, w)
     # Only the zahn test reads neighborhoods, so std mode builds no adjacency.
-    adj = _adjacency(order) if config.mode == MODE_ZAHN else None
-    removed: list[tuple[Edge, str]] = []
+    adj = _adjacency(edges) if config.mode == MODE_ZAHN else None
+    keep = np.ones(len(order), dtype=bool)
+    removed: list[tuple[int, int, float, str]] = []
     while 1 + len(removed) < k:
-        i, fired = _select(order, adj, stats, config)
-        edge = order.pop(i)
+        i, fired = _select(order, edges, adj, stats, config)
+        e = order.pop(i)
         if adj is not None:
-            del adj[edge.u][edge.v], adj[edge.v][edge.u]
-        removed.append((edge, fired))
-    del adj
+            del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
+        keep[e] = False
+        removed.append((us[e], vs[e], ws[e], fired))
+    del adj, edges, us, vs, ws
 
-    clusters = _clusters_from_forest(n, order)
-    reports: list[ClusterReport] = []
-    centers: list[Point] = []
-    for cluster in clusters:
-        report, center = _report_for(cluster, dataset)
-        reports.append(report)
-        centers.append(center)
+    part = Partition.of_forest(n, u[keep], v[keep], w[keep])
+    reports = tuple(_report(coords, part, c) for c in range(part.count))
+    center_set = Dataset._of_array(coords[[r.center_index for r in reports]])
     return ClusteringResult(
-        clusters=clusters,
-        reports=tuple(reports),
-        centers=tuple(centers),
-        removed_edges=tuple(removed),
+        partition=part, reports=reports, center_set=center_set, removed=tuple(removed)
     )

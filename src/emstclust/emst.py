@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .model import Dataset, Edge, SpanningForest, euclidean_distance
+from .model import Dataset, SpanningForest, _lowest_members
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,17 @@ _FRONTIER_QUERIES = 8  # query leaves traversed together
 def build_emst(dataset: Dataset) -> SpanningForest:
     """Build the Euclidean minimum spanning tree of a dataset.
 
+    The tree is _emst_arrays(dataset.coords), held by a SpanningForest
+    without building an Edge; see there. A single-point dataset yields a
+    forest with no edges.
+    """
+    return SpanningForest._of_arrays(len(dataset), *_emst_arrays(dataset.coords))
+
+
+def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The EMST of the rows of coords as parallel arrays u < v and w, in
+    ascending (u, v) order.
+
     The tree is the unique minimum spanning tree under the canonical edge
     order: squared distance, then min endpoint, then max endpoint. So the
     result is deterministic even with duplicate points and massive ties.
@@ -82,26 +93,33 @@ def build_emst(dataset: Dataset) -> SpanningForest:
       time and O(n) memory.
 
     Both compute d^2 by one expression, _sq_dist, so they agree on every
-    tie. Edge weights on the returned tree are computed with
-    euclidean_distance so that every downstream comparison sees one
-    consistent value.
+    tie. This is the one place the tree is checked: exactly n - 1 edges,
+    every endpoint in range, and together they span the points. A builder
+    that breaks that raises InputError here, so nothing downstream checks
+    again. The weights are math.dist on the coordinate rows, the
+    correctly rounded distance every output reports (np.sqrt of d^2 rounds
+    differently on many pairs).
 
     Raises InputError when squared distances overflow float64 so that
     some part of the points has no finite edge to the rest.
-
-    A single-point dataset yields a forest with no edges.
     """
-    pts = dataset.points
-    coords = np.array([p.coords for p in pts], dtype=np.float64)
-    if len(pts) >= _KDTREE_MIN_N.get(dataset.dimension, math.inf):
-        u, v = _kdtree_emst(coords)
+    n = len(coords)
+    if n >= _KDTREE_MIN_N.get(coords.shape[1], math.inf):
+        a, b = _kdtree_emst(coords)
     else:
-        u, v = _prim_emst(coords)
-    del coords
-    edges = frozenset(
-        Edge(a, b, euclidean_distance(pts[a], pts[b])) for a, b in zip(u.tolist(), v.tolist())
-    )
-    return SpanningForest(vertex_count=len(pts), edges=edges)
+        a, b = _prim_emst(coords)
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    del a, b
+    if len(u) != n - 1:
+        raise InputError(f"the EMST of {n} points has {len(u)} edges, not {n - 1}")
+    if n > 1 and (u.min() < 0 or v.max() >= n):
+        raise InputError(f"an EMST edge leaves vertex range 0..{n - 1}")
+    if _lowest_members(n, u, v).any():
+        raise InputError("the EMST edges do not span the points")
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    w = np.array(list(map(math.dist, coords[u].tolist(), coords[v].tolist())), dtype=np.float64)
+    return u, v, w
 
 
 def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,7 +509,7 @@ def edge_statistics(forest: SpanningForest) -> EdgeStats:
 
     Raises DegenerateInputError for a forest with no edges.
     """
-    if not forest.edges:
+    if not len(forest.w):
         raise DegenerateInputError("edge statistics need at least one edge")
-    return EdgeStats.of([e.weight for e in forest.edges])
+    return EdgeStats.of(forest.w.tolist())
 

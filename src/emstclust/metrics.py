@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import Cluster, Dataset, Point, euclidean_distance
+from .model import Cluster, Dataset, Point
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,11 @@ class TreeEccentricities:
 class _RootedTree(NamedTuple):
     """A cluster's tree rooted at its lowest member, in local indices.
 
-    Local index i is members[i]. order is a stack DFS preorder over the
-    sorted-edge adjacency, so every subtree occupies the contiguous positions
-    pos[v] .. pos[v] + size[v] - 1 of it.
+    Local index i is the cluster's i-th lowest member. order is a stack DFS
+    preorder over the adjacency in ascending edge order, so every subtree
+    occupies the contiguous positions pos[v] .. pos[v] + size[v] - 1 of it.
     """
 
-    members: list[int]
     order: list[int]
     parent: list[int]
     parent_w: list[float]
@@ -92,15 +91,16 @@ class _RootedTree(NamedTuple):
     size: list[int]
 
 
-def _rooted(cluster: Cluster) -> _RootedTree:
-    members = sorted(cluster.members)
-    m = len(members)
-    local = {v: i for i, v in enumerate(members)}
+def _rooted(ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> _RootedTree:
+    """Root the tree on members ids (ascending) with edges u, v, w in
+    ascending (u, v) order."""
+    m = len(ids)
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    for e in sorted(cluster.edges):
-        a, b = local[e.u], local[e.v]
-        adjacency[a].append((b, e.weight))
-        adjacency[b].append((a, e.weight))
+    local_u = np.searchsorted(ids, u).tolist()
+    local_v = np.searchsorted(ids, v).tolist()
+    for a, b, weight in zip(local_u, local_v, w.tolist()):
+        adjacency[a].append((b, weight))
+        adjacency[b].append((a, weight))
 
     order: list[int] = []
     parent = [-1] * m
@@ -111,11 +111,11 @@ def _rooted(cluster: Cluster) -> _RootedTree:
     while stack:
         v = stack.pop()
         order.append(v)
-        for nb, w in adjacency[v]:
+        for nb, weight in adjacency[v]:
             if not seen[nb]:
                 seen[nb] = True
                 parent[nb] = v
-                parent_w[nb] = w
+                parent_w[nb] = weight
                 stack.append(nb)
 
     pos = [0] * m
@@ -125,7 +125,7 @@ def _rooted(cluster: Cluster) -> _RootedTree:
     for v in reversed(order):
         if parent[v] >= 0:
             size[parent[v]] += size[v]
-    return _RootedTree(members, order, parent, parent_w, pos, size)
+    return _RootedTree(order, parent, parent_w, pos, size)
 
 
 def _row_tails(tree: _RootedTree) -> Iterator[tuple[int, np.ndarray]]:
@@ -143,7 +143,7 @@ def _row_tails(tree: _RootedTree) -> Iterator[tuple[int, np.ndarray]]:
     1 + log2(m) buffers are then alive. A yielded tail is overwritten later, so consume it
     before advancing.
     """
-    _, order, parent, parent_w, pos, size = tree
+    order, parent, parent_w, pos, size = tree
     m = len(order)
     children: list[list[int]] = [[] for _ in range(m)]
     for v in order[1:]:
@@ -184,7 +184,7 @@ def path_distance_table(cluster: Cluster) -> DistanceTable:
     and the zero diagonal exact. O(m^2) time and memory: tree_eccentricities
     gives the same eccentricities without the matrix.
     """
-    tree = _rooted(cluster)
+    tree = _rooted(cluster.ids, cluster.u, cluster.v, cluster.w)
     m = len(tree.order)
     upper = np.zeros((m, m))
     for p, tail in _row_tails(tree):
@@ -194,7 +194,7 @@ def path_distance_table(cluster: Cluster) -> DistanceTable:
     dist = upper + upper.T
     perm = np.array(tree.pos)
     dist = dist[np.ix_(perm, perm)]
-    return DistanceTable(vertices=tuple(tree.members), distances=dist)
+    return DistanceTable(vertices=tuple(cluster.ids.tolist()), distances=dist)
 
 
 def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
@@ -208,7 +208,15 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
     and only those two maxima kept, so memory is O(m log m) while time stays
     O(m^2).
     """
-    tree = _rooted(cluster)
+    return _tree_eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)
+
+
+def _tree_eccentricities(
+    ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> TreeEccentricities:
+    """tree_eccentricities of the tree on members ids (ascending) with edges
+    u, v, w in ascending (u, v) order."""
+    tree = _rooted(ids, u, v, w)
     m = len(tree.order)
     row_max = np.zeros(m)
     col_max = np.zeros(m)
@@ -218,7 +226,7 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
             np.maximum(col_max[p + 1 :], tail[1:], out=col_max[p + 1 :])
     ecc = np.maximum(row_max, col_max)[tree.pos]
     ecc.flags.writeable = False
-    return TreeEccentricities(vertices=tuple(tree.members), eccentricities=ecc)
+    return TreeEccentricities(vertices=tuple(ids.tolist()), eccentricities=ecc)
 
 
 def eccentricity(table: DistanceTable, vertex: int) -> float:
@@ -250,22 +258,21 @@ def diameter_and_set(
     return diameter, attaining
 
 
-def _coordinate_matrix(points: Sequence[Point]) -> np.ndarray:
-    if not points:
-        raise InputError("at least one point is required")
-    dim = points[0].dimension
-    for i, p in enumerate(points):
-        if p.dimension != dim:
-            raise InputError(f"point {i} has dimension {p.dimension}, expected {dim}")
-    return np.array([p.coords for p in points], dtype=np.float64)
+def _centroid(rows: Sequence[Sequence[float]]) -> list[float]:
+    return [math.fsum(column) / len(rows) for column in zip(*rows)]
+
+
+def _rms_spread(rows: Sequence[Sequence[float]]) -> float:
+    """Root mean squared Euclidean distance from coordinate rows to their
+    centroid: the one routine behind cluster_variance, the cluster reports
+    and compactness. Each distance is math.dist, as euclidean_distance."""
+    mu = _centroid(rows)
+    return math.sqrt(math.fsum([math.dist(row, mu) ** 2 for row in rows]) / len(rows))
 
 
 def centroid(points: Sequence[Point]) -> Point:
     """Coordinate-wise mean of a non-empty point collection."""
-    arr = _coordinate_matrix(points)
-    n = arr.shape[0]
-    means = tuple(math.fsum(arr[:, j]) / n for j in range(arr.shape[1]))
-    return Point(means)
+    return Point(tuple(_centroid(Dataset(points).coords.tolist())))
 
 
 def centroid_diameter(points: Sequence[Point]) -> float:
@@ -287,12 +294,8 @@ def cluster_variance(points: Sequence[Point]) -> float:
     """Root mean squared Euclidean distance from the points to their centroid.
 
     This is the centroid radius too: centroid_radius is this same function.
-    It is computed through euclidean_distance against the centroid.
     """
-    pts = list(points)
-    mu = centroid(pts)
-    sq = [euclidean_distance(p, mu) ** 2 for p in pts]
-    return math.sqrt(math.fsum(sq) / len(pts))
+    return _rms_spread(Dataset(points).coords.tolist())
 
 
 centroid_radius = cluster_variance
@@ -314,7 +317,7 @@ def cluster_compactness(clusters: Sequence[Cluster], dataset: Dataset) -> Compac
     """
     if not clusters:
         raise InputError("at least one cluster is required")
-    n = len(dataset.points)
+    n = len(dataset)
     seen: set[int] = set()
     for c in clusters:
         if not c.members.isdisjoint(seen):
@@ -322,12 +325,14 @@ def cluster_compactness(clusters: Sequence[Cluster], dataset: Dataset) -> Compac
         seen |= c.members
     if seen != set(range(n)):
         raise InputError("clusters must partition the dataset indices")
+    variances = [_rms_spread(dataset.coords[c.ids].tolist()) for c in clusters]
+    return _compactness(variances, dataset)
 
-    whole = cluster_variance(dataset.points)
+
+def _compactness(variances: Sequence[float], dataset: Dataset) -> Compactness:
+    """cluster_compactness from the clusters' variances, in cluster order."""
+    whole = _rms_spread(dataset.coords.tolist())
     if whole == 0.0:
         return Compactness(0.0, True)
-    ratios = [
-        cluster_variance([dataset.points[i] for i in sorted(c.members)]) / whole
-        for c in clusters
-    ]
+    ratios = [variance / whole for variance in variances]
     return Compactness(math.fsum(ratios) / len(ratios), False)

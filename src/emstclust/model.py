@@ -1,15 +1,22 @@
 """Core value types for MST based clustering.
 
-Everything in this module is an immutable value object validated at
-construction time. Vertices are always identified by their 0-based position
-in the dataset, so an edge or a cluster can be interpreted without carrying
-the coordinates around.
+Vertices are always identified by their 0-based position in the dataset, so
+an edge or a cluster can be interpreted without carrying the coordinates
+around. Points, trees and partitions are held as read-only numpy arrays.
+Built from objects through their public constructors, they are validated
+there; built by the library's own array routines (the _of_array(s)
+constructors), they were checked once where the data entered. Their object
+forms (Point, Edge, frozensets) are views built on first access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 
@@ -43,18 +50,22 @@ class Point:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Dataset:
     """A non-empty collection of points sharing one dimension.
 
-    Duplicate points are allowed; they simply produce zero-weight edges
-    downstream.
+    coords holds the points as one read-only (n, d) float64 array, row i
+    being point i. points, the same points as Point objects, is built on
+    first access. Duplicate points are allowed; they simply produce
+    zero-weight edges downstream.
     """
 
-    points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        points = tuple(self.points)
+    def __init__(self, points: Iterable[Point]) -> None:
+        points = tuple(points)
         if not points:
             raise InputError("a dataset needs at least one point")
         dim = points[0].dimension
@@ -63,14 +74,27 @@ class Dataset:
                 raise InputError(
                     f"point {i} has dimension {p.dimension}, expected {dim}"
                 )
-        object.__setattr__(self, "points", points)
+        self.coords = _read_only(np.array([p.coords for p in points], dtype=np.float64))
+        self.__dict__["points"] = points
+
+    @classmethod
+    def _of_array(cls, coords: np.ndarray) -> Dataset:
+        """A dataset over the rows of a non-empty (n, d) float64 array of
+        finite values, which the caller has checked; no Point is built."""
+        dataset = cls.__new__(cls)
+        dataset.coords = _read_only(coords)
+        return dataset
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(Point(row) for row in self.coords.tolist())
 
     @property
     def dimension(self) -> int:
-        return self.points[0].dimension
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
 
 def euclidean_distance(p: Point, q: Point) -> float:
@@ -115,103 +139,214 @@ class Edge:
         return (self.u, self.v)
 
 
-class _UnionFind:
-    """Minimal union-find for cycle detection and component grouping."""
+def _lowest_members(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each of the vertices 0 .. n - 1 the lowest vertex of its connected
+    component in the graph with edges (u[i], v[i]).
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+    Each round hooks every component root onto the lowest root adjacent to
+    it, if that is lower, then points every vertex straight at its root.
+    Roots only ever hook onto lower roots, so a component's root is its
+    lowest vertex. A root with no lower neighbour either takes a neighbour
+    in this round or has one hooked below it and hooks itself in the next,
+    so every two rounds at least halve the roots that still have an edge
+    out: O(log n) rounds of O(n + len(u)) array work.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _edge_arrays(edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parallel arrays u, v and weight of edges, in ascending (u, v) order."""
+    ordered = sorted(edges)
+    u = np.array([e.u for e in ordered], dtype=np.int64)
+    v = np.array([e.v for e in ordered], dtype=np.int64)
+    w = np.array([e.weight for e in ordered], dtype=np.float64)
+    return u, v, w
 
 
-@dataclass(frozen=True)
+def _edge_views(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> frozenset[Edge]:
+    return frozenset(map(Edge, u.tolist(), v.tolist(), w.tolist()))
+
+
 class SpanningForest:
     """An acyclic edge set over vertices 0 .. vertex_count - 1.
 
-    With acyclicity enforced, the number of connected components is always
-    vertex_count - len(edges).
+    The edges are held as read-only parallel arrays u < v and w, in
+    ascending (u, v) order. edges, the same edges as a frozenset of Edge
+    objects, is built on first access. With acyclicity enforced, the number
+    of connected components is always vertex_count - len(u).
     """
 
-    vertex_count: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        n = int(self.vertex_count)
+    def __init__(self, vertex_count: int, edges: Iterable[Edge]) -> None:
+        n = int(vertex_count)
         if n < 1:
             raise InputError("a forest needs at least one vertex")
-        edges = frozenset(self.edges)
-        uf = _UnionFind(n)
-        for e in sorted(edges):
+        edges = frozenset(edges)
+        u, v, w = _edge_arrays(edges)
+        for e in edges:
             if e.v >= n:
                 raise InputError(f"edge {e.endpoints} leaves vertex range 0..{n - 1}")
-            if not uf.union(e.u, e.v):
-                raise InputError(f"edge {e.endpoints} closes a cycle")
-        object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", edges)
+        if np.count_nonzero(_lowest_members(n, u, v) == np.arange(n)) != n - len(u):
+            raise InputError("the edges close a cycle")
+        self._hold(n, u, v, w)
+        self.__dict__["edges"] = edges
+
+    @classmethod
+    def _of_arrays(
+        cls, vertex_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> SpanningForest:
+        """A forest over arrays the caller has checked; no Edge is built."""
+        forest = cls.__new__(cls)
+        forest._hold(vertex_count, u, v, w)
+        return forest
+
+    def _hold(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        self.vertex_count = n
+        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return _edge_views(self.u, self.v, self.w)
 
     @property
     def component_count(self) -> int:
-        return self.vertex_count - len(self.edges)
+        return self.vertex_count - len(self.u)
 
     @property
     def total_weight(self) -> float:
         """Sum of the edge weights; math.fsum rounds correctly, so the
-        set's iteration order cannot change it."""
-        return math.fsum(e.weight for e in self.edges)
+        order of the weights cannot change it."""
+        return math.fsum(self.w.tolist())
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, ordered by lowest member."""
-        uf = _UnionFind(self.vertex_count)
-        for e in self.edges:
-            uf.union(e.u, e.v)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(uf.find(v), []).append(v)
-        parts = sorted(groups.values(), key=lambda g: g[0])
-        return tuple(frozenset(g) for g in parts)
+        part = Partition.of_forest(self.vertex_count, self.u, self.v, self.w)
+        return tuple(frozenset(part.members_of(c).tolist()) for c in range(part.count))
 
 
-@dataclass(frozen=True)
 class Cluster:
-    """One connected subtree of an EMST: its members and its internal edges."""
+    """One connected subtree of an EMST: its members and its internal edges.
 
-    members: frozenset[int]
-    edges: frozenset[Edge]
+    ids holds the members in ascending order, and u < v and w the edges in
+    ascending (u, v) order, all read-only arrays over the dataset's point
+    indices. members (a frozenset) and edges (a frozenset of Edge objects)
+    are built on first access.
+    """
 
-    def __post_init__(self) -> None:
-        members = frozenset(int(m) for m in self.members)
-        edges = frozenset(self.edges)
+    def __init__(self, members: Iterable[int], edges: Iterable[Edge]) -> None:
+        members = frozenset(int(m) for m in members)
+        edges = frozenset(edges)
         if not members:
             raise InputError("a cluster needs at least one member")
         if len(edges) != len(members) - 1:
             raise InputError(
                 f"{len(members)} members need {len(members) - 1} edges, got {len(edges)}"
             )
-        index = {m: i for i, m in enumerate(sorted(members))}
-        uf = _UnionFind(len(members))
-        for e in sorted(edges):
-            if e.u not in index or e.v not in index:
+        for e in edges:
+            if e.u not in members or e.v not in members:
                 raise InputError(f"edge {e.endpoints} leaves the member set")
-            if not uf.union(index[e.u], index[e.v]):
-                raise InputError(f"edge {e.endpoints} closes a cycle")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "edges", edges)
+        ids = np.array(sorted(members), dtype=np.int64)
+        u, v, w = _edge_arrays(edges)
+        # With m - 1 edges the subtree is acyclic exactly when it connects.
+        if _lowest_members(len(ids), np.searchsorted(ids, u), np.searchsorted(ids, v)).any():
+            raise InputError("the edges close a cycle")
+        self._hold(ids, u, v, w)
+        self.__dict__["members"] = members
+        self.__dict__["edges"] = edges
+
+    @classmethod
+    def _of_arrays(
+        cls, ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> Cluster:
+        """A cluster over arrays the caller has checked; no Edge is built."""
+        cluster = cls.__new__(cls)
+        cluster._hold(ids, u, v, w)
+        return cluster
+
+    def _hold(self, ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        self.ids = _read_only(ids)
+        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return _edge_views(self.u, self.v, self.w)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.ids)
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """The connected components of a forest over points 0 .. n - 1, as one
+    label array plus a CSR layout.
+
+    Cluster ids follow the lowest member. labels[p] is point p's cluster.
+    Cluster c's members are members[member_start[c] : member_start[c + 1]],
+    in ascending order, and its edges are u, v and w over
+    edge_start[c] : edge_start[c + 1], in ascending (u, v) order.
+    """
+
+    labels: np.ndarray
+    members: np.ndarray
+    member_start: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    edge_start: np.ndarray
+
+    @classmethod
+    def of_forest(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Partition:
+        """The components of the forest with edges (u, v, w) in ascending
+        (u, v) order, which the caller has checked, in one pass of array
+        operations."""
+        root = _lowest_members(n, u, v)
+        is_root = root == np.arange(n)
+        labels = (np.cumsum(is_root) - 1)[root]
+        count = int(np.count_nonzero(is_root))
+        edge_labels = labels[u]
+        by_cluster = np.argsort(edge_labels, kind="stable")
+        return cls(
+            labels=_read_only(labels),
+            members=_read_only(np.argsort(labels, kind="stable")),
+            member_start=_read_only(_starts(labels, count)),
+            u=_read_only(u[by_cluster]),
+            v=_read_only(v[by_cluster]),
+            w=_read_only(w[by_cluster]),
+            edge_start=_read_only(_starts(edge_labels, count)),
+        )
+
+    @property
+    def count(self) -> int:
+        return len(self.member_start) - 1
+
+    def members_of(self, c: int) -> np.ndarray:
+        return self.members[self.member_start[c] : self.member_start[c + 1]]
+
+    def edges_of(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo, hi = self.edge_start[c], self.edge_start[c + 1]
+        return self.u[lo:hi], self.v[lo:hi], self.w[lo:hi]
+
+
+def _starts(labels: np.ndarray, count: int) -> np.ndarray:
+    """Offsets of each label's run once the labels are sorted."""
+    starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
+    return starts
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
     """2-D scatter with one color per cluster and ringed center points."""
     if dataset.dimension != 2:
         raise ValueError("scatter rendering needs 2-D data")
-    xs = [p.coords[0] for p in dataset.points]
-    ys = [p.coords[1] for p in dataset.points]
+    coords = dataset.coords
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
     sx = _scale(min(xs), max(xs), _WIDTH - 2 * _MARGIN)
     sy = _scale(min(ys), max(ys), _HEIGHT - 2 * _MARGIN)
 
@@ -46,17 +46,15 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
         f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
         f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
     ]
-    for cid, cluster in enumerate(result.clusters):
+    for cid in range(result.cluster_count):
         color = _PALETTE[cid % len(_PALETTE)]
-        for i in sorted(cluster.members):
-            x, y = dataset.points[i].coords
+        for x, y in coords[result.partition.members_of(cid)].tolist():
             # SVG y grows downward, data y grows upward.
             parts.append(
                 f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(_HEIGHT - sy(y))}"'
                 f' r="3" fill="{color}"/>'
             )
-    for report in result.reports:
-        x, y = dataset.points[report.center_index].coords
+    for x, y in result.center_set.coords.tolist():
         parts.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(_HEIGHT - sy(y))}"'
             f' r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'

@@ -24,9 +24,11 @@ from emstclust import (
     Point,
     build_emst,
     edge_statistics,
+    emstrd,
     euclidean_distance,
 )
 from emstclust import emst
+from emstclust.cli import main
 from oracles import (
     brute_force_mst_weight,
     brute_mst_weight_subsets,
@@ -135,6 +137,70 @@ class TestBuildEmst:
                 for j in parts[1]
             )
             assert achieved == pytest.approx(max_min_separation(list(ds.points)), abs=1e-9)
+
+
+# Edge lists a builder might return for the four points of TREE_CHECK_POINTS,
+# each wrong in one way. The count, range and spanning checks each catch at
+# least one case that the other two let through.
+BAD_TREES = {
+    "repeated edge": ([0, 0, 1], [1, 1, 2]),
+    "cycle": ([0, 1, 0], [1, 2, 2]),
+    "self-loop": ([0, 1, 3], [1, 2, 3]),
+    "vertex past the end": ([0, 1, 2], [1, 2, 4]),
+    "negative vertex": ([0, 1, 2], [1, 2, -1]),  # -1 would index vertex 3
+    "n - 2 edges": ([0, 1], [1, 2]),
+    "n edges": ([0, 1, 2, 0], [1, 2, 3, 3]),
+}
+TREE_CHECK_POINTS = (0.0, 1.0, 3.0, 6.0)
+
+
+class TestTreeCheck:
+    """The EMST is checked once, where the builders hand it over; nothing
+    downstream checks it again, so a broken builder must be refused there."""
+
+    @pytest.fixture(params=["_prim_emst", "_kdtree_emst"])
+    def broken_builder(self, request, monkeypatch):
+        """Run the given builder on TREE_CHECK_POINTS and return what the
+        test sets in `returns`; the other builder must not run."""
+        returns = {}
+
+        def broken(coords):
+            assert coords.shape == (len(TREE_CHECK_POINTS), 1)
+            u, v = returns["tree"]
+            return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+        def unused(coords):
+            raise AssertionError("the other builder ran")
+
+        other = {"_prim_emst": "_kdtree_emst", "_kdtree_emst": "_prim_emst"}[request.param]
+        monkeypatch.setattr(emst, request.param, broken)
+        monkeypatch.setattr(emst, other, unused)
+        crossover = {1: 1} if request.param == "_kdtree_emst" else {}
+        monkeypatch.setattr(emst, "_KDTREE_MIN_N", crossover)
+        return returns
+
+    @pytest.mark.parametrize("case", sorted(BAD_TREES))
+    def test_refused_by_library_and_cli(self, broken_builder, case, tmp_path, capsys):
+        broken_builder["tree"] = BAD_TREES[case]
+        ds = dataset_1d(*TREE_CHECK_POINTS)
+        with pytest.raises(InputError):
+            build_emst(ds)
+        with pytest.raises(InputError):
+            emstrd(ds, 2)
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{x!r}\n" for x in TREE_CHECK_POINTS))
+        code = main(["--input", str(path), "--k", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_a_good_tree_passes(self, broken_builder):
+        broken_builder["tree"] = ([1, 0, 3], [2, 1, 2])  # any order, either way round
+        tree = build_emst(dataset_1d(*TREE_CHECK_POINTS))
+        assert (tree.u.tolist(), tree.v.tolist(), tree.w.tolist()) == (
+            [0, 1, 2],
+            [1, 2, 3],
+            [1.0, 2.0, 3.0],
+        )
 
 
 def two_groups_1e200_apart(n):
@@ -331,8 +397,10 @@ class TestMemory:
             check=True,
         )
         kernel, prim = json.loads(child.stdout)
-        # Both peaks are the Edge objects and their set, 1.1 MB here; the
-        # two paths leave free lists differing by under a kilobyte.
+        # Both peaks are the coordinate rows the edge weights are taken from
+        # (math.dist over two lists of n - 1 rows), 1.2 MB here, above the
+        # kernel's own 1.0 MB; the two paths leave free lists differing by
+        # under a kilobyte.
         assert kernel <= prim * 1.01
 
     def test_kernel_peak_is_linear_at_50k(self):

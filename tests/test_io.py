@@ -7,17 +7,24 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emstclust import (
+    MODE_ZAHN,
+    Cluster,
     CriterionConfig,
     Dendrogram,
+    Edge,
     InputError,
     MergeRecord,
     Point,
     RunConfig,
+    SpanningForest,
+    build_emst,
     emstrd,
     emstucc,
     newick_string,
@@ -50,6 +57,11 @@ class TestReadPointsCsv:
         ds = read_points_csv(write_csv(tmp_path, "x,y\n1,2\n3,4\n"))
         assert len(ds) == 2
         assert ds.points[0].coords == (1.0, 2.0)
+
+    def test_cells_are_stripped_before_parsing(self, tmp_path):
+        # "\x1c" is whitespace to str.strip() but not to float().
+        path = write_csv(tmp_path, " 1.5 ,\x1c2\x1c\n3,\t4\n")
+        assert read_points_csv(path).coords.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
     def test_numeric_first_row_is_data(self, tmp_path):
         ds = read_points_csv(write_csv(tmp_path, "1,2\n3,4\n"))
@@ -244,6 +256,49 @@ class TestWriteOutputs:
         assert (out / "dendrogram.newick").read_text() == "C0;\n"
         meta = json.loads((out / "meta.json").read_text())
         assert meta == {"central_cluster": 0, "meta_radius": 0.0}
+
+
+class TestArrayPipeline:
+    """run_pipeline works on arrays from the CSV to the files: it builds no
+    Point or Edge, and no SpanningForest or Cluster by either constructor.
+    Those are the library's object views."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = Counter()
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                counts[f"{cls.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(Point, "__post_init__")
+        count(Edge, "__post_init__")
+        for cls in (SpanningForest, Cluster):
+            count(cls, "__init__")
+            count(cls, "_of_arrays")
+        return counts
+
+    @pytest.mark.parametrize("mode", ["std", "zahn"])
+    def test_no_objects_built(self, tmp_path, built, mode):
+        # 2000 2-D points in 10 blobs: the k-d tree builder runs.
+        rng = np.random.default_rng(41)
+        points = rng.uniform(0, 100, (10, 2))[rng.integers(0, 10, 2000)]
+        points += rng.normal(0, 1, points.shape)
+        path = write_csv(tmp_path, "".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+        criterion = CriterionConfig(mode=MODE_ZAHN) if mode == "zahn" else CriterionConfig()
+        config = RunConfig(path, 10, criterion, tmp_path / "out", emit_svg=True)
+        assert len(run_pipeline(config)) == 7
+        assert built == {}
+        # The counters see the object views when something does build them.
+        dataset = read_points_csv(path)
+        assert emstrd(dataset, 3).clusters and dataset.points
+        assert built["Cluster._of_arrays"] == 3 and built["Point.__post_init__"] == 2000
+        assert build_emst(dataset).edges and built["Edge.__post_init__"] == 1999
 
 
 class TestAtomicWrite:
