@@ -20,26 +20,15 @@ from .divisive import (
 from .emst import EdgeStats, build_emst, edge_statistics
 from .errors import ConfigError, DegenerateInputError, InputError
 from .io import RunConfig, newick_string, read_points_csv, run_pipeline, write_outputs
-from .meta import (
-    MetaResult,
-    TreeDistance,
-    build_meta_emst,
-    central_cluster,
-    emstucc,
-    tree_distance,
-)
+from .meta import MetaResult, central_cluster, emstucc
 from .metrics import (
     Compactness,
     DistanceTable,
     TreeEccentricities,
     center_and_radius,
-    centroid,
-    centroid_diameter,
-    centroid_radius,
     cluster_compactness,
     cluster_variance,
     diameter_and_set,
-    eccentricity,
     path_distance_table,
     tree_eccentricities,
 )
@@ -56,7 +45,6 @@ from .model import (
     Partition,
     Point,
     SpanningForest,
-    euclidean_distance,
 )
 
 __version__ = "0.1.0"
@@ -86,29 +74,21 @@ __all__ = [
     "Point",
     "RunConfig",
     "SpanningForest",
-    "TreeDistance",
     "TreeEccentricities",
     "build_emst",
-    "build_meta_emst",
     "center_and_radius",
     "central_cluster",
-    "centroid",
-    "centroid_diameter",
-    "centroid_radius",
     "cluster_compactness",
     "cluster_variance",
     "diameter_and_set",
-    "eccentricity",
     "edge_statistics",
     "emstrd",
     "emstucc",
-    "euclidean_distance",
     "newick_string",
     "path_distance_table",
     "read_points_csv",
     "run_pipeline",
     "select_edge_to_remove",
-    "tree_distance",
     "tree_eccentricities",
     "write_outputs",
     "zahn_inconsistent",

@@ -214,10 +214,6 @@ class ClusteringResult:
     def removed_edges(self) -> tuple[tuple[Edge, str], ...]:
         return tuple((Edge(u, v, w), fired) for u, v, w, fired in self.removed)
 
-    def assignments(self) -> dict[int, int]:
-        """Point index to cluster id, ids following the cluster order."""
-        return dict(enumerate(self.partition.labels.tolist()))
-
 
 def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
     ids = part.members_of(c)

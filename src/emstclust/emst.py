@@ -32,10 +32,6 @@ class EdgeStats:
         variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
         return cls(mean=mean, std=math.sqrt(variance))
 
-    @property
-    def variance(self) -> float:
-        return self.std * self.std
-
 
 # Squared Euclidean distance over the last axis of a difference array. Every
 # d^2 the EMST compares comes from here: Prim's rows, the k-d tree's point

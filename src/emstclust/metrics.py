@@ -1,8 +1,8 @@
-"""Weighted tree path metrics and centroid dispersion measures.
+"""Weighted tree path metrics and coordinate spread measures.
 
-Tree metrics (eccentricity, center, radius, diameter) are defined on the
+Tree metrics (eccentricities, center, radius, diameter) are defined on the
 weighted path distances of a cluster's subtree, not on direct point-to-point
-distances. Centroid metrics are RMS quantities over raw coordinates.
+distances. The variance is an RMS quantity over raw coordinates.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DistanceTable:
 
 @dataclass(frozen=True)
 class TreeEccentricities:
-    """Each vertex's eccentricity in one component, without the distances.
+    """The eccentricities of one component's vertices, without the distances.
 
     eccentricities[i] is the largest path distance from vertices[i] to any
     other vertex; tree_eccentricities computes it.
@@ -202,7 +202,7 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
 
     Equal, float for float, to path_distance_table(cluster).eccentricities:
     for preorder positions i < j the table holds max(raw, 0) of row i's raw
-    entry j at (i, j) and at (j, i), so a vertex's eccentricity is the
+    entry j at (i, j) and at (j, i), so a vertex's largest distance is the
     largest of 0, its own raw row after its position, and the raw entries in
     its column from the rows before it. The rows are streamed one at a time
     and only those two maxima kept, so memory is O(m log m) while time stays
@@ -229,15 +229,10 @@ def _tree_eccentricities(
     return TreeEccentricities(vertices=tuple(ids.tolist()), eccentricities=ecc)
 
 
-def eccentricity(table: DistanceTable, vertex: int) -> float:
-    """Largest path distance from one vertex to any other in the table."""
-    return float(table.distances[table.index_of(vertex)].max())
-
-
 def center_and_radius(
     table: DistanceTable | TreeEccentricities,
 ) -> tuple[frozenset[int], float]:
-    """Vertices of minimum eccentricity and that minimum (the radius)."""
+    """Vertices of the smallest eccentricities and that minimum (the radius)."""
     ecc = table.eccentricities
     radius = float(ecc.min())
     centers = frozenset(
@@ -249,7 +244,7 @@ def center_and_radius(
 def diameter_and_set(
     table: DistanceTable | TreeEccentricities,
 ) -> tuple[float, frozenset[int]]:
-    """Largest eccentricity and the vertices attaining it."""
+    """Largest of the eccentricities and the vertices attaining it."""
     ecc = table.eccentricities
     diameter = float(ecc.max())
     attaining = frozenset(
@@ -258,47 +253,17 @@ def diameter_and_set(
     return diameter, attaining
 
 
-def _centroid(rows: Sequence[Sequence[float]]) -> list[float]:
-    return [math.fsum(column) / len(rows) for column in zip(*rows)]
-
-
 def _rms_spread(rows: Sequence[Sequence[float]]) -> float:
     """Root mean squared Euclidean distance from coordinate rows to their
-    centroid: the one routine behind cluster_variance, the cluster reports
-    and compactness. Each distance is math.dist, as euclidean_distance."""
-    mu = _centroid(rows)
+    mean: the one routine behind cluster_variance, the cluster reports
+    and compactness. Each distance is math.dist."""
+    mu = [math.fsum(column) / len(rows) for column in zip(*rows)]
     return math.sqrt(math.fsum([math.dist(row, mu) ** 2 for row in rows]) / len(rows))
 
 
-def centroid(points: Sequence[Point]) -> Point:
-    """Coordinate-wise mean of a non-empty point collection."""
-    return Point(tuple(_centroid(Dataset(points).coords.tolist())))
-
-
-def centroid_diameter(points: Sequence[Point]) -> float:
-    """RMS distance over ordered distinct pairs.
-
-    Defined as sqrt(sum over all ordered pairs (i, j), i != j, of
-    ||x_i - x_j||^2 divided by n(n-1)). The identity
-    sum_ij ||x_i - x_j||^2 = 2n * sum_i ||x_i - mu||^2, which is exact
-    algebra, makes it centroid_radius * sqrt(2n / (n - 1)). A single point
-    yields 0.
-    """
-    n = len(points)
-    if n == 1:
-        return 0.0
-    return cluster_variance(points) * math.sqrt(2.0 * n / (n - 1))
-
-
 def cluster_variance(points: Sequence[Point]) -> float:
-    """Root mean squared Euclidean distance from the points to their centroid.
-
-    This is the centroid radius too: centroid_radius is this same function.
-    """
+    """Root mean squared Euclidean distance from the points to their mean."""
     return _rms_spread(Dataset(points).coords.tolist())
-
-
-centroid_radius = cluster_variance
 
 
 class Compactness(NamedTuple):

@@ -97,15 +97,6 @@ class Dataset:
         return len(self.coords)
 
 
-def euclidean_distance(p: Point, q: Point) -> float:
-    """Euclidean distance, the square root of summed squared differences."""
-    if p.dimension != q.dimension:
-        raise InputError(
-            f"dimension mismatch: {p.dimension} versus {q.dimension}"
-        )
-    return math.dist(p.coords, q.coords)
-
-
 @dataclass(frozen=True, order=True)
 class Edge:
     """An undirected weighted edge between two vertex indices.
@@ -228,11 +219,6 @@ class SpanningForest:
         order of the weights cannot change it."""
         return math.fsum(self.w.tolist())
 
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components as vertex sets, ordered by lowest member."""
-        part = Partition.of_forest(self.vertex_count, self.u, self.v, self.w)
-        return tuple(frozenset(part.members_of(c).tolist()) for c in range(part.count))
-
 
 class Cluster:
     """One connected subtree of an EMST: its members and its internal edges.
@@ -354,7 +340,7 @@ class ClusterReport:
     """Summary of one cluster: tree center and spread measures.
 
     radius and diameter are weighted tree-path quantities, variance is the
-    RMS deviation of member coordinates from their centroid. For weighted
+    RMS deviation of member coordinates from their mean. For weighted
     trees radius <= diameter <= 2 * radius always holds.
     """
 

@@ -21,7 +21,6 @@ from emstclust import (
     InputError,
     Point,
     SpanningForest,
-    euclidean_distance,
 )
 from emstclust.emst import _sq_dist
 
@@ -65,7 +64,7 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
     emstclust.emst._sq_dist of each row of differences, the one expression
     both EMST builders compare, so ties and rounding agree. Returns
-    (u, v, weight) triples, weight being euclidean_distance.
+    (u, v, weight) triples, weight being math.dist of the coordinates.
     """
     n = len(points)
     coords = np.array([p.coords for p in points], dtype=np.float64)
@@ -80,7 +79,7 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
-            tree.add((u, v, euclidean_distance(points[u], points[v])))
+            tree.add((u, v, math.dist(points[u].coords, points[v].coords)))
     return tree
 
 
@@ -100,7 +99,7 @@ def brute_force_mst_weight(dataset: Dataset) -> float:
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = euclidean_distance(pts[i], pts[j])
+            dist[i, j] = dist[j, i] = math.dist(pts[i].coords, pts[j].coords)
     if n == 2:
         return float(dist[0, 1])
 

@@ -257,9 +257,9 @@ class TestEmstrd:
             rng, [(0.0, 0.0), (20.0, 0.0)], per_blob=30
         )
         result = emstrd(Dataset(tuple(points)), 2)
-        got = result.assignments()
+        got = result.partition.labels.tolist()
         split = {label: set() for label in (0, 1)}
-        for idx, cid in got.items():
+        for idx, cid in enumerate(got):
             split[labels[idx]].add(cid)
         assert split[0] != split[1]
         assert all(len(s) == 1 for s in split.values())
@@ -272,9 +272,9 @@ class TestEmstrd:
         result = emstrd(Dataset(tuple(points)), 2, ZAHN)
         ((edge, fired),) = result.removed_edges
         assert fired == CRITERION_ZAHN
-        got = result.assignments()
+        got = result.partition.labels.tolist()
         first = {i for i, lab in enumerate(labels) if lab == 0}
-        one_side = {i for i, cid in got.items() if cid == got[0]}
+        one_side = {i for i, cid in enumerate(got) if cid == got[0]}
         assert one_side in (first, set(range(len(points))) - first)
 
 

@@ -25,7 +25,6 @@ from emstclust import (
     build_emst,
     edge_statistics,
     emstrd,
-    euclidean_distance,
 )
 from emstclust import emst
 from emstclust.cli import main
@@ -127,14 +126,15 @@ class TestBuildEmst:
             tree = build_emst(ds)
             heaviest = min(tree.edges, key=lambda e: (-e.weight, e.u, e.v))
             rest = frozenset(tree.edges) - {heaviest}
-            from emstclust import SpanningForest
+            from emstclust import Partition, SpanningForest
 
-            parts = SpanningForest(n, rest).components()
-            assert len(parts) == 2
+            forest = SpanningForest(n, rest)
+            parts = Partition.of_forest(n, forest.u, forest.v, forest.w)
+            assert parts.count == 2
             achieved = min(
                 math.dist(ds.points[i].coords, ds.points[j].coords)
-                for i in parts[0]
-                for j in parts[1]
+                for i in parts.members_of(0).tolist()
+                for j in parts.members_of(1).tolist()
             )
             assert achieved == pytest.approx(max_min_separation(list(ds.points)), abs=1e-9)
 
@@ -280,7 +280,7 @@ def kernel_tree(coords):
     points = [Point(c) for c in coords]
     u, v = emst._kdtree_emst(np.array(coords, dtype=np.float64).reshape(len(coords), -1))
     return {
-        (min(a, b), max(a, b), euclidean_distance(points[a], points[b]))
+        (min(a, b), max(a, b), math.dist(points[a].coords, points[b].coords))
         for a, b in zip(u.tolist(), v.tolist())
     }
 
@@ -438,7 +438,7 @@ class TestEdgeStatistics:
         stats = edge_statistics(build_emst(dataset_1d(0, 1, 3, 6, 10)))
         assert stats.mean == 2.5
         assert stats.std == pytest.approx(math.sqrt(1.25), abs=1e-12)
-        assert stats.variance == pytest.approx(1.25, abs=1e-12)
+        assert stats.std**2 == pytest.approx(1.25, abs=1e-12)
 
     def test_population_not_sample_deviation(self):
         # Two edges of weights 1 and 3: population std is 1, sample std would

@@ -87,6 +87,22 @@ class TestReadPointsCsv:
         with pytest.raises(InputError, match="line 2"):
             read_points_csv(path)
 
+    def test_header_after_leading_blank_lines(self, tmp_path):
+        ds = read_points_csv(write_csv(tmp_path, "\nx,y\n1,2\n3,4\n"))
+        assert ds.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("\nx,y\n1,2\nfoo,4\n", "line 4"),
+            ("\n1,2\nx,y\n", "line 3"),
+            ("\n\nx,y\nz,w\n1,2\n", "line 4"),
+        ],
+    )
+    def test_only_the_first_non_blank_row_may_be_a_header(self, tmp_path, text, line):
+        with pytest.raises(InputError, match=f"{line}: non-numeric value"):
+            read_points_csv(write_csv(tmp_path, text))
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             read_points_csv(write_csv(tmp_path, ""))
@@ -371,12 +387,25 @@ class TestCli:
         )
         assert code == 2
 
-    def test_k_exceeding_dataset_exit_two(self, tmp_path):
+    def test_k_exceeding_dataset_exit_two(self, tmp_path, capsys):
         path = write_csv(tmp_path, CHAIN_CSV)
         code = main(
             ["--input", str(path), "--k", "6", "--out", str(tmp_path / "out")]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "k must be in [1, 5], got 6" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_header_after_blank_lines_exit_zero(self, tmp_path):
+        path = write_csv(tmp_path, "\nx,y\n1,2\n3,4\n")
+        code = main(
+            ["--input", str(path), "--k", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        assert (tmp_path / "out" / "assignments.csv").read_text() == (
+            "point_index,cluster_id\n0,0\n1,0\n"
+        )
 
     def test_squared_distance_overflow_exit_two(self, tmp_path, capsys):
         path = write_csv(tmp_path, "0\n1e200\n2e200\n3e200\n")

@@ -1,4 +1,4 @@
-"""Meta stage: tree distance, meta EMST, central cluster, dendrogram."""
+"""Meta stage: meta EMST, central cluster, dendrogram."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import random
 import pytest
 
 from emstclust import (
+    Dataset,
     Edge,
     InputError,
     Point,
-    build_meta_emst,
+    build_emst,
     central_cluster,
     emstucc,
-    tree_distance,
 )
 from oracles import eccentricities_oracle, random_tree, tree_as_forest
 
@@ -23,73 +23,35 @@ def p(*coords):
     return Point(tuple(float(c) for c in coords))
 
 
-class TestTreeDistance:
-    def test_single_edge_swap(self):
-        t1 = tree_as_forest(4, [Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)])
-        t2 = tree_as_forest(4, [Edge(0, 1, 1.0), Edge(1, 3, 1.0), Edge(2, 3, 1.0)])
-        d = tree_distance(t1, t2)
-        assert d.in_first_only == 1
-        assert d.in_second_only == 1
-        assert d.symmetric
-
-    def test_identical_trees(self):
-        t = tree_as_forest(3, [Edge(0, 1, 1.0), Edge(1, 2, 1.0)])
-        d = tree_distance(t, t)
-        assert (d.in_first_only, d.in_second_only) == (0, 0)
-
-    def test_weights_do_not_participate(self):
-        t1 = tree_as_forest(3, [Edge(0, 1, 1.0), Edge(1, 2, 1.0)])
-        t2 = tree_as_forest(3, [Edge(0, 1, 9.0), Edge(1, 2, 5.0)])
-        d = tree_distance(t1, t2)
-        assert (d.in_first_only, d.in_second_only) == (0, 0)
-
-    def test_asymmetry_surfaced_for_different_sizes(self):
-        bigger = tree_as_forest(4, [Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)])
-        smaller = tree_as_forest(4, [Edge(0, 1, 1.0)])
-        d = tree_distance(bigger, smaller)
-        assert d.in_first_only == 2
-        assert d.in_second_only == 0
-        assert not d.symmetric
-
-    def test_symmetric_counts_for_equal_sizes(self):
-        rng = random.Random(811)
-        for _ in range(20):
-            n = rng.randint(2, 30)
-            t1 = tree_as_forest(n, random_tree(rng, n))
-            t2 = tree_as_forest(n, random_tree(rng, n))
-            d = tree_distance(t1, t2)
-            assert d.symmetric
-
-
 class TestBuildMetaEmst:
     def test_three_centers_chain(self):
-        meta = build_meta_emst([p(0), p(1), p(5)])
+        meta = build_emst(Dataset([p(0), p(1), p(5)]))
         assert sorted((e.u, e.v, e.weight) for e in meta.edges) == [
             (0, 1, 1.0),
             (1, 2, 4.0),
         ]
 
     def test_single_center(self):
-        meta = build_meta_emst([p(2, 2)])
+        meta = build_emst(Dataset([p(2, 2)]))
         assert meta.vertex_count == 1
         assert meta.edges == frozenset()
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            build_meta_emst([])
+            build_emst(Dataset([]))
 
 
 class TestCentralCluster:
     def test_three_center_chain(self):
-        meta = build_meta_emst([p(0), p(1), p(5)])
+        meta = build_emst(Dataset([p(0), p(1), p(5)]))
         assert central_cluster(meta) == (1, 4.0)
 
     def test_two_centers_tie_goes_low(self):
-        meta = build_meta_emst([p(0), p(7)])
+        meta = build_emst(Dataset([p(0), p(7)]))
         assert central_cluster(meta) == (0, 7.0)
 
     def test_single_center(self):
-        meta = build_meta_emst([p(4)])
+        meta = build_emst(Dataset([p(4)]))
         assert central_cluster(meta) == (0, 0.0)
 
     def test_disconnected_rejected(self):

@@ -1,4 +1,4 @@
-"""Tree path metrics and centroid dispersion measures."""
+"""Tree path metrics, cluster variance and compactness."""
 
 from __future__ import annotations
 
@@ -17,13 +17,9 @@ from emstclust import (
     Point,
     build_emst,
     center_and_radius,
-    centroid,
-    centroid_diameter,
-    centroid_radius,
     cluster_compactness,
     cluster_variance,
     diameter_and_set,
-    eccentricity,
     emstrd,
     path_distance_table,
     tree_eccentricities,
@@ -98,13 +94,8 @@ class TestPathDistanceTable:
 class TestEccentricityCenterDiameter:
     def test_chain_eccentricities(self):
         table = path_distance_table(CHAIN)
-        assert [eccentricity(table, v) for v in range(5)] == [
-            10.0,
-            9.0,
-            7.0,
-            6.0,
-            10.0,
-        ]
+        assert table.vertices == (0, 1, 2, 3, 4)
+        assert table.eccentricities.tolist() == [10.0, 9.0, 7.0, 6.0, 10.0]
 
     def test_chain_center_and_radius(self):
         centers, radius = center_and_radius(path_distance_table(CHAIN))
@@ -129,7 +120,7 @@ class TestEccentricityCenterDiameter:
 
     def test_singleton_zero(self):
         table = path_distance_table(tree_as_cluster(1, []))
-        assert eccentricity(table, 0) == 0.0
+        assert table.eccentricities.tolist() == [0.0]
         assert center_and_radius(table) == (frozenset({0}), 0.0)
         assert diameter_and_set(table) == (0.0, frozenset({0}))
 
@@ -149,8 +140,8 @@ class TestEccentricityCenterDiameter:
             edges = random_tree(rng, n)
             table = path_distance_table(tree_as_cluster(n, edges))
             expected = eccentricities_oracle(n, edges)
-            for v in range(n):
-                assert eccentricity(table, v) == pytest.approx(expected[v], abs=1e-9)
+            for v, ecc in zip(table.vertices, table.eccentricities):
+                assert ecc == pytest.approx(expected[v], abs=1e-9)
 
 
 PARENT_OF = {
@@ -236,53 +227,12 @@ class TestTreeEccentricities:
 
 
 class TestCentroidMeasures:
-    def test_centroid_example(self):
-        assert centroid([p(0, 0), p(2, 0), p(1, 3)]).coords == (1.0, 1.0)
-
-    def test_centroid_empty_rejected(self):
-        with pytest.raises(InputError):
-            centroid([])
-
-    def test_centroid_radius_pair(self):
-        assert centroid_radius([p(0), p(2)]) == 1.0
-
-    def test_centroid_radius_rms_not_mean(self):
+    def test_cluster_variance_rms_not_mean(self):
         # {0,0,0,4}: centroid 1, squared deviations {1,1,1,9}. The RMS form
         # gives sqrt(3); a mean-distance form would give 1.5 instead.
-        assert centroid_radius([p(0), p(0), p(0), p(4)]) == pytest.approx(
+        assert cluster_variance([p(0), p(0), p(0), p(4)]) == pytest.approx(
             math.sqrt(3.0), abs=1e-12
         )
-
-    def test_centroid_diameter_pair(self):
-        assert centroid_diameter([p(0), p(2)]) == 2.0
-
-    def test_centroid_diameter_three_collinear(self):
-        # Ordered squared pair distances {1, 4, 1} each twice, total 12,
-        # divided by n(n-1) = 6 and rooted: sqrt(2).
-        assert centroid_diameter([p(0), p(1), p(2)]) == pytest.approx(
-            math.sqrt(2.0), abs=1e-12
-        )
-
-    def test_centroid_diameter_single_point(self):
-        assert centroid_diameter([p(5, 5)]) == 0.0
-
-    def test_centroid_diameter_matches_pair_loop(self):
-        rng = random.Random(401)
-        for _ in range(30):
-            n = rng.randint(2, 20)
-            dim = rng.choice([1, 2, 3])
-            pts = [
-                p(*(rng.uniform(-10, 10) for _ in range(dim))) for _ in range(n)
-            ]
-            direct = math.sqrt(
-                math.fsum(
-                    math.dist(a.coords, b.coords) ** 2
-                    for a in pts
-                    for b in pts
-                )
-                / (n * (n - 1))
-            )
-            assert centroid_diameter(pts) == pytest.approx(direct, abs=1e-9)
 
     def test_cluster_variance_pair(self):
         assert cluster_variance([p(0), p(2)]) == 1.0
@@ -301,7 +251,7 @@ class TestCentroidMeasures:
                 p(*(rng.uniform(-100, 100) for _ in range(dim)))
                 for _ in range(n)
             ]
-            mu = centroid(pts).coords
+            mu = np.mean([q.coords for q in pts], axis=0).tolist()
             by_coordinates = math.sqrt(
                 math.fsum(
                     math.fsum((c - m) ** 2 for c, m in zip(q.coords, mu))
@@ -309,7 +259,6 @@ class TestCentroidMeasures:
                 )
                 / n
             )
-            assert centroid_radius(pts) == cluster_variance(pts)
             assert cluster_variance(pts) == pytest.approx(by_coordinates, abs=1e-12)
 
     def test_translation_invariance(self):
@@ -321,12 +270,6 @@ class TestCentroidMeasures:
             moved = [
                 p(pt.coords[0] + shift[0], pt.coords[1] + shift[1]) for pt in pts
             ]
-            assert centroid_radius(moved) == pytest.approx(
-                centroid_radius(pts), abs=1e-9
-            )
-            assert centroid_diameter(moved) == pytest.approx(
-                centroid_diameter(pts), abs=1e-9
-            )
             assert cluster_variance(moved) == pytest.approx(
                 cluster_variance(pts), abs=1e-9
             )

@@ -1,9 +1,6 @@
-"""Core type validation and the Euclidean metric."""
+"""Core type validation."""
 
 from __future__ import annotations
-
-import math
-import random
 
 import pytest
 
@@ -20,8 +17,8 @@ from emstclust import (
     MODE_STD,
     MODE_ZAHN,
     Point,
+    Partition,
     SpanningForest,
-    euclidean_distance,
 )
 
 
@@ -59,33 +56,6 @@ class TestPointAndDataset:
         assert ds.dimension == 2
 
 
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance(p(0, 0), p(3, 4)) == 5.0
-
-    def test_identical_points(self):
-        assert euclidean_distance(p(2, 7), p(2, 7)) == 0.0
-
-    def test_one_dimensional(self):
-        assert euclidean_distance(p(0), p(10)) == 10.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            euclidean_distance(p(0), p(0, 0))
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            dim = rng.choice([1, 2, 3])
-            a, b, c = (
-                p(*(rng.uniform(-5, 5) for _ in range(dim))) for _ in range(3)
-            )
-            assert euclidean_distance(a, b) == euclidean_distance(b, a)
-            assert euclidean_distance(a, c) <= (
-                euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
-            )
-
-
 class TestEdge:
     def test_endpoints_normalized(self):
         e = Edge(5, 2, 1.5)
@@ -118,11 +88,13 @@ class TestSpanningForest:
 
     def test_components_sorted_by_lowest_member(self):
         forest = SpanningForest(5, frozenset([Edge(3, 4, 1.0), Edge(0, 2, 1.0)]))
-        assert forest.components() == (
-            frozenset({0, 2}),
-            frozenset({1}),
-            frozenset({3, 4}),
-        )
+        part = Partition.of_forest(5, forest.u, forest.v, forest.w)
+        assert [part.members_of(c).tolist() for c in range(part.count)] == [
+            [0, 2],
+            [1],
+            [3, 4],
+        ]
+        assert part.labels.tolist() == [0, 1, 0, 2, 2]
 
     def test_rejects_cycle(self):
         with pytest.raises(InputError):
