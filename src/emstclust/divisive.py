@@ -35,6 +35,7 @@ from .model import (
     Partition,
     Point,
     SpanningForest,
+    _whole,
 )
 
 CRITERION_THRESHOLD = "threshold"
@@ -250,7 +251,7 @@ def emstrd(
         config = CriterionConfig()
     coords = dataset.coords
     n = len(coords)
-    k = int(k)
+    k = _whole(k, "k", InputError)
     if k < 1 or k > n:
         raise InputError(f"k must be in [1, {n}], got {k}")
 

@@ -53,11 +53,9 @@ _OVERFLOW = (
 # The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension:
 # where it was faster on uniform points in a sweep over n = 500 .. 16000 and
 # d = 1 .. 5 (CHANGES.md). Higher d always uses Prim.
-_KDTREE_MIN_N = {1: 1000, 2: 1000, 3: 2000, 4: 8000, 5: 16000}
+_KDTREE_MIN_N = {1: 500, 2: 1000, 3: 1000, 4: 2000, 5: 8000}
 _LEAF_SIZE = 32  # most points in one k-d tree leaf
-_NEAREST = 16  # candidate leaves listed per leaf and tree traversal
-_BLOCK_ELEMS = 1 << 14  # float64 differences in one batch of point-by-leaf rows
-_FRONTIER_QUERIES = 8  # query leaves traversed together
+_BLOCK_ELEMS = 1 << 14  # float64 differences in one batch of rows or node pairs
 
 
 def build_emst(dataset: Dataset) -> SpanningForest:
@@ -80,11 +78,15 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Two builders return that same tree, chosen by dimension d and size n
     at a crossover measured on uniform points (see _KDTREE_MIN_N):
 
-    - d <= 5 and n >= 1000 (d <= 2), 2000 (d = 3), 8000 (d = 4) or 16000
-      (d = 5): Boruvka rounds over a k-d tree of leaf buckets (March, Ram
-      & Gray, KDD 2010). O(log n) rounds; on low-dimensional data each
-      round computes d^2 only for pairs near a component's boundary, so
-      time grows about as n log n, with an O(n^2) worst case. O(n) memory.
+    - d <= 5 and n >= 500 (d = 1), 1000 (d = 2, 3), 2000 (d = 4) or
+      8000 (d = 5): dual-tree Boruvka over a k-d tree of leaf buckets
+      (March, Ram & Gray, KDD 2010). O(log n) rounds, each one traversal
+      of (query node, reference node) pairs that drops a pair once both
+      nodes lie in one component or its box bound exceeds the query
+      node's bound on its components' least outgoing d^2; d^2 is computed
+      only for the point-by-leaf rows that remain, near a component's
+      boundary. On low-dimensional data time grows about as n log n, with
+      an O(n^2) worst case. O(n) memory.
     - otherwise: a dense Prim scan over the implicit complete graph, O(n^2)
       time and O(n) memory.
 
@@ -165,7 +167,8 @@ class _KdLeaves:
     lo/hi; the leaves are the last `leaves` nodes. `perm` lists the points
     leaf by leaf, each leaf's members in ascending index order, and `pad`
     holds each leaf's positions in `perm`, padded to one width by repeating
-    its last member. `near` lists each leaf's _NEAREST nearest leaves.
+    its last member, and `pad_pts` their coordinates. The tree is built
+    level by level, one sort per level.
     """
 
     def __init__(self, coords: np.ndarray) -> None:
@@ -177,27 +180,32 @@ class _KdLeaves:
         self.leaves = leaves = 1 << depth
         self.lo = lo = np.empty((2 * leaves - 1, dim))
         self.hi = hi = np.empty_like(lo)
-        self.perm = perm = np.arange(n)
-        for node in range(2 * leaves - 1):
-            level = (node + 1).bit_length() - 1
-            i = node + 1 - (1 << level)
-            a, b = (i * n) >> level, ((i + 1) * n) >> level
-            members = perm[a:b]
-            x = coords[members]
-            lo[node], hi[node] = x.min(axis=0), x.max(axis=0)
-            if node < leaves - 1:
-                keys = (members, x[:, np.argmax(hi[node] - lo[node])])
+        # Each point's rank along each axis, ties in index order, so that
+        # one integer key sorts a node's members by (value, index). lexsort,
+        # not a partition: each numpy sort routine pages in its own code,
+        # and lexsort is the one the package already uses.
+        rank = np.empty((dim, n), dtype=np.int64)
+        for k in range(dim):
+            rank[k, np.lexsort((coords[:, k],))] = np.arange(n)
+        perm = np.arange(n)
+        for level in range(depth + 1):
+            nodes = slice((1 << level) - 1, (2 << level) - 1)
+            starts = (np.arange(1 << level) * n) >> level
+            x = coords[perm]
+            lo[nodes], hi[nodes] = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+            del x
+            node = np.repeat(np.arange(1 << level), np.diff(starts, append=n))
+            if level < depth:
+                key = rank[np.argmax(hi[nodes] - lo[nodes], axis=1)[node], perm]
             else:
-                keys = (members,)
-            # lexsort, not a partition: each numpy sort routine pages in its
-            # own code, and lexsort is the one the package already uses.
-            perm[a:b] = members[np.lexsort(keys)]
-        self.pts = coords[perm]
+                key = perm
+            perm = perm[np.lexsort((node * n + key,))]
+        del rank
+        self.perm = perm
         starts = (np.arange(leaves) * n) >> depth
         sizes = np.diff(starts, append=n)
         self.pad = starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-        anywhere = np.full(2 * leaves - 1, -1)
-        self.near = _nearest_leaves(self, anywhere, np.arange(leaves), _NEAREST)
+        self.pad_pts = coords[perm[self.pad]]
 
     def bounds(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on d^2 between the points of nodes a and b.
@@ -216,59 +224,6 @@ class _KdLeaves:
         return _sq_dist(gap), _sq_dist(span)
 
 
-def _nearest_leaves(
-    tree: _KdLeaves,
-    node_comp: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-    bound: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each query leaf its k nearest eligible leaves by box bound.
-
-    node_comp holds, per node, the component all its points lie in, or -1;
-    a leaf is eligible unless it and the query lie wholly in one component,
-    and, given a bound per query, its lower bound is at most that. Rows
-    are ordered by (lower bound, leaf) and padded with leaf -1 and bound
-    inf. The tree is descended level by level for a few queries at a time;
-    a node is dropped once its lower bound exceeds the query's bound or the
-    k-th smallest upper bound among the query's nodes, since each of those
-    holds an eligible leaf. So each row is exactly the first k eligible
-    leaves in that order.
-    """
-    first_leaf = tree.leaves - 1
-    cand = np.full((len(queries), k), -1, dtype=np.int64)
-    cand_lb = np.full((len(queries), k), np.inf)
-    for start in range(0, len(queries), _FRONTIER_QUERIES):
-        chunk = queries[start : start + _FRONTIER_QUERIES] + first_leaf
-        own = node_comp[chunk]
-        limit = np.full(len(chunk), np.inf) if bound is None else bound[start : start + len(chunk)]
-        fq = np.arange(len(chunk))
-        fn = np.zeros(len(chunk), dtype=np.int64)
-        for level in range(tree.depth + 1):
-            if level:
-                fq = np.repeat(fq, 2)
-                fn = (2 * fn[:, None] + np.array([1, 2])).ravel()
-            keep = (own[fq] < 0) | (node_comp[fn] != own[fq])
-            fq, fn = fq[keep], fn[keep]
-            lb, ub = tree.bounds(chunk[fq], fn)
-            last = level == tree.depth
-            order = np.lexsort((fn, lb, fq) if last else (ub, fq))
-            group = np.flatnonzero(np.diff(fq[order], prepend=-1))
-            pos = np.arange(len(order)) - np.repeat(group, np.diff(group, append=len(order)))
-            if last:
-                take = (pos < k) & (lb[order] <= limit[fq[order]])
-                top, at = order[take], pos[take]
-                cand[start + fq[top], at] = fn[top] - first_leaf
-                cand_lb[start + fq[top], at] = lb[top]
-            else:
-                tau = limit.copy()
-                kth = order[pos == k - 1]
-                tau[fq[kth]] = np.minimum(tau[fq[kth]], ub[kth])
-                keep = lb <= tau[fq]
-                fq, fn = fq[keep], fn[keep]
-    return cand, cand_lb
-
-
 def _kdtree_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical EMST edges as arrays (u, v), u < v, by Boruvka."""
     return _Boruvka(coords).run()
@@ -282,11 +237,7 @@ class _Boruvka:
     these edges form a forest, and every one is in the unique tree. Per
     position of tree.perm it keeps the component, the best outgoing d^2
     found so far (inf where none is known) and that pair's target position.
-    A leaf pair is skipped when both leaves lie wholly in one component.
-    The r-th nearest candidate leaf of every live leaf is taken in one
-    batch, and a leaf stops once its next candidate's box bound exceeds the
-    worst component best among its points, since no pair there can win or
-    tie.
+    Each round searches by one dual-tree traversal (_search).
     """
 
     def __init__(self, coords: np.ndarray) -> None:
@@ -300,8 +251,7 @@ class _Boruvka:
         self.comp_low_buf = np.empty(n, dtype=np.int64)
         self.node_comp = np.empty(2 * tree.leaves - 1, dtype=np.int64)
         self.leaf_comp = self.node_comp[tree.leaves - 1 :]
-        self.last_lb = np.empty(tree.leaves)
-        self.last_leaf = np.empty(tree.leaves, dtype=np.int64)
+        self.tau = np.empty(2 * tree.leaves - 1)
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
         comp, best_d2 = self.comp, self.best_d2
@@ -315,41 +265,78 @@ class _Boruvka:
             self.comp_low = self.comp_low_buf[: n - done]
             self.comp_low.fill(n)
             self._note(np.flatnonzero(best_d2 < np.inf))
-            self._mark_components()
+            self._mark_nodes()
             self._search()
             done = self._merge(done)
         return self.edges[0], self.edges[1]
 
-    def _mark_components(self) -> None:
-        """node_comp: the component all of a node's points lie in, or -1."""
-        tree, node_comp = self.tree, self.node_comp
-        members = self.comp[tree.pad]
+    def _mark_nodes(self) -> None:
+        """Per node, bottom-up: node_comp, the component all its points lie
+        in or -1, and tau, the largest component best among its points."""
+        tree, node_comp, tau = self.tree, self.node_comp, self.tau
+        self.pad_comp = members = self.comp[tree.pad]
         lo = members.min(axis=1)
         self.leaf_comp[:] = np.where(lo == members.max(axis=1), lo, -1)
-        del members
+        tau[tree.leaves - 1 :] = self.comp_best[members].max(axis=1)
         for level in reversed(range(tree.depth)):
             a, b = (1 << level) - 1, (2 << level) - 1
             left, right = node_comp[2 * a + 1 : 2 * b + 1 : 2], node_comp[2 * a + 2 : 2 * b + 2 : 2]
             node_comp[a:b] = np.where(left == right, left, -1)
+            np.maximum(tau[2 * a + 1 : 2 * b + 1 : 2], tau[2 * a + 2 : 2 * b + 2 : 2], out=tau[a:b])
 
     def _search(self) -> None:
         """Find every component's minimum outgoing pair among the bests.
 
-        First the static lists of nearest leaves, then, for leaves that
-        used a whole list, lists of eligible leaves only, twice as long each
-        time. The order of all lists is exact, so the entries up to the last
-        one a leaf reached, (last_lb, last_leaf), were processed already.
+        One traversal descends query and reference nodes together, level
+        by level from the pair (root, root), each pair into the four pairs
+        of their children. A pair is dropped when both nodes lie wholly in
+        one component, or when its lower bound exceeds tau of the query
+        node: a bound on the least outgoing d^2 of every component among
+        its points (_descend). The surviving leaf pairs go to _blocks in
+        ascending order of their lower bound, a leaf's pair with itself
+        first among equals, so that near pairs tighten the component bests
+        before far pairs are screened against them.
         """
-        tree = self.tree
-        live = np.arange(tree.leaves)
-        live = self._walk(live, *tree.near, np.zeros(len(live), dtype=np.int64), check=True)
-        listed = 2 * _NEAREST
-        while live.size:
-            cand, cand_lb = _nearest_leaves(tree, self.node_comp, live, listed, self._bound(live))
-            last_lb, last_leaf = self.last_lb[live, None], self.last_leaf[live, None]
-            seen = (cand_lb < last_lb) | ((cand_lb == last_lb) & (cand <= last_leaf))
-            live = self._walk(live, cand, cand_lb, np.count_nonzero(seen, axis=1), check=False)
-            listed *= 2
+        tree, tau = self.tree, self.tau
+        per = max(1, _BLOCK_ELEMS // (16 * tree.lo.shape[1]))  # pairs split at a time
+        q = r = np.zeros(1, dtype=np.int64)
+        for level in range(tree.depth + 1):
+            if level:
+                a = (1 << level) - 1
+                np.minimum(tau[a : 2 * a + 1], np.repeat(tau[(a - 1) // 2 : a], 2), out=tau[a : 2 * a + 1])
+            parts = [self._descend(q[i : i + per], r[i : i + per], level > 0) for i in range(0, len(q), per)]
+            q, r, lb = (np.concatenate(part) for part in zip(*parts))
+            del parts
+        keep = lb <= tau[q]
+        q, r, lb = q[keep] - (tree.leaves - 1), r[keep] - (tree.leaves - 1), lb[keep]
+        order = np.lexsort((q != r, lb))
+        q, r, lb = q[order], r[order], lb[order]
+        del order, keep
+        self._blocks(q, r, lb)
+
+    def _descend(self, q: np.ndarray, r: np.ndarray, split: bool) -> tuple[np.ndarray, ...]:
+        """The pairs of nodes q[i], r[i] (of their children if split) that
+        can hold a minimum outgoing pair, with their lower bounds.
+
+        tau of a node starts as the largest component best among its points
+        (_mark_nodes) and is at most its parent's. It is also at most the
+        upper bound toward any reference node that does not lie, with the
+        query node, wholly in one component. Take a point p of the query
+        node: either the reference node holds a point outside p's
+        component, or it lies wholly in that component and the query node
+        holds a point outside it. Either way a pair across the two nodes
+        leaves p's component, so its least outgoing d^2 is within the bound.
+        """
+        tree, node_comp, tau = self.tree, self.node_comp, self.tau
+        if split:
+            q = (2 * q[:, None] + np.array([1, 1, 2, 2])).ravel()
+            r = (2 * r[:, None] + np.array([1, 2, 1, 2])).ravel()
+        own = node_comp[q]
+        keep = (own < 0) | (own != node_comp[r])
+        lb, ub = tree.bounds(q, r)
+        np.minimum.at(tau, q[keep], ub[keep])
+        keep &= lb <= tau[q]
+        return q[keep], r[keep], lb[keep]
 
     def _note(self, a: np.ndarray) -> None:
         """Fold the bests of positions `a` into their components' bests.
@@ -368,10 +355,6 @@ class _Boruvka:
         at_best = d2 == self.comp_best[comp]
         low = np.minimum(perm[a], perm[self.best_to[a]])
         np.minimum.at(self.comp_low, comp[at_best], low[at_best])
-
-    def _bound(self, leaves: np.ndarray) -> np.ndarray:
-        """Per leaf the worst component best among its points."""
-        return self.comp_best[self.comp[self.tree.pad[leaves]]].max(axis=1)
 
     def _merge(self, done: int) -> int:
         """Merge every component along its minimum outgoing pair.
@@ -411,88 +394,87 @@ class _Boruvka:
         comp[:] = label[parent[comp]]
         return done + len(least)
 
-    def _walk(self, live, cand, cand_lb, first, check):
-        """Process list entries first, first+1, ... of each live leaf, one
-        batch per step; return the leaves that used up their list."""
-        leaf_comp = self.leaf_comp
-        rows = np.arange(len(live))
-        used_up = []
-        for step in range(cand.shape[1] + 1):
-            at = first[rows] + step
-            full = at >= cand.shape[1]
-            used_up.append(rows[full])
-            rows, at = rows[~full], at[~full]
-            q, c = live[rows], cand[rows, at]
-            keep = (c >= 0) & (cand_lb[rows, at] <= self._bound(q))
-            rows, q, c = rows[keep], q[keep], c[keep]
-            if not rows.size:
-                break
-            if check:
-                ok = (leaf_comp[q] < 0) | (leaf_comp[c] != leaf_comp[q])
-                q, c = q[ok], c[ok]
-            self._blocks(q, c)
-        used_up = np.concatenate(used_up)
-        self.last_lb[live[used_up]] = cand_lb[used_up, -1]
-        self.last_leaf[live[used_up]] = cand[used_up, -1]
-        return live[used_up]
-
-    def _blocks(self, rows: np.ndarray, cols: np.ndarray) -> None:
+    def _blocks(self, rows: np.ndarray, cols: np.ndarray, pair_lb: np.ndarray) -> None:
         """Update the points of leaves `rows` with their best pair in `cols`.
 
-        Leaf i of `rows` meets leaf i of `cols`; every row leaf appears
-        once. A point is skipped when its column leaf lies wholly in its
-        component, or when the leaf's box bound and smallest member show
-        that no pair there can come before its component's best; the
-        second test keeps all-duplicate inputs from pairing every point
-        with every leaf. Pairs within one component are excluded. Members
-        are in ascending index order and padding repeats the last, so
-        argmin keeps the smaller target on a tie, which is the canonical
-        order for a fixed point.
+        Leaf i of `rows` meets leaf i of `cols`, in that order; pair_lb is
+        the pair's box lower bound. The pairs are screened a batch at a
+        time (_screen) and the point-by-leaf rows that pass are computed
+        in batches of at most _BLOCK_ELEMS differences (_rows), so the
+        component bests they find screen the pairs that follow.
         """
         tree = self.tree
-        width, dim = tree.pad.shape[1], tree.pts.shape[1]
+        width, dim = tree.pad_pts.shape[1:]
         per = max(width, _BLOCK_ELEMS // (width * dim))  # rows per batch
-        step = 4 * per // width  # row leaves screened at a time
-        held_p, held_leaf, held = [], [], 0
+        step = 16 * per // width  # row leaves screened at a time
+        held, count = [], 0
         for i in range(0, len(rows), step):
-            p = tree.pad[rows[i : i + step]].ravel()
-            leaf = np.repeat(cols[i : i + step], width)
-            x = tree.pts[p]
-            box = leaf + tree.leaves - 1
-            gap = np.maximum(tree.lo[box] - x, x - tree.hi[box])
-            np.maximum(gap, 0.0, out=gap)
-            lb, cp = _sq_dist(gap), self.comp[p]
-            low = np.minimum(tree.perm[p], tree.perm[tree.pad[leaf, 0]])
-            best = self.comp_best[cp]
-            keep = (lb < best) | ((lb == best) & (low <= self.comp_low[cp]))
-            keep &= self.leaf_comp[leaf] != cp
-            keep[1:] &= p[1:] != p[:-1]  # padding repeats a member
-            held_p.append(p[keep])
-            held_leaf.append(leaf[keep])
-            held += len(held_p[-1])
-            if held >= per or i + step >= len(rows):
-                p, leaf = np.concatenate(held_p), np.concatenate(held_leaf)
-                for j in range(0, len(p), per):
-                    self._rows(p[j : j + per], leaf[j : j + per])
-                held_p, held_leaf, held = [], [], 0
+            held.append(self._screen(rows[i : i + step], cols[i : i + step], pair_lb[i : i + step]))
+            count += len(held[-1][0])
+            last = i + step >= len(rows)
+            if count >= per or last:
+                p, cp, x, leaf = (np.concatenate(part) for part in zip(*held))
+                end = len(p) if last else len(p) - len(p) % per
+                held, count = [(p[end:], cp[end:], x[end:], leaf[end:])], len(p) - end
+                for j in range(0, end, per):
+                    part = slice(j, j + per)
+                    self._rows(p[part], cp[part], x[part], leaf[part])
+                del p, cp, x, leaf
 
-    def _rows(self, a: np.ndarray, leaf: np.ndarray) -> None:
-        """Update point a[i] with its best pair in leaf[i]; each point once."""
-        tree, comp, best_d2, best_to = self.tree, self.comp, self.best_d2, self.best_to
-        b = tree.pad[leaf]
-        pa, pb = tree.pts[a], tree.pts[b]
-        diff = np.empty(pb.shape)
+    def _screen(self, q: np.ndarray, r: np.ndarray, pair_lb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows (position, component, coordinates, leaf) of the points
+        of leaves q that can have a best pair in leaves r.
+
+        A pair is skipped when its lower bound exceeds every component best
+        among the points of q. A point is skipped when its column leaf lies
+        wholly in its component, or when the leaf's box bound and smallest
+        member show that no pair there can come before its component's
+        best; the second test keeps all-duplicate inputs from pairing every
+        point with every leaf.
+        """
+        tree = self.tree
+        ok = pair_lb <= self.comp_best[self.pad_comp[q]].max(axis=1)
+        q, r = q[ok], r[ok]
+        x, cp, p = tree.pad_pts[q], self.pad_comp[q], tree.pad[q]
+        box = r + tree.leaves - 1
+        gap = np.maximum(tree.lo[box, None] - x, x - tree.hi[box, None])
+        np.maximum(gap, 0.0, out=gap)
+        lb = _sq_dist(gap)
+        del gap
+        low = np.minimum(tree.perm[p], tree.perm[tree.pad[r, :1]])
+        best = self.comp_best[cp]
+        keep = (lb < best) | ((lb == best) & (low <= self.comp_low[cp]))
+        keep &= self.leaf_comp[r, None] != cp
+        keep[:, 1:] &= p[:, 1:] != p[:, :-1]  # padding repeats a member
+        return p[keep], cp[keep], x[keep], np.broadcast_to(r[:, None], keep.shape)[keep]
+
+    def _rows(self, a: np.ndarray, ca: np.ndarray, pa: np.ndarray, leaf: np.ndarray) -> None:
+        """Update point a[i], of component ca[i] at pa[i], with its best pair
+        in leaf[i].
+
+        Pairs within one component are excluded. Members are in ascending
+        index order and padding repeats the last, so argmin keeps the
+        smaller target on a tie, which is the canonical order for a fixed
+        point.
+        """
+        tree, best_d2, best_to = self.tree, self.best_d2, self.best_to
+        diff = np.empty((len(a), *tree.pad_pts.shape[1:]))
         # Axis by axis: the same differences as one broadcast, faster.
         for k in range(diff.shape[2]):
-            np.subtract(pa[:, None, k], pb[:, :, k], out=diff[..., k])
-        del pb
+            np.subtract(pa[:, None, k], tree.pad_pts[leaf, :, k], out=diff[..., k])
         d2 = _sq_dist(diff)
         del diff
-        np.copyto(d2, np.inf, where=comp[a][:, None] == comp[b])
+        np.copyto(d2, np.inf, where=ca[:, None] == self.pad_comp[leaf])
         j = d2.argmin(axis=1)
         near = d2[np.arange(len(a)), j]
-        to = b[np.arange(len(a)), j]
+        to = tree.pad[leaf, j]
         perm = tree.perm
+        # A point may meet several leaves here: keep its least pair.
+        order = np.lexsort((perm[to], near, a))
+        a, near, to = a[order], near[order], to[order]
+        first = np.ones(len(a), dtype=bool)
+        first[1:] = a[1:] != a[:-1]
+        a, near, to = a[first], near[first], to[first]
         upd = (near < best_d2[a]) | ((near == best_d2[a]) & (perm[to] < perm[best_to[a]]))
         a = a[upd]
         best_d2[a] = near[upd]

@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import ConfigError, InputError
 from .meta import MetaResult, emstucc
 # cluster_compactness is not used here: the benchmark's layer trace looks it up.
 from .metrics import _compactness, cluster_compactness  # noqa: F401
-from .model import CriterionConfig, Dataset, Dendrogram
+from .model import CriterionConfig, Dataset, Dendrogram, _whole
 from .svg import dendrogram_svg, scatter_svg
 
 
@@ -37,9 +38,10 @@ class RunConfig:
     emit_svg: bool = False
 
     def __post_init__(self) -> None:
-        if int(self.k) < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        k = _whole(self.k, "k", ConfigError)
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "input_path", Path(self.input_path))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -67,18 +69,31 @@ def _looks_numeric(row: list[str]) -> bool:
     return True
 
 
+def _csv_rows(handle: Iterable[str], path: Path) -> Iterator[list[str]]:
+    """csv.reader's rows, with its errors (a field over the size limit) as
+    InputError naming the file and line."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_points_csv(path: Path | str) -> Dataset:
     """Read a UTF-8 CSV of coordinates, one point per row.
 
     Blank rows are ignored, and a non-numeric first non-blank row is
-    treated as a header and skipped. Ragged rows and non-finite or
-    non-numeric cells raise an input error naming the 1-based line number.
-    The rows go straight into the dataset's coordinate array; no Point is
-    built.
+    treated as a header and skipped. Ragged rows, non-finite or
+    non-numeric cells, bytes that are not UTF-8 and fields over the csv
+    module's size limit raise an input error naming the 1-based line
+    number. The rows go straight into the dataset's coordinate array; no
+    Point is built.
     """
     path = Path(path)
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        # Undecodable bytes become lone surrogates, so the row holding one
+        # is found and named below instead of failing a whole read buffer.
+        handle = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -86,17 +101,21 @@ def read_points_csv(path: Path | str) -> Dataset:
     width: int | None = None
     header_seen = False
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
             # A row whose cells all parse to finite floats is data: float()
             # accepts a cell only if it accepts the stripped cell, with the
-            # same value. Other rows take the checks that skip blank rows
-            # and a header and name the first bad cell.
+            # same value, and never a surrogate. Other rows take the checks
+            # that skip blank rows and a header and name the first bad cell.
             try:
                 values = tuple(map(float, row))
                 clean = all(map(math.isfinite, values))
             except ValueError:
                 clean = False
             if not clean:
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InputError(f"{path}: line {lineno}: not UTF-8 text") from None
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if not rows and not header_seen and not _looks_numeric(row):

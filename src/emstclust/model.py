@@ -50,6 +50,17 @@ class Point:
         return len(self.coords)
 
 
+def _whole(value, name: str, error: type[Exception]) -> int:
+    """value as an int, or error when int() would change it (2.9, 3.5).
+
+    Python and numpy integers and integral floats such as 3.0 pass.
+    """
+    whole = int(value)
+    if whole != value:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -454,7 +465,7 @@ class CriterionConfig:
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, value)
-        depth = int(self.zahn_depth)
+        depth = _whole(self.zahn_depth, "zahn_depth", ConfigError)
         if depth < 1:
             raise ConfigError(f"zahn_depth must be >= 1, got {depth}")
         object.__setattr__(self, "zahn_depth", depth)

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from emstclust import (
@@ -173,6 +174,13 @@ class TestEmstrd:
             emstrd(ds, 0)
         with pytest.raises(InputError):
             emstrd(ds, 4)
+
+    def test_non_integral_k_refused(self):
+        ds = dataset_1d(1, 2, 3, 7)
+        with pytest.raises(InputError, match="k must be a whole number, got 2.9"):
+            emstrd(ds, 2.9)
+        for k in (2, np.int64(2), 2.0):
+            assert emstrd(ds, k).cluster_count == 2
 
     def test_single_point_k1(self):
         result = emstrd(dataset_1d(9), 1)

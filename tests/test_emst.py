@@ -226,6 +226,14 @@ def duplicates(rng, n, dim):
     return [rng.choice(base) for _ in range(n)]
 
 
+def clustered(rng, n, dim):
+    """A few groups 1000 apart, each of three repeated integer points: after
+    the first Boruvka rounds whole k-d tree nodes lie in one component."""
+    groups = rng.randint(2, 5)
+    base = [[tuple(1000.0 * g + rng.randrange(3) for _ in range(dim)) for _ in range(3)] for g in range(groups)]
+    return [rng.choice(base[rng.randrange(groups)]) for _ in range(n)]
+
+
 def collinear(rng, n, dim):
     direction = [rng.uniform(-1, 1) for _ in range(dim)]
     return [tuple(t * c for c in direction) for t in (rng.randrange(12) for _ in range(n))]
@@ -252,6 +260,8 @@ def random_canonical_cases():
             cases.append(integer_grid(rng, n, dim, 3))
             cases.append(duplicates(rng, n, dim))
             cases.append(collinear(rng, n, dim))
+    for dim in (1, 2, 3, 5):
+        cases.append(clustered(rng, rng.randint(100, 400), dim))
     return cases
 
 
@@ -301,14 +311,19 @@ class TestKdTreeKernel:
 
 @st.composite
 def tie_heavy_points(draw):
-    """Integer grids, duplicates or collinear points; up to 400 points (a
-    dozen or more leaves) in up to 16 dimensions. A grid of tenths has ties
-    in exact arithmetic that rounding breaks, so there both builders agree
-    only if they round every d^2 alike."""
+    """Integer grids, duplicates, collinear points or far-apart groups of
+    duplicates; up to 400 points (a dozen or more leaves) in up to 16
+    dimensions. A grid of tenths has ties in exact arithmetic that rounding
+    breaks, so there both builders agree only if they round every d^2
+    alike. In the groups whole k-d tree nodes soon lie in one component."""
     dim = draw(st.integers(1, 16))
     n = draw(st.integers(2, 400))
-    kind = draw(st.sampled_from(["grid", "tenths", "duplicates", "collinear"]))
+    kind = draw(st.sampled_from(["grid", "tenths", "duplicates", "collinear", "clustered"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "clustered":
+        groups = draw(st.integers(2, 5))
+        base = rng.integers(0, 3, (groups, 3, dim)) + 1000.0 * np.arange(groups)[:, None, None]
+        return base[rng.integers(0, groups, n), rng.integers(0, 3, n)]
     if kind in ("grid", "tenths"):
         grid = rng.integers(0, draw(st.integers(2, 5)), (n, dim)).astype(float)
         return grid * 0.1 if kind == "tenths" else grid

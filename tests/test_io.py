@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from emstclust import (
     MODE_ZAHN,
     Cluster,
+    ConfigError,
     CriterionConfig,
     Dendrogram,
     Edge,
@@ -131,6 +133,20 @@ class TestReadPointsCsv:
         ds = read_points_csv(write_csv(tmp_path, "1e2, -2.5E-1\n0, 4\n"))
         assert ds.points[0].coords == (100.0, -0.25)
 
+    @pytest.mark.parametrize(
+        "data, line", [(b"1,2\n3,\xff4\n", 2), (b"x\xff,y\n1,2\n", 1), (b"1,2\n\xfe\n3,4\n", 2)]
+    )
+    def test_bytes_not_utf8_name_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=f"latin.csv: line {line}: not UTF-8 text"):
+            read_points_csv(path)
+
+    def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
+        path = write_csv(tmp_path, "1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n", "long.csv")
+        with pytest.raises(InputError, match=r"long.csv: line 2: field larger than field limit"):
+            read_points_csv(path)
+
 
 class TestNewick:
     def test_single_leaf(self):
@@ -167,6 +183,14 @@ def chain_config(tmp_path, k=2, criterion=None, out="out", svg=False):
         output_dir=tmp_path / out,
         emit_svg=svg,
     )
+
+
+class TestRunConfig:
+    def test_non_integral_k_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="k must be a whole number, got 3.5"):
+            chain_config(tmp_path, k=3.5)
+        for k in (3, np.int64(3), 3.0):
+            assert chain_config(tmp_path, k=k).k == 3
 
 
 class TestWriteOutputs:
@@ -386,6 +410,14 @@ class TestCli:
             ["--input", str(path), "--k", "1", "--out", str(tmp_path / "out")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("data", [b"1,2\n3,\xff4\n", b"1,2\n3," + b"4" * 131073 + b"\n"])
+    def test_undecodable_or_oversized_input_exit_two(self, tmp_path, capsys, data):
+        path = tmp_path / "points.csv"
+        path.write_bytes(data)
+        code = main(["--input", str(path), "--k", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path}: line 2: ")
 
     def test_k_exceeding_dataset_exit_two(self, tmp_path, capsys):
         path = write_csv(tmp_path, CHAIN_CSV)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from emstclust import (
@@ -212,3 +213,9 @@ class TestCriterionConfig:
             CriterionConfig(zahn_f=-1.0)
         with pytest.raises(ConfigError):
             CriterionConfig(zahn_depth=0)
+
+    def test_non_integral_depth_refused(self):
+        with pytest.raises(ConfigError, match="zahn_depth must be a whole number, got 1.7"):
+            CriterionConfig(zahn_depth=1.7)
+        for depth in (3, np.int32(3), 3.0):
+            assert CriterionConfig(zahn_depth=depth).zahn_depth == 3
