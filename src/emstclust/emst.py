@@ -54,6 +54,9 @@ _OVERFLOW = (
 # where it was faster on uniform points in a sweep over n = 500 .. 16000 and
 # d = 1 .. 5 (CHANGES.md). Higher d always uses Prim.
 _KDTREE_MIN_N = {1: 500, 2: 1000, 3: 1000, 4: 2000, 5: 8000}
+# Duplicate rows are collapsed only when every nonzero |coordinate| is at
+# least this, so that distinct points never compute d^2 = 0 (_emst_arrays).
+_COLLAPSE_MIN = 2.0**-450
 _LEAF_SIZE = 32  # most points in one k-d tree leaf
 _BLOCK_ELEMS = 1 << 14  # float64 differences in one batch of rows or node pairs
 
@@ -75,20 +78,37 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     The tree is the unique minimum spanning tree under the canonical edge
     order: squared distance, then min endpoint, then max endpoint. So the
     result is deterministic even with duplicate points and massive ties.
-    Two builders return that same tree, chosen by dimension d and size n
-    at a crossover measured on uniform points (see _KDTREE_MIN_N):
 
-    - d <= 5 and n >= 500 (d = 1), 1000 (d = 2, 3), 2000 (d = 4) or
+    The builder runs on the distinct rows only, each standing for the
+    lowest index of its group of identical rows, and every other member of
+    a group joins that lowest index by a zero-weight edge. Under the
+    canonical order this is the same tree: zero edges sort first, and a
+    group's zero edges build the star on its lowest index; between two
+    groups the first pair in order is their two lowest indices, and every
+    later pair closes a cycle; numbering the distinct rows in the order of
+    their lowest indices keeps the (min, max) order of every pair. That
+    argument needs d^2 > 0 between distinct points, which holds when every
+    nonzero |coordinate| is at least 2^-450 (see _COLLAPSE_MIN): distinct
+    points then differ by at least 2^-502 on some axis, whose square is a
+    normal float. When some coordinate is smaller, the builder runs on all
+    rows. The groups come from one stable lexsort of the rows, so an
+    input without duplicates pays that sort and one comparison.
+
+    Two builders return the tree of the distinct rows, chosen by dimension
+    d and the number m of distinct points at a crossover measured on
+    uniform points (see _KDTREE_MIN_N):
+
+    - d <= 5 and m >= 500 (d = 1), 1000 (d = 2, 3), 2000 (d = 4) or
       8000 (d = 5): dual-tree Boruvka over a k-d tree of leaf buckets
-      (March, Ram & Gray, KDD 2010). O(log n) rounds, each one traversal
+      (March, Ram & Gray, KDD 2010). O(log m) rounds, each one traversal
       of (query node, reference node) pairs that drops a pair once both
       nodes lie in one component or its box bound exceeds the query
       node's bound on its components' least outgoing d^2; d^2 is computed
       only for the point-by-leaf rows that remain, near a component's
-      boundary. On low-dimensional data time grows about as n log n, with
-      an O(n^2) worst case. O(n) memory.
-    - otherwise: a dense Prim scan over the implicit complete graph, O(n^2)
-      time and O(n) memory.
+      boundary. On low-dimensional data time grows about as m log m, with
+      an O(m^2) worst case. O(m) memory.
+    - otherwise: a dense Prim scan over the implicit complete graph, O(m^2)
+      time and O(m) memory.
 
     Both compute d^2 by one expression, _sq_dist, so they agree on every
     tie. This is the one place the tree is checked: exactly n - 1 edges,
@@ -102,16 +122,32 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     some part of the points has no finite edge to the rest.
     """
     n = len(coords)
-    if n >= _KDTREE_MIN_N.get(coords.shape[1], math.inf):
-        a, b = _kdtree_emst(coords)
+    # Stable, so each run of equal rows starts with the group's lowest index.
+    order = np.lexsort(coords.T)
+    ranked = coords[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    del ranked
+    collapse = not first.all() and not ((coords != 0) & (np.abs(coords) < _COLLAPSE_MIN)).any()
+    reps = np.sort(order[first]) if collapse else None
+    rows = coords[reps] if collapse else coords
+    m = len(rows)
+    if m >= _KDTREE_MIN_N.get(coords.shape[1], math.inf):
+        a, b = _kdtree_emst(rows)
     else:
-        a, b = _prim_emst(coords)
+        a, b = _prim_emst(rows)
+    del rows
     u, v = np.minimum(a, b), np.maximum(a, b)
     del a, b
+    # Checked before the distinct rows are renumbered, where -1 would wrap.
+    if len(u) and (u.min() < 0 or v.max() >= m):
+        raise InputError(f"an EMST edge leaves vertex range 0..{m - 1}")
+    if collapse:
+        lowest = order[np.maximum.accumulate(np.where(first, np.arange(n), 0))]
+        u = np.concatenate((reps[u], lowest[~first]))
+        v = np.concatenate((reps[v], order[~first]))
     if len(u) != n - 1:
         raise InputError(f"the EMST of {n} points has {len(u)} edges, not {n - 1}")
-    if n > 1 and (u.min() < 0 or v.max() >= n):
-        raise InputError(f"an EMST edge leaves vertex range 0..{n - 1}")
     if _lowest_members(n, u, v).any():
         raise InputError("the EMST edges do not span the points")
     order = np.lexsort((v, u))

@@ -46,16 +46,16 @@ class RunConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
-def _parse_row(row: list[str], lineno: int) -> tuple[float, ...]:
+def _parse_row(row: list[str], lineno: int, path: Path) -> tuple[float, ...]:
     values = []
     for cell in row:
         text = cell.strip()
         try:
             value = float(text)
         except ValueError:
-            raise InputError(f"line {lineno}: non-numeric value {cell!r}") from None
+            raise InputError(f"{path}: line {lineno}: non-numeric value {cell!r}") from None
         if not math.isfinite(value):
-            raise InputError(f"line {lineno}: non-finite value {cell!r}")
+            raise InputError(f"{path}: line {lineno}: non-finite value {cell!r}")
         values.append(value)
     return tuple(values)
 
@@ -85,9 +85,9 @@ def read_points_csv(path: Path | str) -> Dataset:
     Blank rows are ignored, and a non-numeric first non-blank row is
     treated as a header and skipped. Ragged rows, non-finite or
     non-numeric cells, bytes that are not UTF-8 and fields over the csv
-    module's size limit raise an input error naming the 1-based line
-    number. The rows go straight into the dataset's coordinate array; no
-    Point is built.
+    module's size limit raise an input error naming the file and the
+    1-based line number. The rows go straight into the dataset's
+    coordinate array; no Point is built.
     """
     path = Path(path)
     try:
@@ -121,14 +121,14 @@ def read_points_csv(path: Path | str) -> Dataset:
                 if not rows and not header_seen and not _looks_numeric(row):
                     header_seen = True
                     continue
-                values = _parse_row(row, lineno)
+                values = _parse_row(row, lineno, path)
             elif not values:
                 continue
             if width is None:
                 width = len(values)
             elif len(values) != width:
                 raise InputError(
-                    f"line {lineno}: expected {width} columns, got {len(values)}"
+                    f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
                 )
             rows.append(values)
     if not rows:

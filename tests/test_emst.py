@@ -202,6 +202,14 @@ class TestTreeCheck:
             [1.0, 2.0, 3.0],
         )
 
+    @pytest.mark.parametrize("case", sorted(BAD_TREES))
+    def test_refused_when_duplicates_are_collapsed(self, broken_builder, case):
+        # Point 4 repeats point 0, so the builder sees the four distinct rows
+        # of TREE_CHECK_POINTS; a -1 must not wrap to the last of them.
+        broken_builder["tree"] = BAD_TREES[case]
+        with pytest.raises(InputError):
+            build_emst(dataset_1d(*TREE_CHECK_POINTS, TREE_CHECK_POINTS[0]))
+
 
 def two_groups_1e200_apart(n):
     """Two tight 2-D groups whose every cross difference squares to inf."""
@@ -307,6 +315,90 @@ class TestKdTreeKernel:
     def test_random_ties_duplicates_and_lines(self):
         for coords in random_canonical_cases():
             assert kernel_tree(coords) == canonical_kruskal([Point(c) for c in coords])
+
+
+def duplicate_heavy(rng, n, dim, distinct, kind):
+    """n rows drawn from `distinct` base rows: an integer grid, uniform
+    reals, tenths (ties that rounding breaks) or reals scaled by 1e-170,
+    whose squared differences underflow to 0 or a subnormal."""
+    if kind == "grid":
+        side = max(2, math.ceil(distinct ** (1 / dim)))
+        base = rng.integers(0, side, (distinct, dim)).astype(float)
+    elif kind == "tenths":
+        base = rng.integers(0, 4, (distinct, dim)) * 0.1
+    else:
+        base = rng.uniform(-5, 5, (distinct, dim))
+        if kind == "tiny":
+            base *= 1e-170
+    return base[rng.integers(0, distinct, n)]
+
+
+DUPLICATE_KINDS = ["grid", "tenths", "uniform", "tiny"]
+
+
+def arrays_tree(coords):
+    u, v, w = emst._emst_arrays(coords)
+    return set(zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+class TestDistinctRows:
+    """The builder runs on the distinct rows and duplicates join the lowest
+    index of their group; the tree must be the canonical tree of all rows."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", DUPLICATE_KINDS)
+    @pytest.mark.parametrize("crossover", ["measured", "kdtree_from_2"])
+    def test_matches_canonical_kruskal(self, dim, kind, crossover, monkeypatch):
+        if crossover == "kdtree_from_2":
+            monkeypatch.setattr(emst, "_KDTREE_MIN_N", {d: 2 for d in range(1, 9)})
+        rng = np.random.default_rng(dim * 100 + DUPLICATE_KINDS.index(kind))
+        for _ in range(6):
+            n = int(rng.integers(2, 80))
+            coords = duplicate_heavy(rng, n, dim, int(rng.integers(1, n + 1)), kind)
+            expected = canonical_kruskal([Point(tuple(c)) for c in coords.tolist()])
+            assert arrays_tree(coords) == expected
+
+    @pytest.mark.parametrize(
+        "dim, distinct",
+        [(1, 300), (1, 900), (2, 600), (2, 1500), (3, 600), (3, 1500), (8, 200)],
+    )
+    @pytest.mark.parametrize("kind", ["grid", "tiny"])
+    def test_matches_prim_on_all_rows(self, dim, distinct, kind):
+        # Distinct counts on both sides of the k-d tree crossover (d = 8
+        # always uses Prim); the tree of all rows comes from Prim unaided.
+        rng = np.random.default_rng(dim * distinct)
+        coords = duplicate_heavy(rng, 2 * distinct, dim, distinct, kind)
+        a, b = emst._prim_emst(coords)
+        u, v, _ = emst._emst_arrays(coords)
+        assert set(zip(u.tolist(), v.tolist())) == set(
+            zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+        )
+
+    def test_distinct_points_with_zero_d2_are_not_merged(self):
+        # 1e-200 squares to 0, so all three pairs tie at d^2 = 0 and the
+        # canonical order takes (0, 1) and (0, 2); merging the two zeros
+        # would give (0, 1), (1, 2).
+        u, v, w = emst._emst_arrays(np.array([[1e-200], [0.0], [0.0]]))
+        assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 0], [1, 2], [1e-200, 1e-200])
+
+    def test_builder_sees_only_distinct_rows(self, monkeypatch):
+        seen = []
+
+        def spy(builder):
+            def run(coords):
+                seen.append(len(coords))
+                return builder(coords)
+
+            return run
+
+        monkeypatch.setattr(emst, "_prim_emst", spy(emst._prim_emst))
+        monkeypatch.setattr(emst, "_kdtree_emst", spy(emst._kdtree_emst))
+        n = 8000
+        u, v, w = emst._emst_arrays(np.full((n, 2), 3.5))
+        assert seen == [1]
+        assert u.tolist() == [0] * (n - 1)
+        assert v.tolist() == list(range(1, n))
+        assert not w.any()
 
 
 @st.composite

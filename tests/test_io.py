@@ -419,6 +419,21 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"input error: {path}: line 2: ")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1,2\nfoo,4\n", "non-numeric value 'foo'"),
+            (b"1,2\nnan,4\n", "non-finite value 'nan'"),
+            (b"1,2\n3,4,5\n", "expected 2 columns, got 3"),
+        ],
+    )
+    def test_bad_row_names_file_and_line_exit_two(self, tmp_path, capsys, data, message):
+        path = tmp_path / "points.csv"
+        path.write_bytes(data)
+        code = main(["--input", str(path), "--k", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path}: line 2: {message}")
+
     def test_k_exceeding_dataset_exit_two(self, tmp_path, capsys):
         path = write_csv(tmp_path, CHAIN_CSV)
         code = main(
