@@ -41,8 +41,8 @@ class EdgeStats:
 # whatever the leading shape (tests/test_emst.py checks rows against blocks
 # bit for bit). A left-to-right sum of squares, ((x0^2 + x1^2) + x2^2) + ...,
 # is a different function: it rounds differently on many pairs once d >= 3.
-def _sq_dist(diff: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", diff, diff)
+def _sq_dist(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.einsum("...k,...k->...", diff, diff, out=out)
 
 
 _OVERFLOW = (
@@ -51,14 +51,19 @@ _OVERFLOW = (
 )
 
 # The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension:
-# where it was faster on uniform points in a sweep over n = 500 .. 16000 and
+# where it was faster on uniform points in a sweep over n = 500 .. 32000 and
 # d = 1 .. 5 (CHANGES.md). Higher d always uses Prim.
-_KDTREE_MIN_N = {1: 500, 2: 1000, 3: 1000, 4: 2000, 5: 8000}
-# Duplicate rows are collapsed only when every nonzero |coordinate| is at
-# least this, so that distinct points never compute d^2 = 0 (_emst_arrays).
+_KDTREE_MIN_N = {1: 500, 2: 1000, 3: 3000, 4: 12000, 5: 24000}
+# The builders see the rows scaled by the power of two that brings the
+# largest |coordinate| just below 2^_SCALE_EXP, or unscaled when it is
+# already larger (_emst_arrays).
+_SCALE_EXP = 250
+# Duplicate rows are collapsed only when every nonzero scaled |coordinate|
+# is at least this, so that distinct points never compute d^2 = 0.
 _COLLAPSE_MIN = 2.0**-450
 _LEAF_SIZE = 32  # most points in one k-d tree leaf
 _BLOCK_ELEMS = 1 << 14  # float64 differences in one batch of rows or node pairs
+_TILE_ELEMS = 256  # float64 differences in one of dense Prim's row tiles
 
 
 def build_emst(dataset: Dataset) -> SpanningForest:
@@ -79,6 +84,14 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     order: squared distance, then min endpoint, then max endpoint. So the
     result is deterministic even with duplicate points and massive ties.
 
+    d^2 is computed on the rows scaled by 2^s, with s >= 0 chosen so that
+    the largest |coordinate| lands just below 2^250 (_SCALE_EXP); rows
+    already larger are not scaled, so an input whose d^2 overflows is
+    still refused. Scaling by a power of two is exact, and it changes no
+    d^2 comparison unless some squared difference underflows unscaled.
+    Such differences square to normal floats scaled, so that points 1e-200
+    apart no longer tie with points 3e-200 apart at d^2 = 0.
+
     The builder runs on the distinct rows only, each standing for the
     lowest index of its group of identical rows, and every other member of
     a group joins that lowest index by a zero-weight edge. Under the
@@ -88,25 +101,26 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     later pair closes a cycle; numbering the distinct rows in the order of
     their lowest indices keeps the (min, max) order of every pair. That
     argument needs d^2 > 0 between distinct points, which holds when every
-    nonzero |coordinate| is at least 2^-450 (see _COLLAPSE_MIN): distinct
-    points then differ by at least 2^-502 on some axis, whose square is a
-    normal float. When some coordinate is smaller, the builder runs on all
-    rows. The groups come from one stable lexsort of the rows, so an
-    input without duplicates pays that sort and one comparison.
+    nonzero scaled |coordinate| is at least 2^-450 (see _COLLAPSE_MIN):
+    distinct points then differ by at least 2^-502 on some axis, whose
+    square is a normal float. When some coordinate is smaller, which takes
+    coordinates more than 2^699 apart in magnitude, the builder runs on all
+    rows. The groups come from one stable lexsort of the rows, so an input
+    without duplicates pays that sort and one comparison.
 
     Two builders return the tree of the distinct rows, chosen by dimension
     d and the number m of distinct points at a crossover measured on
     uniform points (see _KDTREE_MIN_N):
 
-    - d <= 5 and m >= 500 (d = 1), 1000 (d = 2, 3), 2000 (d = 4) or
-      8000 (d = 5): dual-tree Boruvka over a k-d tree of leaf buckets
-      (March, Ram & Gray, KDD 2010). O(log m) rounds, each one traversal
-      of (query node, reference node) pairs that drops a pair once both
-      nodes lie in one component or its box bound exceeds the query
-      node's bound on its components' least outgoing d^2; d^2 is computed
-      only for the point-by-leaf rows that remain, near a component's
-      boundary. On low-dimensional data time grows about as m log m, with
-      an O(m^2) worst case. O(m) memory.
+    - d <= 5 and m >= 500 (d = 1), 1000 (d = 2), 3000 (d = 3), 12000
+      (d = 4) or 24000 (d = 5): dual-tree Boruvka over a k-d tree of leaf
+      buckets (March, Ram & Gray, KDD 2010). O(log m) rounds, each one
+      traversal of (query node, reference node) pairs that drops a pair
+      once both nodes lie in one component or its box bound exceeds the
+      query node's bound on its components' least outgoing d^2; d^2 is
+      computed only for the point-by-leaf rows that remain, near a
+      component's boundary. On low-dimensional data time grows about as
+      m log m, with an O(m^2) worst case. O(m) memory.
     - otherwise: a dense Prim scan over the implicit complete graph, O(m^2)
       time and O(m) memory.
 
@@ -122,15 +136,18 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     some part of the points has no finite edge to the rest.
     """
     n = len(coords)
+    top = max(-coords.min(), coords.max())
+    scaled = np.ldexp(coords, max(0, _SCALE_EXP - math.frexp(top)[1]))
     # Stable, so each run of equal rows starts with the group's lowest index.
-    order = np.lexsort(coords.T)
-    ranked = coords[order]
+    order = np.lexsort(scaled.T)
+    ranked = scaled[order]
     first = np.ones(n, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     del ranked
-    collapse = not first.all() and not ((coords != 0) & (np.abs(coords) < _COLLAPSE_MIN)).any()
+    collapse = not first.all() and not ((scaled != 0) & (np.abs(scaled) < _COLLAPSE_MIN)).any()
     reps = np.sort(order[first]) if collapse else None
-    rows = coords[reps] if collapse else coords
+    rows = scaled[reps] if collapse else scaled
+    del scaled
     m = len(rows)
     if m >= _KDTREE_MIN_N.get(coords.shape[1], math.inf):
         a, b = _kdtree_emst(rows)
@@ -164,33 +181,58 @@ def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     candidate edges (a, j) of one fixed j are in canonical order exactly
     when their sources a are in increasing order (if a < j < b, then
     (a, j) < (j, b)), so a tie replaces the source only by a smaller one.
-    Tree vertices hold NaN as their squared distance, which no comparison
-    selects and np.fmin skips.
+
+    Each step works on the outside vertices alone. They sit in the first
+    `live` slots of out (their ids), pts (their rows), best_d2 and
+    best_from, and the vertex that joins the tree is overwritten by the
+    last live slot. Slots are in no particular order, so ties between
+    candidates are broken on the vertex ids in out.
     """
-    n = len(coords)
+    n, dim = coords.shape
     edges = np.empty((2, n - 1), dtype=np.int64)
-    best_d2 = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)  # vertex 0 is the first source of all
-    best_d2[0] = np.nan
+    out = np.arange(1, n)
+    # pts is padded to whole tiles of `per` rows. Subtracting a tile of
+    # `per` copies of the new tree vertex from each tile is much faster
+    # than broadcasting its row of d values over every row.
+    per = -(-_TILE_ELEMS // dim)
+    pts = np.zeros((-(-(n - 1) // per) * per, dim))
+    pts[: n - 1] = coords[1:]
+    diff = np.empty_like(pts)
+    tile = np.empty((per, dim))
+    pts_tiles, diff_tiles, tile_row = (a.reshape(-1, per * dim) for a in (pts, diff, tile))
+    best_d2 = np.full(n - 1, np.inf)
+    best_from = np.zeros(n - 1, dtype=np.int64)  # vertex 0 is the first source of all
+    d2_buf, upd_buf, tie_buf = np.empty(n - 1), np.empty(n - 1, dtype=bool), np.empty(n - 1, dtype=bool)
     cur = 0
     for i in range(n - 1):
-        d2 = _sq_dist(coords - coords[cur])
-        upd = (d2 < best_d2) | ((d2 == best_d2) & (cur < best_from))
-        np.copyto(best_d2, d2, where=upd)
-        best_from[upd] = cur
+        live = n - 1 - i
+        bd, bf, d2, upd, tie = best_d2[:live], best_from[:live], d2_buf[:live], upd_buf[:live], tie_buf[:live]
+        tile[:] = coords[cur]
+        tiles = -(-live // per)
+        np.subtract(pts_tiles[:tiles], tile_row, out=diff_tiles[:tiles])
+        _sq_dist(diff[:live], out=d2)
+        np.less(d2, bd, out=upd)
+        np.equal(d2, bd, out=tie)
+        if np.count_nonzero(tie):
+            tie &= cur < bf
+            upd |= tie
+        np.minimum(bd, d2, out=bd)
+        np.copyto(bf, cur, where=upd)
 
-        nearest = np.fmin.reduce(best_d2)
-        if not math.isfinite(nearest):
+        s = int(bd.argmin())
+        if not math.isfinite(bd[s]):
             # Every outside point is at d2 = inf, so Prim can no longer
             # order the candidates.
             raise InputError(_OVERFLOW)
-        cand = np.flatnonzero(best_d2 == nearest)
-        if len(cand) > 1:
-            a = best_from[cand]
-            cand = cand[np.lexsort((np.maximum(a, cand), np.minimum(a, cand)))]
-        cur = int(cand[0])
-        edges[:, i] = best_from[cur], cur
-        best_d2[cur] = np.nan
+        np.equal(bd, bd[s], out=tie)
+        if np.count_nonzero(tie) > 1:
+            cand = np.flatnonzero(tie)
+            a, j = bf[cand], out[cand]
+            s = int(cand[np.lexsort((np.maximum(a, j), np.minimum(a, j)))[0]])
+        cur = int(out[s])
+        edges[:, i] = bf[s], cur
+        last = live - 1
+        out[s], pts[s], bd[s], bf[s] = out[last], pts[last], bd[last], bf[last]
     return edges[0], edges[1]
 
 

@@ -51,11 +51,15 @@ class Point:
 
 
 def _whole(value, name: str, error: type[Exception]) -> int:
-    """value as an int, or error when int() would change it (2.9, 3.5).
+    """value as an int, or error when int() would change it (2.9, 3.5) or
+    cannot convert it (nan, inf).
 
     Python and numpy integers and integral floats such as 3.0 pass.
     """
-    whole = int(value)
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):
+        whole = None  # nan or inf, which equal no int
     if whole != value:
         raise error(f"{name} must be a whole number, got {value!r}")
     return whole

@@ -58,16 +58,24 @@ def brute_mst_weight_subsets(points: list[Point]) -> float:
     return best
 
 
+def scaled_rows(coords: np.ndarray) -> np.ndarray:
+    """coords times the power of two 2^s, s >= 0, that brings the largest
+    |coordinate| just below 2^250: the rows whose d^2 the EMST compares."""
+    top = float(np.abs(coords).max())
+    return np.ldexp(coords, max(0, 250 - math.frexp(top)[1]))
+
+
 def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     """The unique minimum spanning tree under the canonical edge order.
 
     Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
-    emstclust.emst._sq_dist of each row of differences, the one expression
-    both EMST builders compare, so ties and rounding agree. Returns
-    (u, v, weight) triples, weight being math.dist of the coordinates.
+    emstclust.emst._sq_dist of each row of differences of scaled_rows, the
+    one expression both EMST builders compare, so ties and rounding agree.
+    Returns (u, v, weight) triples, weight being math.dist of the
+    coordinates.
     """
     n = len(points)
-    coords = np.array([p.coords for p in points], dtype=np.float64)
+    coords = scaled_rows(np.array([p.coords for p in points], dtype=np.float64))
     pairs = []
     for u in range(n):
         d2 = _sq_dist(coords - coords[u])

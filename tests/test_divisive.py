@@ -182,6 +182,11 @@ class TestEmstrd:
         for k in (2, np.int64(2), 2.0):
             assert emstrd(ds, k).cluster_count == 2
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_refused(self, k):
+        with pytest.raises(InputError, match=f"k must be a whole number, got {k!r}"):
+            emstrd(dataset_1d(1, 2, 3, 7), k)
+
     def test_single_point_k1(self):
         result = emstrd(dataset_1d(9), 1)
         assert result.cluster_count == 1

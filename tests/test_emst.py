@@ -33,6 +33,7 @@ from oracles import (
     brute_mst_weight_subsets,
     canonical_kruskal,
     max_min_separation,
+    scaled_rows,
 )
 
 
@@ -71,6 +72,13 @@ class TestBuildEmst:
         tree = build_emst(dataset_1d(5, 5, 5))
         assert tree.component_count == 1
         assert all(e.weight == 0.0 for e in tree.edges)
+
+    def test_underflowing_squared_distances_keep_their_order(self):
+        # Unscaled, every d^2 among the first three points underflows to 0
+        # and the index tie-break takes (0, 2) before (1, 2).
+        tree = build_emst(dataset_1d(0, 1e-200, 3e-200, 1))
+        assert (tree.u.tolist(), tree.v.tolist()) == ([0, 0, 1], [1, 3, 2])
+        assert tree.w.tolist() == pytest.approx([1e-200, 1.0, 2e-200], rel=1e-12, abs=0)
 
     def test_squared_distance_overflow_rejected(self):
         # d^2 overflows to inf here; Prim used to re-pick a tree vertex and
@@ -292,11 +300,12 @@ class TestCanonicalEdgeSet:
             self.check(coords)
 
 
-def kernel_tree(coords):
-    """(u, v, weight) triples of the k-d tree kernel's tree, bypassing the
-    size and dimension dispatch of build_emst."""
-    points = [Point(c) for c in coords]
-    u, v = emst._kdtree_emst(np.array(coords, dtype=np.float64).reshape(len(coords), -1))
+def builder_tree(builder, coords):
+    """(u, v, weight) triples of one builder's tree, bypassing the scaling,
+    the collapse of duplicates and the size and dimension dispatch of
+    build_emst."""
+    points = [Point(tuple(c)) for c in coords]
+    u, v = builder(np.array(coords, dtype=np.float64).reshape(len(coords), -1))
     return {
         (min(a, b), max(a, b), math.dist(points[a].coords, points[b].coords))
         for a, b in zip(u.tolist(), v.tolist())
@@ -310,17 +319,51 @@ class TestKdTreeKernel:
     @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
     def test_fixed_cases(self, name):
         coords = CANONICAL_CASES[name]
-        assert kernel_tree(coords) == canonical_kruskal([Point(c) for c in coords])
+        assert builder_tree(emst._kdtree_emst, coords) == canonical_kruskal([Point(c) for c in coords])
 
     def test_random_ties_duplicates_and_lines(self):
         for coords in random_canonical_cases():
-            assert kernel_tree(coords) == canonical_kruskal([Point(c) for c in coords])
+            assert builder_tree(emst._kdtree_emst, coords) == canonical_kruskal([Point(c) for c in coords])
+
+
+class TestPrimKernel:
+    """Dense Prim returns the canonical tree itself on the inputs that
+    build_emst no longer hands it whole: repeated points, ties that
+    rounding breaks, identical points. Its outside vertices move between
+    slots as others join the tree, so ties must be broken on vertex ids."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 16])
+    @pytest.mark.parametrize("kind", ["grid", "tenths", "uniform", "identical"])
+    def test_matches_canonical_kruskal(self, dim, kind):
+        rng = np.random.default_rng(dim)
+        for n in (2, 40, 300):
+            if kind == "identical":
+                coords = duplicate_heavy(rng, n, dim, 1, "uniform")
+            else:
+                coords = duplicate_heavy(rng, n, dim, int(rng.integers(1, n // 2 + 2)), kind)
+            expected = canonical_kruskal([Point(tuple(c)) for c in coords.tolist()])
+            assert builder_tree(emst._prim_emst, coords.tolist()) == expected
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [[0.0], [1.0], [2.0], [1e200], [3e200]],
+            [[0.0, 0.0], [1e200, 0.0], [1.0, 0.0], [1e200, 1.0], [2.0, 0.0], [1e200, 2.0]],
+        ],
+    )
+    def test_overflow_rejected_after_far_points_move(self, coords):
+        # The far points sit in the last slots and move into the slots of
+        # near points as those join the tree.
+        with pytest.raises(InputError, match="squared-distance overflow"):
+            emst._prim_emst(np.array(coords))
 
 
 def duplicate_heavy(rng, n, dim, distinct, kind):
     """n rows drawn from `distinct` base rows: an integer grid, uniform
-    reals, tenths (ties that rounding breaks) or reals scaled by 1e-170,
-    whose squared differences underflow to 0 or a subnormal."""
+    reals, tenths (ties that rounding breaks), reals scaled by 1e-170,
+    whose squared differences underflow to 0 unless scaled, or reals with
+    some coordinates scaled by 1e-250, too small for any scaling to keep
+    their squared differences from underflowing."""
     if kind == "grid":
         side = max(2, math.ceil(distinct ** (1 / dim)))
         base = rng.integers(0, side, (distinct, dim)).astype(float)
@@ -330,10 +373,12 @@ def duplicate_heavy(rng, n, dim, distinct, kind):
         base = rng.uniform(-5, 5, (distinct, dim))
         if kind == "tiny":
             base *= 1e-170
+        elif kind == "wide":
+            base[rng.random(base.shape) < 0.5] *= 1e-250
     return base[rng.integers(0, distinct, n)]
 
 
-DUPLICATE_KINDS = ["grid", "tenths", "uniform", "tiny"]
+DUPLICATE_KINDS = ["grid", "tenths", "uniform", "tiny", "wide"]
 
 
 def arrays_tree(coords):
@@ -360,26 +405,30 @@ class TestDistinctRows:
 
     @pytest.mark.parametrize(
         "dim, distinct",
-        [(1, 300), (1, 900), (2, 600), (2, 1500), (3, 600), (3, 1500), (8, 200)],
+        [(1, 300), (1, 900), (2, 600), (2, 1500), (3, 600), (3, 1500), (3, 4000), (8, 200)],
     )
     @pytest.mark.parametrize("kind", ["grid", "tiny"])
     def test_matches_prim_on_all_rows(self, dim, distinct, kind):
         # Distinct counts on both sides of the k-d tree crossover (d = 8
-        # always uses Prim); the tree of all rows comes from Prim unaided.
+        # always uses Prim); the tree of all rows comes from Prim unaided,
+        # on the scaled rows the builders see.
         rng = np.random.default_rng(dim * distinct)
         coords = duplicate_heavy(rng, 2 * distinct, dim, distinct, kind)
-        a, b = emst._prim_emst(coords)
+        a, b = emst._prim_emst(scaled_rows(coords))
         u, v, _ = emst._emst_arrays(coords)
         assert set(zip(u.tolist(), v.tolist())) == set(
             zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
         )
 
     def test_distinct_points_with_zero_d2_are_not_merged(self):
-        # 1e-200 squares to 0, so all three pairs tie at d^2 = 0 and the
-        # canonical order takes (0, 1) and (0, 2); merging the two zeros
-        # would give (0, 1), (1, 2).
+        # Unscaled, 1e-200 squares to 0, all three pairs tie at d^2 = 0 and
+        # the index tie-break takes (0, 2). Scaled, only the two zeros tie.
         u, v, w = emst._emst_arrays(np.array([[1e-200], [0.0], [0.0]]))
-        assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 0], [1, 2], [1e-200, 1e-200])
+        assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 1], [1, 2], [1e-200, 0.0])
+        # 1e-250 is too small for any scaling beside 1, so the builder runs
+        # on every row and the zeros stay tied with it.
+        u, v, w = emst._emst_arrays(np.array([[1.0], [1e-250], [0.0], [0.0]]))
+        assert (u.tolist(), v.tolist()) == ([0, 1, 1], [1, 2, 3])
 
     def test_builder_sees_only_distinct_rows(self, monkeypatch):
         seen = []
@@ -453,6 +502,11 @@ class TestSquaredDistance:
         rows = np.array([emst._sq_dist(coords - coords[i]) for i in range(len(coords))])
         block = emst._sq_dist(coords[:, None, :] - coords[None, :, :])
         assert rows.tobytes() == block.tobytes()
+        # Prim's form: written into a preallocated buffer.
+        into = np.empty(len(coords))
+        for i in range(len(coords)):
+            emst._sq_dist(coords - coords[i], out=into)
+            assert into.tobytes() == rows[i].tobytes()
         # Prim's original row expression, so the edge sets did not move.
         literal = np.array([np.einsum("ij,ij->i", coords - c, coords - c) for c in coords])
         assert rows.tobytes() == literal.tobytes()

@@ -192,6 +192,11 @@ class TestRunConfig:
         for k in (3, np.int64(3), 3.0):
             assert chain_config(tmp_path, k=k).k == 3
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_refused(self, tmp_path, k):
+        with pytest.raises(ConfigError, match=f"k must be a whole number, got {k!r}"):
+            chain_config(tmp_path, k=k)
+
 
 class TestWriteOutputs:
     def test_chain_file_set_and_content(self, tmp_path):

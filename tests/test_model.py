@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,8 @@ class TestCriterionConfig:
             CriterionConfig(zahn_depth=1.7)
         for depth in (3, np.int32(3), 3.0):
             assert CriterionConfig(zahn_depth=depth).zahn_depth == 3
+
+    @pytest.mark.parametrize("depth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_depth_refused(self, depth):
+        with pytest.raises(ConfigError, match=f"zahn_depth must be a whole number, got {depth!r}"):
+            CriterionConfig(zahn_depth=depth)
