@@ -13,13 +13,14 @@ from functools import cached_property
 
 import numpy as np
 
-# build_emst, edge_statistics, cluster_variance and path_distance_table are
-# not used here: the benchmark's layer trace looks them up in this module.
+# build_emst, edge_statistics, center_and_radius, diameter_and_set,
+# cluster_variance and path_distance_table are not used here: the
+# benchmark's layer trace looks them up in this module.
 from .emst import EdgeStats, _emst_arrays, build_emst, edge_statistics  # noqa: F401
 from .errors import DegenerateInputError, InputError
 from .metrics import (  # noqa: F401
+    _eccentricities,
     _rms_spread,
-    _tree_eccentricities,
     center_and_radius,
     cluster_variance,
     diameter_and_set,
@@ -217,14 +218,16 @@ class ClusteringResult:
 
 
 def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
+    """Cluster c's report: its radius and diameter are the smallest and
+    largest of its members' eccentricities, its center the lowest member
+    at the radius."""
     ids = part.members_of(c)
-    ecc = _tree_eccentricities(ids, *part.edges_of(c))
-    centers, radius = center_and_radius(ecc)
-    diameter, _ = diameter_and_set(ecc)
+    ecc = _eccentricities(ids, *part.edges_of(c))
+    center = int(np.argmin(ecc))  # the first minimum
     return ClusterReport(
-        center_index=min(centers),
-        radius=radius,
-        diameter=diameter,
+        center_index=int(ids[center]),
+        radius=float(ecc[center]),
+        diameter=float(ecc.max()),
         variance=_rms_spread(coords[ids].tolist()),
         size=len(ids),
     )

@@ -51,9 +51,10 @@ _OVERFLOW = (
 )
 
 # The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension:
-# where it was faster on uniform points in a sweep over n = 500 .. 32000 and
-# d = 1 .. 5 (CHANGES.md). Higher d always uses Prim.
-_KDTREE_MIN_N = {1: 500, 2: 1000, 3: 3000, 4: 12000, 5: 24000}
+# where it was faster on uniform points in sweeps over n = 500 .. 32000 and
+# d = 1 .. 5, and over n = 50 .. 500 for d = 1 (CHANGES.md). Higher d always
+# uses Prim.
+_KDTREE_MIN_N = {1: 400, 2: 1000, 3: 3000, 4: 12000, 5: 24000}
 # The builders see the rows scaled by the power of two that brings the
 # largest |coordinate| just below 2^_SCALE_EXP, or unscaled when it is
 # already larger (_emst_arrays).
@@ -112,7 +113,7 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     d and the number m of distinct points at a crossover measured on
     uniform points (see _KDTREE_MIN_N):
 
-    - d <= 5 and m >= 500 (d = 1), 1000 (d = 2), 3000 (d = 3), 12000
+    - d <= 5 and m >= 400 (d = 1), 1000 (d = 2), 3000 (d = 3), 12000
       (d = 4) or 24000 (d = 5): dual-tree Boruvka over a k-d tree of leaf
       buckets (March, Ram & Gray, KDD 2010). O(log m) rounds, each one
       traversal of (query node, reference node) pairs that drops a pair

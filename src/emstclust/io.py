@@ -180,14 +180,17 @@ def newick_string(dendrogram: Dendrogram) -> str:
     length is the parent's merge level minus the child's own level, so the
     tree is ultrametric with every leaf at depth equal to the final level.
     """
-    text = [f"C{leaf}" for leaf in range(dendrogram.leaf_count)]
+    text: list[str | None] = [f"C{leaf}" for leaf in range(dendrogram.leaf_count)]
     level = [0.0] * dendrogram.leaf_count
     # Merge m creates node leaf_count - 1 + m from two earlier nodes, so the
-    # lists grow in node order and both children are already rendered.
+    # lists grow in node order and both children are already rendered. Each
+    # node has one parent, so a child's text is dropped once used, and the
+    # texts alive never add up to more than the output.
     for rec in dendrogram.merges:
         left_len = _format_float(rec.level - level[rec.left])
         right_len = _format_float(rec.level - level[rec.right])
         text.append(f"({text[rec.left]}:{left_len},{text[rec.right]}:{right_len})")
+        text[rec.left] = text[rec.right] = None
         level.append(rec.level)
     return text[-1] + ";"
 

@@ -18,7 +18,7 @@ import numpy as np
 # build_emst is not used here: the benchmark's layer trace looks it up.
 from .emst import _emst_arrays, build_emst  # noqa: F401
 from .errors import InputError
-from .metrics import _tree_eccentricities, center_and_radius
+from .metrics import _eccentricities
 from .model import Dataset, Dendrogram, MergeRecord, Point, SpanningForest
 
 
@@ -34,8 +34,9 @@ def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
 
 
 def _central(k: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[int, float]:
-    centers, radius = center_and_radius(_tree_eccentricities(np.arange(k), u, v, w))
-    return min(centers), radius
+    ecc = _eccentricities(np.arange(k), u, v, w)
+    index = int(np.argmin(ecc))  # the first minimum
+    return index, float(ecc[index])
 
 
 def _find(parent: list[int], x: int) -> int:

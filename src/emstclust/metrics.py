@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,157 +76,107 @@ class TreeEccentricities:
     eccentricities: np.ndarray
 
 
-class _RootedTree(NamedTuple):
-    """A cluster's tree rooted at its lowest member, in local indices.
+def _exact_tree(
+    ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[list[list[tuple[int, int]]], int]:
+    """The tree on members ids (ascending) with edges u, v, w, as adjacency
+    lists over local indices (member ids[i] is i) of exact integer weights,
+    and their common denominator Q.
 
-    Local index i is the cluster's i-th lowest member. order is a stack DFS
-    preorder over the adjacency in ascending edge order, so every subtree
-    occupies the contiguous positions pos[v] .. pos[v] + size[v] - 1 of it.
+    Every float is p / q with q a power of two, so with Q the largest q each
+    weight is exactly the integer p * (Q // q) over Q. Sums of these
+    integers are exact path lengths, and Python's int / Q rounds such a
+    length correctly.
     """
-
-    order: list[int]
-    parent: list[int]
-    parent_w: list[float]
-    pos: list[int]
-    size: list[int]
-
-
-def _rooted(ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> _RootedTree:
-    """Root the tree on members ids (ascending) with edges u, v, w in
-    ascending (u, v) order."""
-    m = len(ids)
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    weights = w.tolist()
+    # Q first, so that no list of (p, q) pairs is held next to the lists.
+    scale = max((x.as_integer_ratio()[1] for x in weights), default=1)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(len(ids))]
     local_u = np.searchsorted(ids, u).tolist()
     local_v = np.searchsorted(ids, v).tolist()
-    for a, b, weight in zip(local_u, local_v, w.tolist()):
-        adjacency[a].append((b, weight))
-        adjacency[b].append((a, weight))
+    for a, b, weight in zip(local_u, local_v, weights):
+        p, q = weight.as_integer_ratio()
+        x = p * (scale // q)
+        adjacency[a].append((b, x))
+        adjacency[b].append((a, x))
+    return adjacency, scale
 
-    order: list[int] = []
-    parent = [-1] * m
-    parent_w = [0.0] * m
-    seen = [False] * m
-    stack = [0]
-    seen[0] = True
+
+def _sweep(adjacency: list[list[tuple[int, int]]], source: int) -> list[int]:
+    """Exact path length from source to every vertex of the tree."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    stack = [source]
     while stack:
-        v = stack.pop()
-        order.append(v)
-        for nb, weight in adjacency[v]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = v
-                parent_w[nb] = weight
-                stack.append(nb)
-
-    pos = [0] * m
-    for i, v in enumerate(order):
-        pos[v] = i
-    size = [1] * m
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    return _RootedTree(order, parent, parent_w, pos, size)
+        x = stack.pop()
+        dx = dist[x]
+        for y, wy in adjacency[x]:
+            if dist[y] < 0:
+                dist[y] = dx + wy
+                stack.append(y)
+    return dist
 
 
-def _row_tails(tree: _RootedTree) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (p, tail) once per vertex, where p is the vertex's preorder
-    position and tail[j] its raw path distance to the vertex at position
-    p + j.
+def _rounded(lengths: Iterable[int], scale: int) -> list[float]:
+    """The exact lengths over scale, each correctly rounded to a float."""
+    try:
+        return [d / scale for d in lengths]
+    except OverflowError:
+        raise InputError("a tree path is longer than the largest float") from None
 
-    The root's row is summed along the preorder. Every other row is its
-    parent's row plus w outside the vertex's subtree and minus w inside it,
-    taken as `row + w` and then `row[subtree] -= 2.0 * w`, so each entry is
-    the same float whatever order the rows are visited in. Only tails are
-    formed: a vertex and all of its descendants sit after its position.
-    The child with the largest subtree is visited last and reuses its
-    parent's buffer in place; its siblings get new ones. At most
-    1 + log2(m) buffers are then alive. A yielded tail is overwritten later, so consume it
-    before advancing.
+
+def _farthest(dist: list[int]) -> int:
+    """The lowest index of the largest distance."""
+    return dist.index(max(dist))
+
+
+def _eccentricities(
+    ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Each member's largest path distance in the tree on members ids
+    (ascending) with edges u, v, w, correctly rounded.
+
+    Three sweeps of exact integer path lengths (_exact_tree): from the
+    lowest member to a, the member farthest from it, from a to b, the
+    member farthest from a, and from b, ties going to the lower id. (a, b)
+    is then a diameter, and with nonnegative weights some farthest member
+    of every member is a or b, so ecc(x) = max(d(x, a), d(x, b)), rounded
+    once. Rounding is monotone and doubling exact, so radius <= diameter
+    <= 2 * radius holds exactly. O(m) time and memory.
     """
-    order, parent, parent_w, pos, size = tree
-    m = len(order)
-    children: list[list[int]] = [[] for _ in range(m)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    root = np.zeros(m)
-    for v in order[1:]:
-        root[pos[v]] = root[pos[parent[v]]] + parent_w[v]
-
-    # Entries are (vertex, the parent's tail, whether to reuse that buffer).
-    stack: list[tuple[int, np.ndarray, bool]] = [(order[0], root, True)]
-    while stack:
-        v, above, reuse = stack.pop()
-        if parent[v] < 0:
-            tail = above
-        else:
-            w = parent_w[v]
-            tail = above[pos[v] - pos[parent[v]] :]
-            if reuse:
-                tail += w
-            else:
-                tail = tail + w
-            tail[: size[v]] -= 2.0 * w
-        yield pos[v], tail
-        kids = children[v]
-        if kids:
-            heavy = max(kids, key=size.__getitem__)
-            stack.append((heavy, tail, True))
-            stack.extend((c, tail, False) for c in kids if c != heavy)
+    adjacency, scale = _exact_tree(ids, u, v, w)
+    from_a = _sweep(adjacency, _farthest(_sweep(adjacency, 0)))
+    from_b = _sweep(adjacency, _farthest(from_a))
+    del adjacency  # before the floats are made, as it is the largest part
+    return np.array(_rounded(map(max, from_a, from_b), scale))
 
 
 def path_distance_table(cluster: Cluster) -> DistanceTable:
     """All-pairs path distances over a cluster's subtree.
 
-    Roots the tree at the lowest member, takes one DFS preorder so every
-    subtree is a contiguous index interval, then derives each vertex's row
-    from its parent's row (add w outside the subtree, subtract w inside).
-    The strict upper triangle is mirrored afterwards, which makes symmetry
-    and the zero diagonal exact. O(m^2) time and memory: tree_eccentricities
-    gives the same eccentricities without the matrix.
+    Each row is one sweep of exact integer path lengths from its vertex
+    (_exact_tree), each length rounded once, the rule tree_eccentricities
+    uses. Every entry is then the correctly rounded path length, and the
+    table is exactly symmetric with a zero diagonal. O(m^2) time and
+    memory: tree_eccentricities gives the same eccentricities without the
+    matrix.
     """
-    tree = _rooted(cluster.ids, cluster.u, cluster.v, cluster.w)
-    m = len(tree.order)
-    upper = np.zeros((m, m))
-    for p, tail in _row_tails(tree):
-        # Subtracting in another order than the sums were taken can leave a
-        # zero path (between duplicate points) at -1 ulp.
-        np.maximum(tail[1:], 0.0, out=upper[p, p + 1 :])
-    dist = upper + upper.T
-    perm = np.array(tree.pos)
-    dist = dist[np.ix_(perm, perm)]
-    return DistanceTable(vertices=tuple(cluster.ids.tolist()), distances=dist)
+    adjacency, scale = _exact_tree(cluster.ids, cluster.u, cluster.v, cluster.w)
+    dist = [_rounded(_sweep(adjacency, i), scale) for i in range(len(adjacency))]
+    return DistanceTable(vertices=tuple(cluster.ids.tolist()), distances=np.array(dist))
 
 
 def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
     """Each member's largest path distance to any other member.
 
-    Equal, float for float, to path_distance_table(cluster).eccentricities:
-    for preorder positions i < j the table holds max(raw, 0) of row i's raw
-    entry j at (i, j) and at (j, i), so a vertex's largest distance is the
-    largest of 0, its own raw row after its position, and the raw entries in
-    its column from the rows before it. The rows are streamed one at a time
-    and only those two maxima kept, so memory is O(m log m) while time stays
-    O(m^2).
+    Each value is the correctly rounded length of the member's longest
+    path, found by three sweeps over the tree (_eccentricities), so it
+    equals path_distance_table(cluster).eccentricities float for float.
+    O(m) time and memory.
     """
-    return _tree_eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)
-
-
-def _tree_eccentricities(
-    ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> TreeEccentricities:
-    """tree_eccentricities of the tree on members ids (ascending) with edges
-    u, v, w in ascending (u, v) order."""
-    tree = _rooted(ids, u, v, w)
-    m = len(tree.order)
-    row_max = np.zeros(m)
-    col_max = np.zeros(m)
-    for p, tail in _row_tails(tree):
-        if p + 1 < m:
-            row_max[p] = tail[1:].max()
-            np.maximum(col_max[p + 1 :], tail[1:], out=col_max[p + 1 :])
-    ecc = np.maximum(row_max, col_max)[tree.pos]
+    ecc = _eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)
     ecc.flags.writeable = False
-    return TreeEccentricities(vertices=tuple(ids.tolist()), eccentricities=ecc)
+    return TreeEccentricities(vertices=tuple(cluster.ids.tolist()), eccentricities=ecc)
 
 
 def center_and_radius(

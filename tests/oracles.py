@@ -2,8 +2,8 @@
 
 Everything here is deliberately written with different algorithms than the
 package: spanning trees by edge-subset enumeration instead of Prufer
-decoding, path distances by walking the unique tree path instead of
-rerooted rows, and so on.
+decoding, path distances by summing each tree path with math.fsum instead
+of integer sweeps, and so on.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def removal_replay(
 def path_distance_oracle(n: int, edges: list[Edge]) -> dict[tuple[int, int], float]:
     """All-pairs tree path distances by explicit path walking.
 
-    Returns distances keyed by (u, v) with u < v; each value is the fsum of
-    edge weights along the unique path, in path order from u. Both query
-    directions therefore share one canonical value.
+    Returns distances keyed by (u, v) with u < v; each value is the
+    math.fsum of the edge weights along the unique path, which is the
+    correctly rounded exact path length.
     """
     adjacency: dict[int, list[tuple[int, float]]] = {v: [] for v in range(n)}
     for e in edges:
@@ -247,7 +247,9 @@ def path_distance_oracle(n: int, edges: list[Edge]) -> dict[tuple[int, int], flo
 
 
 def eccentricities_oracle(n: int, edges: list[Edge]) -> list[float]:
-    """Per-vertex eccentricities derived from path_distance_oracle."""
+    """Per-vertex eccentricities derived from path_distance_oracle: each the
+    correctly rounded length of the vertex's longest path; 0.0 for a vertex
+    no edge touches."""
     table = path_distance_oracle(n, edges)
     ecc = [0.0] * n
     for (u, v), d in table.items():

@@ -27,7 +27,7 @@ from emstclust import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
-from oracles import gaussian_blobs, removal_replay, tree_as_forest
+from oracles import eccentricities_oracle, gaussian_blobs, removal_replay, tree_as_forest
 
 
 def dataset_1d(*values):
@@ -263,6 +263,28 @@ class TestEmstrd:
             widest = max(r.diameter for r in result.reports)
             assert widest <= previous + 1e-12
             previous = widest
+
+    def test_reports_equal_fsum_path_oracle(self):
+        # Radius, diameter and center come from correctly rounded path
+        # lengths: they match the oracle exactly and meet the contract
+        # radius <= diameter <= 2 * radius with no tolerance.
+        rng = random.Random(1213)
+        for k in (1, 3, 7, 40):
+            ds = Dataset(
+                tuple(
+                    Point((rng.uniform(0, 10), rng.choice([1e-3, 1e3]) * rng.random()))
+                    for _ in range(40)
+                )
+            )
+            result = emstrd(ds, k)
+            for cluster, report in zip(result.clusters, result.reports):
+                ecc = eccentricities_oracle(len(ds), sorted(cluster.edges))
+                members = sorted(cluster.members)
+                radius = min(ecc[v] for v in members)
+                assert report.radius == radius
+                assert report.diameter == max(ecc[v] for v in members)
+                assert report.center_index == min(v for v in members if ecc[v] == radius)
+                assert report.radius <= report.diameter <= 2.0 * report.radius
 
     def test_two_blob_recovery_std(self):
         rng = random.Random(701)

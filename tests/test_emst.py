@@ -359,14 +359,18 @@ class TestPrimKernel:
 
 
 def duplicate_heavy(rng, n, dim, distinct, kind):
-    """n rows drawn from `distinct` base rows: an integer grid, uniform
-    reals, tenths (ties that rounding breaks), reals scaled by 1e-170,
+    """n rows drawn from `distinct` base rows: distinct integer grid points,
+    uniform reals, tenths (ties that rounding breaks), reals scaled by 1e-170,
     whose squared differences underflow to 0 unless scaled, or reals with
     some coordinates scaled by 1e-250, too small for any scaling to keep
     their squared differences from underflowing."""
     if kind == "grid":
+        # Distinct cells of the smallest grid that holds them all.
         side = max(2, math.ceil(distinct ** (1 / dim)))
-        base = rng.integers(0, side, (distinct, dim)).astype(float)
+        while side**dim < distinct:
+            side += 1
+        cells = rng.choice(side**dim, distinct, replace=False)
+        base = np.stack(np.unravel_index(cells, (side,) * dim), axis=1).astype(float)
     elif kind == "tenths":
         base = rng.integers(0, 4, (distinct, dim)) * 0.1
     else:

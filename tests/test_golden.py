@@ -5,10 +5,15 @@ run_pipeline wrote for it under `std/` and `zahn/`. The first ten cases
 (n <= 200, so the EMST always comes from dense Prim) were saved before the
 divisive removal loop was rewritten (commit f96ad15). They cover lattice
 ties, duplicate points, 1-D data, k=1, k=n, identical points and one 2-D run
-with SVG output; the zahn runs use non-default c, f and depth. The two
-`*_kdtree` cases lie above the k-d tree crossover (2-D blobs, n = 1500, with
-SVG; a duplicate-heavy 3-D integer grid, n = 2500, k=1) and were saved by
-the code of commit f6f75dd, before the pipeline became array-native.
+with SVG output; the zahn runs use non-default c, f and depth. Two more
+cases were saved by the code of commit f6f75dd, before the pipeline became
+array-native: 2-D blobs (n = 1500, with SVG) and a duplicate-heavy 3-D
+integer grid (n = 2500, k=1). The EMST runs over distinct rows, so only the
+blobs reach the k-d tree; the grid has 512 distinct rows and its tree comes
+from dense Prim. `blobs3d_k8_kdtree` (8 Gaussian blobs, 3400 distinct rows
+plus 600 repeats, seed 20261018) is the case above the 3-D crossover of 3000
+distinct rows. Radius, diameter and meta_radius were regenerated once, where
+they moved to the correctly rounded path lengths (CHANGES.md).
 Refactors must reproduce these files exactly. Never regenerate them to make
 this test pass: a byte that moves is a behaviour change that needs its own
 justification.
@@ -18,9 +23,18 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from emstclust import MODE_STD, MODE_ZAHN, CriterionConfig, RunConfig, run_pipeline
+from emstclust import (
+    MODE_STD,
+    MODE_ZAHN,
+    CriterionConfig,
+    RunConfig,
+    read_points_csv,
+    run_pipeline,
+)
+from emstclust import emst
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +52,7 @@ CASES = [
     ("identical", 3, 1.5, 1.5, 2, False),
     ("blobs2d_k6_kdtree", 6, 1.5, 2.0, 2, True),
     ("grid3d_dup_k1_kdtree", 1, 2.0, 1.5, 2, False),
+    ("blobs3d_k8_kdtree", 8, 2.0, 2.0, 2, False),
 ]
 
 
@@ -65,3 +80,10 @@ def test_outputs_match_golden(tmp_path, case, k, zahn_c, zahn_f, zahn_depth, svg
     )
     for path in written:
         assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("case", ["blobs2d_k6_kdtree", "blobs3d_k8_kdtree"])
+def test_case_reaches_the_kdtree(case):
+    coords = read_points_csv(GOLDEN / case / "input.csv").coords
+    distinct = len(np.unique(coords, axis=0))
+    assert distinct >= emst._KDTREE_MIN_N[coords.shape[1]]

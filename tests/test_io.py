@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -173,6 +174,27 @@ class TestNewick:
         for depth in depths.values():
             assert depth == pytest.approx(final, abs=1e-9)
         assert count_internal(root) == 5
+
+
+    def test_memory_stays_near_the_output(self):
+        # A caterpillar, as from 1-D centers with growing gaps: each merge
+        # takes the last group and one more leaf. Keeping every subtree's
+        # text alive would hold about k / 2 copies of the output, here
+        # 27 MB; dropping them leaves O(k) bytes.
+        k = 2000
+        merges = tuple(
+            MergeRecord(m, float(m), 0 if m == 1 else k - 2 + m, m, k - 1 + m)
+            for m in range(1, k)
+        )
+        dendrogram = Dendrogram(leaf_count=k, merges=merges)
+        tracemalloc.start()
+        try:
+            text = newick_string(dendrogram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.startswith("(" * (k - 1) + "C0:1,C1:1):1,C2:2)")
+        assert peak < 200 * k
 
 
 def chain_config(tmp_path, k=2, criterion=None, out="out", svg=False):

@@ -67,11 +67,8 @@ class TestCentralCluster:
             forest = tree_as_forest(n, edges)
             index, radius = central_cluster(forest)
             ecc = eccentricities_oracle(n, edges)
-            best = min(ecc)
-            assert radius == pytest.approx(best, abs=1e-9)
-            assert index == min(
-                v for v in range(n) if ecc[v] <= best + 1e-9
-            )
+            assert radius == min(ecc)
+            assert index == ecc.index(radius)
 
 
 class TestEmstucc:
@@ -113,6 +110,16 @@ class TestEmstucc:
             assert math.fsum(levels) == pytest.approx(
                 result.meta_tree.total_weight, abs=1e-9
             )
+
+    def test_meta_radius_equals_fsum_path_oracle(self):
+        rng = random.Random(919)
+        for _ in range(20):
+            k = rng.randint(1, 30)
+            result = emstucc([p(rng.uniform(0, 100), rng.uniform(0, 1)) for _ in range(k)])
+            edges = sorted(result.meta_tree.edges)
+            ecc = eccentricities_oracle(k, edges)
+            assert result.meta_radius == min(ecc)
+            assert result.central_cluster == ecc.index(result.meta_radius)
 
     def test_every_leaf_eventually_joins(self):
         rng = random.Random(911)

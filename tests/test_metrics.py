@@ -76,7 +76,7 @@ class TestPathDistanceTable:
             table = path_distance_table(tree_as_cluster(n, edges))
             expected = path_distance_oracle(n, edges)
             for (u, v), d in expected.items():
-                assert table.distance(u, v) == pytest.approx(d, abs=1e-9)
+                assert table.distance(u, v) == d
 
     def test_duplicate_points_never_negative(self):
         # Rerooting from (2, 0) through a sqrt(2) edge used to leave the zero
@@ -131,7 +131,7 @@ class TestEccentricityCenterDiameter:
             table = path_distance_table(tree_as_cluster(n, random_tree(rng, n)))
             _, radius = center_and_radius(table)
             diameter, _ = diameter_and_set(table)
-            assert radius <= diameter <= 2.0 * radius + 1e-12
+            assert radius <= diameter <= 2.0 * radius
 
     def test_agrees_with_oracle_eccentricities(self):
         rng = random.Random(307)
@@ -141,7 +141,7 @@ class TestEccentricityCenterDiameter:
             table = path_distance_table(tree_as_cluster(n, edges))
             expected = eccentricities_oracle(n, edges)
             for v, ecc in zip(table.vertices, table.eccentricities):
-                assert ecc == pytest.approx(expected[v], abs=1e-9)
+                assert ecc == expected[v]
 
 
 PARENT_OF = {
@@ -156,6 +156,7 @@ WEIGHT_OF = {
     "integer_ties": lambda rng: float(rng.randint(0, 3)),
     "mixed_scale": lambda rng: rng.choice([1e-3, 1e6]) * rng.uniform(1.0, 2.0),
     "uniform": lambda rng: rng.uniform(0.0, 10.0),
+    "wide_range": lambda rng: 10.0 ** rng.uniform(-8.0, 8.0),
 }
 
 
@@ -211,6 +212,55 @@ class TestTreeEccentricities:
             )
             tree = build_emst(ds)
             assert_same_as_table(Cluster(frozenset(range(n)), tree.edges))
+
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_OF))
+    @pytest.mark.parametrize("shape", sorted(PARENT_OF))
+    def test_equals_fsum_path_oracle(self, shape, weight):
+        # Each eccentricity is the correctly rounded length of the longest
+        # path, so the radius and diameter meet their contract exactly.
+        rng = random.Random(f"fsum-{shape}-{weight}")
+        for _ in range(8):
+            cluster = shaped_cluster(
+                rng, rng.randint(1, 40), shape, weight, offset=rng.randint(0, 9)
+            )
+            result = tree_eccentricities(cluster)
+            expected = eccentricities_oracle(max(cluster.members) + 1, sorted(cluster.edges))
+            assert result.eccentricities.tolist() == [expected[v] for v in result.vertices]
+            _, radius = center_and_radius(result)
+            diameter, _ = diameter_and_set(result)
+            assert radius <= diameter <= 2.0 * radius
+
+    def test_path_sum_is_rounded_once(self):
+        # Adding 0.1 ten times in a row gives 0.9999999999999999.
+        result = tree_eccentricities(chain_cluster([0.1] * 10))
+        assert result.eccentricities[0] == result.eccentricities[-1] == 1.0
+
+    def test_subnormal_and_huge_weights(self):
+        weights = [5e-324, 1e300, 2.5e-320, 1e-300, 7.0, 1e300, 0.0]
+        cluster = chain_cluster(weights)
+        expected = eccentricities_oracle(len(weights) + 1, sorted(cluster.edges))
+        assert tree_eccentricities(cluster).eccentricities.tolist() == expected
+
+    def test_path_beyond_the_float_range_refused(self):
+        cluster = chain_cluster([1e308, 1e308])
+        with pytest.raises(InputError, match="longer than the largest float"):
+            tree_eccentricities(cluster)
+        with pytest.raises(InputError, match="longer than the largest float"):
+            path_distance_table(cluster)
+
+    def test_identical_points_get_equal_eccentricities(self):
+        # Copies of a point hang off one another by zero-weight edges, so
+        # their longest paths have the same exact length.
+        rng = random.Random(1709)
+        base = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)) for _ in range(300)]
+        rows = [rng.choice(base) for _ in range(1500)]
+        result = emstrd(Dataset(tuple(Point(row) for row in rows)), 4)
+        for cluster in result.clusters:
+            ecc = tree_eccentricities(cluster)
+            by_row: dict[tuple[float, ...], set[float]] = {}
+            for v, value in zip(ecc.vertices, ecc.eccentricities.tolist()):
+                by_row.setdefault(rows[v], set()).add(value)
+            assert all(len(values) == 1 for values in by_row.values())
 
     @pytest.mark.parametrize("shape", ["path", "star", "binary"])
     def test_memory_far_below_the_table(self, shape):
