@@ -33,16 +33,55 @@ class EdgeStats:
         return cls(mean=mean, std=math.sqrt(variance))
 
 
-# Squared Euclidean distance over the last axis of a difference array. Every
-# d^2 the EMST compares comes from here: Prim's rows, the k-d tree's point
-# blocks and its box bounds. The canonical tree is unique, so both builders
+def _plane_axes(dim: int) -> np.ndarray:
+    """The axes in the order _sq_dist reads them: in pairs (2j, 2j + 1),
+    the four pairs of each whole block of eight axes from the last pair
+    back, and the pairs after the last whole block forward. Below d = 8
+    this is 0, 1, .., d - 1."""
+    axes = np.arange(dim)
+    whole = dim - dim % 8
+    axes[:whole] = axes[:whole].reshape(-1, 4, 2)[:, ::-1].ravel()
+    return axes
+
+
+def _planes(rows: np.ndarray) -> np.ndarray:
+    """Rows (..., d) as contiguous coordinate planes (d, ...): plane k
+    holds every row's coordinate on axis _plane_axes(d)[k]."""
+    return np.ascontiguousarray(np.moveaxis(rows, -1, 0)[_plane_axes(rows.shape[-1])])
+
+
+# Squared Euclidean distances of axis-major differences. diff has shape
+# (d, ...) and diff[k] holds the differences on axis _plane_axes(d)[k]; the
+# result has shape (...). Every d^2 the EMST compares comes from here: dense
+# Prim's rows, and the k-d tree's point-by-leaf rows, point-to-box screens
+# and box-pair bounds. The canonical tree is unique, so the two builders
 # return the same edges only if they compute the same d^2 for every pair.
-# einsum sums the squares of the contiguous last axis in the same order
-# whatever the leading shape (tests/test_emst.py checks rows against blocks
-# bit for bit). A left-to-right sum of squares, ((x0^2 + x1^2) + x2^2) + ...,
-# is a different function: it rounds differently on many pairs once d >= 3.
+#
+# The squares are added in one fixed order, so the tree does not depend on
+# the numpy build. Two lanes take the planes in the even and in the odd
+# slots of _plane_axes; each lane adds its squares in slot order, and the
+# two lanes are added last. For d = 3 that is (x0^2 + x2^2) + x1^2; a
+# left-to-right sum is a different function, which rounds differently on
+# many pairs once d >= 3. It is the order in which numpy's einsum loop
+# summed on an x86-64-v2 build (two SIMD lanes, four pairs per unrolled
+# step, no FMA), so no tree changed when this function replaced einsum.
+#
+# np.add.reduce over the outermost axis adds the planes of each lane into
+# its running sum one at a time: numpy sums pairwise only along the axis
+# that is fast in memory (np.sum's notes), so the squares are kept
+# C-ordered. They overwrite diff when it is C-contiguous and go to a new
+# array otherwise. tests/test_emst.py checks d = 1 .. 24 bit for bit
+# against a scalar reference.
 def _sq_dist(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.einsum("...k,...k->...", diff, diff, out=out)
+    sq = np.square(diff, out=diff) if diff.flags.c_contiguous else np.square(diff, order="C")
+    dim = len(sq)
+    if dim == 1:
+        return np.add(sq[0], 0.0, out=out)
+    lanes = sq[: dim - dim % 2].reshape(dim // 2, 2, *sq.shape[1:])
+    lanes = np.add.reduce(lanes, axis=0) if len(lanes) > 1 else lanes[0]
+    if dim % 2:
+        lanes[0] += sq[-1]
+    return np.add(lanes[0], lanes[1], out=out)
 
 
 _OVERFLOW = (
@@ -63,8 +102,8 @@ _SCALE_EXP = 250
 # is at least this, so that distinct points never compute d^2 = 0.
 _COLLAPSE_MIN = 2.0**-450
 _LEAF_SIZE = 32  # most points in one k-d tree leaf
-_BLOCK_ELEMS = 1 << 14  # float64 differences in one batch of rows or node pairs
-_TILE_ELEMS = 256  # float64 differences in one of dense Prim's row tiles
+_BLOCK_ELEMS = 1 << 15  # float64 differences in one batch of rows or node pairs
+_PRIM_BUFSIZE = 1 << 10  # numpy ufunc buffer size, in elements, during dense Prim
 
 
 def build_emst(dataset: Dataset) -> SpanningForest:
@@ -125,8 +164,8 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     - otherwise: a dense Prim scan over the implicit complete graph, O(m^2)
       time and O(m) memory.
 
-    Both compute d^2 by one expression, _sq_dist, so they agree on every
-    tie. This is the one place the tree is checked: exactly n - 1 edges,
+    Both compute every d^2 with one function, _sq_dist, on coordinate
+    planes, so they agree on every tie. This is the one place the tree is checked: exactly n - 1 edges,
     every endpoint in range, and together they span the points. A builder
     that breaks that raises InputError here, so nothing downstream checks
     again. The weights are math.dist on the coordinate rows, the
@@ -184,56 +223,57 @@ def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (a, j) < (j, b)), so a tie replaces the source only by a smaller one.
 
     Each step works on the outside vertices alone. They sit in the first
-    `live` slots of out (their ids), pts (their rows), best_d2 and
-    best_from, and the vertex that joins the tree is overwritten by the
+    `live` slots of out (their ids), pts (their coordinate planes), best_d2
+    and best_from, and the vertex that joins the tree is overwritten by the
     last live slot. Slots are in no particular order, so ties between
     candidates are broken on the vertex ids in out.
     """
-    n, dim = coords.shape
+    n = len(coords)
     edges = np.empty((2, n - 1), dtype=np.int64)
     out = np.arange(1, n)
-    # pts is padded to whole tiles of `per` rows. Subtracting a tile of
-    # `per` copies of the new tree vertex from each tile is much faster
-    # than broadcasting its row of d values over every row.
-    per = -(-_TILE_ELEMS // dim)
-    pts = np.zeros((-(-(n - 1) // per) * per, dim))
-    pts[: n - 1] = coords[1:]
-    diff = np.empty_like(pts)
-    tile = np.empty((per, dim))
-    pts_tiles, diff_tiles, tile_row = (a.reshape(-1, per * dim) for a in (pts, diff, tile))
+    pts = _planes(coords)
+    here = pts[:, :1].copy()  # the vertex that joined the tree last
+    pts = pts[:, 1:]
+    diff_buf = np.empty(pts.size)
     best_d2 = np.full(n - 1, np.inf)
     best_from = np.zeros(n - 1, dtype=np.int64)  # vertex 0 is the first source of all
     d2_buf, upd_buf, tie_buf = np.empty(n - 1), np.empty(n - 1, dtype=bool), np.empty(n - 1, dtype=bool)
     cur = 0
-    for i in range(n - 1):
-        live = n - 1 - i
-        bd, bf, d2, upd, tie = best_d2[:live], best_from[:live], d2_buf[:live], upd_buf[:live], tie_buf[:live]
-        tile[:] = coords[cur]
-        tiles = -(-live // per)
-        np.subtract(pts_tiles[:tiles], tile_row, out=diff_tiles[:tiles])
-        _sq_dist(diff[:live], out=d2)
-        np.less(d2, bd, out=upd)
-        np.equal(d2, bd, out=tie)
-        if np.count_nonzero(tie):
-            tie &= cur < bf
-            upd |= tie
-        np.minimum(bd, d2, out=bd)
-        np.copyto(bf, cur, where=upd)
+    # Subtracting the broadcast newest vertex from 64-D planes took about
+    # three times as long with numpy's default ufunc buffers of 8192 elements
+    # (64 kB, more than an L1 cache) as with 1024.
+    bufsize = np.setbufsize(_PRIM_BUFSIZE)
+    try:
+        for i in range(n - 1):
+            live = n - 1 - i
+            bd, bf, d2, upd, tie = best_d2[:live], best_from[:live], d2_buf[:live], upd_buf[:live], tie_buf[:live]
+            diff = diff_buf[: len(pts) * live].reshape(-1, live)
+            _sq_dist(np.subtract(pts[:, :live], here, out=diff), out=d2)
+            np.less(d2, bd, out=upd)
+            np.equal(d2, bd, out=tie)
+            if np.count_nonzero(tie):
+                tie &= cur < bf
+                upd |= tie
+            np.minimum(bd, d2, out=bd)
+            np.copyto(bf, cur, where=upd)
 
-        s = int(bd.argmin())
-        if not math.isfinite(bd[s]):
-            # Every outside point is at d2 = inf, so Prim can no longer
-            # order the candidates.
-            raise InputError(_OVERFLOW)
-        np.equal(bd, bd[s], out=tie)
-        if np.count_nonzero(tie) > 1:
-            cand = np.flatnonzero(tie)
-            a, j = bf[cand], out[cand]
-            s = int(cand[np.lexsort((np.maximum(a, j), np.minimum(a, j)))[0]])
-        cur = int(out[s])
-        edges[:, i] = bf[s], cur
-        last = live - 1
-        out[s], pts[s], bd[s], bf[s] = out[last], pts[last], bd[last], bf[last]
+            s = int(bd.argmin())
+            if not math.isfinite(bd[s]):
+                # Every outside point is at d2 = inf, so Prim can no longer
+                # order the candidates.
+                raise InputError(_OVERFLOW)
+            np.equal(bd, bd[s], out=tie)
+            if np.count_nonzero(tie) > 1:
+                cand = np.flatnonzero(tie)
+                a, j = bf[cand], out[cand]
+                s = int(cand[np.lexsort((np.maximum(a, j), np.minimum(a, j)))[0]])
+            cur = int(out[s])
+            edges[:, i] = bf[s], cur
+            last = live - 1
+            here[:, 0] = pts[:, s]
+            out[s], pts[:, s], bd[s], bf[s] = out[last], pts[:, last], bd[last], bf[last]
+    finally:
+        np.setbufsize(bufsize)
     return edges[0], edges[1]
 
 
@@ -242,40 +282,45 @@ class _KdLeaves:
 
     Every node splits its points at the median of its widest axis (ties in
     index order), down to leaves of at most _LEAF_SIZE points. Nodes are in
-    heap order (children of i are 2i+1 and 2i+2) with bounding boxes in
-    lo/hi; the leaves are the last `leaves` nodes. `perm` lists the points
-    leaf by leaf, each leaf's members in ascending index order, and `pad`
-    holds each leaf's positions in `perm`, padded to one width by repeating
-    its last member, and `pad_pts` their coordinates. The tree is built
-    level by level, one sort per level.
+    heap order (children of i are 2i+1 and 2i+2); the leaves are the last
+    `leaves` nodes. `perm` lists the points leaf by leaf, each leaf's
+    members in ascending index order, and `pad` holds each leaf's positions
+    in `perm`, padded to one width by repeating its last member. Leaf
+    sizes differ by at most one, so only the last slot of a leaf can be
+    padding, and `full` marks the leaves where it is not. Coordinates are
+    planes in _sq_dist's axis order (_planes): `pts` (d, leaves, width)
+    holds those of `pad`, and `box` (d, 2, nodes) each node's bounding box,
+    lower corner then upper. The tree is built level by level, one sort
+    per level.
     """
 
     def __init__(self, coords: np.ndarray) -> None:
         n, dim = coords.shape
+        planes = _planes(coords)
         depth = 0
         while -(-n >> depth) > _LEAF_SIZE:
             depth += 1
         self.depth = depth
         self.leaves = leaves = 1 << depth
-        self.lo = lo = np.empty((2 * leaves - 1, dim))
-        self.hi = hi = np.empty_like(lo)
+        self.box = box = np.empty((dim, 2, 2 * leaves - 1))
         # Each point's rank along each axis, ties in index order, so that
         # one integer key sorts a node's members by (value, index). lexsort,
         # not a partition: each numpy sort routine pages in its own code,
         # and lexsort is the one the package already uses.
         rank = np.empty((dim, n), dtype=np.int64)
         for k in range(dim):
-            rank[k, np.lexsort((coords[:, k],))] = np.arange(n)
+            rank[k, np.lexsort((planes[k],))] = np.arange(n)
         perm = np.arange(n)
         for level in range(depth + 1):
             nodes = slice((1 << level) - 1, (2 << level) - 1)
             starts = (np.arange(1 << level) * n) >> level
-            x = coords[perm]
-            lo[nodes], hi[nodes] = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+            x = np.take(planes, perm, axis=1)
+            box[:, 0, nodes] = np.minimum.reduceat(x, starts, axis=1)
+            box[:, 1, nodes] = np.maximum.reduceat(x, starts, axis=1)
             del x
             node = np.repeat(np.arange(1 << level), np.diff(starts, append=n))
             if level < depth:
-                key = rank[np.argmax(hi[nodes] - lo[nodes], axis=1)[node], perm]
+                key = rank[np.argmax(box[:, 1, nodes] - box[:, 0, nodes], axis=0)[node], perm]
             else:
                 key = perm
             perm = perm[np.lexsort((node * n + key,))]
@@ -284,7 +329,8 @@ class _KdLeaves:
         starts = (np.arange(leaves) * n) >> depth
         sizes = np.diff(starts, append=n)
         self.pad = starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-        self.pad_pts = coords[perm[self.pad]]
+        self.full = sizes == sizes.max()
+        self.pts = np.take(planes, perm[self.pad], axis=1)
 
     def bounds(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on d^2 between the points of nodes a and b.
@@ -296,11 +342,14 @@ class _KdLeaves:
         holds for the computed d^2 of every pair, not only in exact
         arithmetic.
         """
-        lo_a, hi_a, lo_b, hi_b = self.lo[a], self.hi[a], self.lo[b], self.hi[b]
-        gap = np.maximum(lo_b - hi_a, lo_a - hi_b)
-        np.maximum(gap, 0.0, out=gap)
-        span = np.maximum(hi_b - lo_a, hi_a - lo_b)
-        return _sq_dist(gap), _sq_dist(span)
+        box_a, box_b = np.take(self.box, a, axis=2), np.take(self.box, b, axis=2)
+        # Per axis: (lo_b - hi_a, hi_b - lo_a), then the larger of each and
+        # its mirror (lo_a - hi_b, hi_a - lo_b): the gap and the span.
+        ext = box_b - box_a[:, ::-1]
+        np.maximum(ext, box_a - box_b[:, ::-1], out=ext)
+        np.maximum(ext[:, 0], 0.0, out=ext[:, 0])
+        lower, upper = _sq_dist(ext)
+        return lower, upper
 
 
 def _kdtree_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +426,7 @@ class _Boruvka:
         before far pairs are screened against them.
         """
         tree, tau = self.tree, self.tau
-        per = max(1, _BLOCK_ELEMS // (16 * tree.lo.shape[1]))  # pairs split at a time
+        per = max(1, _BLOCK_ELEMS // (16 * len(tree.box)))  # pairs split at a time
         q = r = np.zeros(1, dtype=np.int64)
         for level in range(tree.depth + 1):
             if level:
@@ -482,8 +531,7 @@ class _Boruvka:
         in batches of at most _BLOCK_ELEMS differences (_rows), so the
         component bests they find screen the pairs that follow.
         """
-        tree = self.tree
-        width, dim = tree.pad_pts.shape[1:]
+        dim, _, width = self.tree.pts.shape
         per = max(width, _BLOCK_ELEMS // (width * dim))  # rows per batch
         step = 16 * per // width  # row leaves screened at a time
         held, count = [], 0
@@ -492,17 +540,17 @@ class _Boruvka:
             count += len(held[-1][0])
             last = i + step >= len(rows)
             if count >= per or last:
-                p, cp, x, leaf = (np.concatenate(part) for part in zip(*held))
-                end = len(p) if last else len(p) - len(p) % per
-                held, count = [(p[end:], cp[end:], x[end:], leaf[end:])], len(p) - end
+                slot, leaf = (np.concatenate(part) for part in zip(*held))
+                end = len(slot) if last else len(slot) - len(slot) % per
+                held, count = [(slot[end:], leaf[end:])], len(slot) - end
                 for j in range(0, end, per):
-                    part = slice(j, j + per)
-                    self._rows(p[part], cp[part], x[part], leaf[part])
-                del p, cp, x, leaf
+                    self._rows(slot[j : j + per], leaf[j : j + per])
+                del slot, leaf
 
-    def _screen(self, q: np.ndarray, r: np.ndarray, pair_lb: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rows (position, component, coordinates, leaf) of the points
-        of leaves q that can have a best pair in leaves r.
+    def _screen(self, q: np.ndarray, r: np.ndarray, pair_lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows (slot, leaf) of the points of leaves q that can have a
+        best pair in leaves r. A point's slot is its place in the padded
+        leaf layout, leaf * width + member, as in tree.pad.
 
         A pair is skipped when its lower bound exceeds every component best
         among the points of q. A point is skipped when its column leaf lies
@@ -514,50 +562,59 @@ class _Boruvka:
         tree = self.tree
         ok = pair_lb <= self.comp_best[self.pad_comp[q]].max(axis=1)
         q, r = q[ok], r[ok]
-        x, cp, p = tree.pad_pts[q], self.pad_comp[q], tree.pad[q]
-        box = r + tree.leaves - 1
-        gap = np.maximum(tree.lo[box, None] - x, x - tree.hi[box, None])
+        cp = self.pad_comp[q]
+        box = np.take(tree.box, r + tree.leaves - 1, axis=2)[..., None]
+        x = np.take(tree.pts, q, axis=1)
+        gap = box[:, 0] - x
+        np.maximum(gap, x - box[:, 1], out=gap)
         np.maximum(gap, 0.0, out=gap)
+        del x
         lb = _sq_dist(gap)
         del gap
-        low = np.minimum(tree.perm[p], tree.perm[tree.pad[r, :1]])
         best = self.comp_best[cp]
-        keep = (lb < best) | ((lb == best) & (low <= self.comp_low[cp]))
+        keep = lb <= best
+        tie = lb == best
+        if np.count_nonzero(tie):
+            # At the best itself only a pair with a smaller min endpoint
+            # comes first.
+            perm, pad = tree.perm, tree.pad
+            low = np.minimum(perm[pad[q]], perm[pad[r, :1]])
+            keep &= ~tie | (low <= self.comp_low[cp])
         keep &= self.leaf_comp[r, None] != cp
-        keep[:, 1:] &= p[:, 1:] != p[:, :-1]  # padding repeats a member
-        return p[keep], cp[keep], x[keep], np.broadcast_to(r[:, None], keep.shape)[keep]
+        keep[:, -1] &= tree.full[q]  # padding repeats a member
+        row, member = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        return q[row] * keep.shape[1] + member, r[row]
 
-    def _rows(self, a: np.ndarray, ca: np.ndarray, pa: np.ndarray, leaf: np.ndarray) -> None:
-        """Update point a[i], of component ca[i] at pa[i], with its best pair
-        in leaf[i].
+    def _rows(self, slot: np.ndarray, leaf: np.ndarray) -> None:
+        """Update the point at slot[i] with its best pair in leaf[i].
 
         Pairs within one component are excluded. Members are in ascending
         index order and padding repeats the last, so argmin keeps the
         smaller target on a tie, which is the canonical order for a fixed
         point.
         """
-        tree, best_d2, best_to = self.tree, self.best_d2, self.best_to
-        diff = np.empty((len(a), *tree.pad_pts.shape[1:]))
-        # Axis by axis: the same differences as one broadcast, faster.
-        for k in range(diff.shape[2]):
-            np.subtract(pa[:, None, k], tree.pad_pts[leaf, :, k], out=diff[..., k])
+        tree, best_d2, best_to, perm = self.tree, self.best_d2, self.best_to, self.tree.perm
+        dim = len(tree.pts)
+        diff = np.take(tree.pts, leaf, axis=1)
+        diff -= np.take(tree.pts.reshape(dim, -1), slot, axis=1)[..., None]
         d2 = _sq_dist(diff)
         del diff
-        np.copyto(d2, np.inf, where=ca[:, None] == self.pad_comp[leaf])
+        own = self.pad_comp.ravel()[slot]
+        np.copyto(d2, np.inf, where=own[:, None] == np.take(self.pad_comp, leaf, axis=0))
         j = d2.argmin(axis=1)
-        near = d2[np.arange(len(a)), j]
+        near = d2[np.arange(len(slot)), j]
         to = tree.pad[leaf, j]
-        perm = tree.perm
-        # A point may meet several leaves here: keep its least pair.
+        a = tree.pad.ravel()[slot]
+        upd = (near < best_d2[a]) | ((near == best_d2[a]) & (perm[to] < perm[best_to[a]]))
+        a, near, to = a[upd], near[upd], to[upd]
+        # A point may improve on several leaves here: keep its least pair.
         order = np.lexsort((perm[to], near, a))
         a, near, to = a[order], near[order], to[order]
         first = np.ones(len(a), dtype=bool)
         first[1:] = a[1:] != a[:-1]
-        a, near, to = a[first], near[first], to[first]
-        upd = (near < best_d2[a]) | ((near == best_d2[a]) & (perm[to] < perm[best_to[a]]))
-        a = a[upd]
-        best_d2[a] = near[upd]
-        best_to[a] = to[upd]
+        a = a[first]
+        best_d2[a] = near[first]
+        best_to[a] = to[first]
         self._note(a)
 
 

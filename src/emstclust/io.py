@@ -161,6 +161,11 @@ def _to_json(value, indent: int) -> str:
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
+        # A member list: one join in place of a call per integer.
+        if not len(value):
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join(map(str, value.tolist())) + "\n" + pad + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -224,7 +229,7 @@ def _clusters_document(result: ClusteringResult, dataset: Dataset) -> dict:
             {
                 "id": cid,
                 "size": report.size,
-                "members": result.partition.members_of(cid).tolist(),
+                "members": result.partition.members_of(cid),
                 "center_index": report.center_index,
                 "radius": report.radius,
                 "diameter": report.diameter,

@@ -25,10 +25,6 @@ MODE_ZAHN = "zahn"
 
 _VALID_MODES = (MODE_STD, MODE_ZAHN)
 
-# Allowed relative slack when checking diameter <= 2 * radius, which holds
-# exactly in real arithmetic but can drift by a few ulps in floating point.
-_REPORT_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Point:
@@ -356,7 +352,8 @@ class ClusterReport:
 
     radius and diameter are weighted tree-path quantities, variance is the
     RMS deviation of member coordinates from their mean. For weighted
-    trees radius <= diameter <= 2 * radius always holds.
+    trees radius <= diameter <= 2 * radius always holds, and it is checked
+    exactly: metrics computes both from exact path lengths.
     """
 
     center_index: int
@@ -372,12 +369,11 @@ class ClusterReport:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise InputError(f"{name} must be finite and >= 0, got {value!r}")
-        tol = _REPORT_REL_TOL * max(1.0, self.diameter)
-        if self.radius > self.diameter + tol:
+        if self.radius > self.diameter:
             raise InputError(
                 f"radius {self.radius} exceeds diameter {self.diameter}"
             )
-        if self.diameter > 2.0 * self.radius + tol:
+        if self.diameter > 2.0 * self.radius:
             raise InputError(
                 f"diameter {self.diameter} exceeds twice the radius {self.radius}"
             )

@@ -37,9 +37,12 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
     if dataset.dimension != 2:
         raise ValueError("scatter rendering needs 2-D data")
     coords = dataset.coords
-    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
-    sx = _scale(min(xs), max(xs), _WIDTH - 2 * _MARGIN)
-    sy = _scale(min(ys), max(ys), _HEIGHT - 2 * _MARGIN)
+    xs, ys = coords[:, 0], coords[:, 1]
+    sx = _scale(float(xs.min()), float(xs.max()), _WIDTH - 2 * _MARGIN)
+    sy = _scale(float(ys.min()), float(ys.max()), _HEIGHT - 2 * _MARGIN)
+    # The lambdas take arrays too, with the same operations in the same
+    # order. SVG y grows downward, data y grows upward.
+    cx, cy = sx(xs).tolist(), (_HEIGHT - sy(ys)).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
@@ -48,12 +51,10 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
     ]
     for cid in range(result.cluster_count):
         color = _PALETTE[cid % len(_PALETTE)]
-        for x, y in coords[result.partition.members_of(cid)].tolist():
-            # SVG y grows downward, data y grows upward.
-            parts.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(_HEIGHT - sy(y))}"'
-                f' r="3" fill="{color}"/>'
-            )
+        parts.extend(
+            f'<circle cx="{cx[i]:.3f}" cy="{cy[i]:.3f}" r="3" fill="{color}"/>'
+            for i in result.partition.members_of(cid).tolist()
+        )
     for x, y in result.center_set.coords.tolist():
         parts.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(_HEIGHT - sy(y))}"'

@@ -22,7 +22,7 @@ from emstclust import (
     Point,
     SpanningForest,
 )
-from emstclust.emst import _sq_dist
+from emstclust.emst import _planes, _sq_dist
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -69,8 +69,9 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     """The unique minimum spanning tree under the canonical edge order.
 
     Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
-    emstclust.emst._sq_dist of each row of differences of scaled_rows, the
-    one expression both EMST builders compare, so ties and rounding agree.
+    emstclust.emst._sq_dist of the coordinate planes of each row of
+    differences of scaled_rows, the one expression both EMST builders
+    compare, so ties and rounding agree.
     Returns (u, v, weight) triples, weight being math.dist of the
     coordinates.
     """
@@ -78,7 +79,7 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     coords = scaled_rows(np.array([p.coords for p in points], dtype=np.float64))
     pairs = []
     for u in range(n):
-        d2 = _sq_dist(coords - coords[u])
+        d2 = _sq_dist(_planes(coords - coords[u]))
         pairs.extend((float(d2[v]), u, v) for v in range(u + 1, n))
     pairs.sort()
     parent = list(range(n))

@@ -496,6 +496,32 @@ def test_kernel_matches_prim_and_scipy(coords):
     assert total == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def reference_sq_dist(diff):
+    """d^2 of one row of differences, in the order _sq_dist documents, one
+    Python float at a time: two lanes over the even and the odd axes, the
+    four pairs of each whole block of eight axes from the last pair back,
+    the remaining axes forward, and the two lanes added last."""
+    lanes = [0.0, 0.0]
+    whole = len(diff) - len(diff) % 8
+    axes = [b + 2 * pair + lane for b in range(0, whole, 8) for pair in (3, 2, 1, 0) for lane in (0, 1)]
+    for k in axes + list(range(whole, len(diff))):
+        lanes[k % 2] = diff[k] * diff[k] + lanes[k % 2]
+    return lanes[0] + lanes[1]
+
+
+def hard_rows(rng, n, dim):
+    """Coordinates with magnitudes mixed from 1e-3 to 1e6 within each
+    point, and about a fifth of them 0. Rows 4i + 1 negate rows 4i, so
+    their differences tie exactly; rows 4i + 2 reverse the axes of rows
+    4i, so their differences have the same squares in another order."""
+    scale = 10.0 ** rng.uniform(-3, 6, (n, dim))
+    coords = rng.uniform(-1, 1, (n, dim)) * scale
+    coords[rng.random((n, dim)) < 0.2] = 0.0
+    coords[1::4] = -coords[0::4][: len(coords[1::4])]
+    coords[2::4] = coords[0::4][: len(coords[2::4]), ::-1]
+    return coords
+
+
 class TestSquaredDistance:
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_row_and_block_forms_agree_bit_for_bit(self, dim):
@@ -503,17 +529,71 @@ class TestSquaredDistance:
         rng = np.random.default_rng(dim)
         scale = 10.0 ** rng.uniform(-3, 6, (60, dim))
         coords = rng.uniform(-1, 1, (60, dim)) * scale
-        rows = np.array([emst._sq_dist(coords - coords[i]) for i in range(len(coords))])
-        block = emst._sq_dist(coords[:, None, :] - coords[None, :, :])
+        rows = np.array([emst._sq_dist(emst._planes(coords - coords[i])) for i in range(len(coords))])
+        block = emst._sq_dist(emst._planes(coords[:, None, :] - coords[None, :, :]))
         assert rows.tobytes() == block.tobytes()
         # Prim's form: written into a preallocated buffer.
         into = np.empty(len(coords))
         for i in range(len(coords)):
-            emst._sq_dist(coords - coords[i], out=into)
+            emst._sq_dist(emst._planes(coords - coords[i]), out=into)
             assert into.tobytes() == rows[i].tobytes()
         # Prim's original row expression, so the edge sets did not move.
         literal = np.array([np.einsum("ij,ij->i", coords - c, coords - c) for c in coords])
         assert rows.tobytes() == literal.tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 25))
+    def test_matches_the_documented_order(self, dim):
+        coords = hard_rows(np.random.default_rng(100 + dim), 40, dim)
+        diff = (coords[:, None, :] - coords[None, :, :]).reshape(-1, dim)
+        expected = np.array([reference_sq_dist(row) for row in diff.tolist()])
+        # Dense Prim runs with smaller ufunc buffers; the order must not move.
+        for bufsize in (8192, emst._PRIM_BUFSIZE):
+            default = np.setbufsize(bufsize)
+            try:
+                got = emst._sq_dist(emst._planes(diff))
+            finally:
+                np.setbufsize(default)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 8, 13])
+    def test_any_memory_layout_gives_the_same_bits(self, dim):
+        diff = emst._planes(hard_rows(np.random.default_rng(dim), 50, dim))
+        expected = emst._sq_dist(diff.copy())
+        # Axis-major (d, 50, 2) of which only the first column is read, and
+        # a transposed copy: neither is C-contiguous.
+        wide = np.repeat(diff[..., None], 2, axis=-1)
+        assert emst._sq_dist(wide[..., 0]).tobytes() == expected.tobytes()
+        flipped = np.asfortranarray(diff)
+        assert emst._sq_dist(flipped).tobytes() == expected.tobytes()
+
+
+@st.composite
+def box_points(draw):
+    dim = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 300))
+    return hard_rows(np.random.default_rng(seed), n, dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_points())
+def test_box_bounds_bracket_every_member_pair(coords):
+    # Two nodes of one level of the k-d tree are two boxes; their bounds
+    # must hold for the computed d^2 of every pair of their members.
+    tree = emst._KdLeaves(coords)
+    planes = emst._planes(coords)
+    for level in range(tree.depth + 1):
+        first = (1 << level) - 1
+        span = tree.leaves >> level  # leaves under one node of this level
+        members = [
+            np.unique(tree.perm[tree.pad[i * span : (i + 1) * span]]) for i in range(1 << level)
+        ]
+        a, b = np.divmod(np.arange((1 << level) ** 2), 1 << level)
+        lower, upper = tree.bounds(a + first, b + first)
+        for i, j, lo, hi in zip(a, b, lower, upper):
+            x, y = members[i], members[j]
+            d2 = emst._sq_dist(planes[:, x, None] - planes[:, None, y])
+            assert lo <= d2.min() and d2.max() <= hi
 
 
 def blob_dataset(n):

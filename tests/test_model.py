@@ -152,6 +152,15 @@ class TestClusterReport:
         report = ClusterReport(9, 0.0, 0.0, 0.0, 1)
         assert report.diameter == 0.0
 
+    @pytest.mark.parametrize("radius", [1.0, 0.1, 3e-300, 7.5e200])
+    def test_one_ulp_over_either_bound_is_refused(self, radius):
+        ClusterReport(0, radius, radius, 1.0, 3)
+        ClusterReport(0, radius, 2.0 * radius, 1.0, 3)
+        with pytest.raises(InputError, match="exceeds diameter"):
+            ClusterReport(0, math.nextafter(radius, math.inf), radius, 1.0, 3)
+        with pytest.raises(InputError, match="exceeds twice the radius"):
+            ClusterReport(0, radius, math.nextafter(2.0 * radius, math.inf), 1.0, 3)
+
 
 class TestDendrogram:
     def test_single_leaf(self):
