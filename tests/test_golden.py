@@ -12,8 +12,11 @@ integer grid (n = 2500, k=1). The EMST runs over distinct rows, so only the
 blobs reach the k-d tree; the grid has 512 distinct rows and its tree comes
 from dense Prim. `blobs3d_k8_kdtree` (8 Gaussian blobs, 3400 distinct rows
 plus 600 repeats, seed 20261018) is the case above the 3-D crossover of 3000
-distinct rows. Radius, diameter and meta_radius were regenerated once, where
-they moved to the correctly rounded path lengths (CHANGES.md).
+distinct rows. `blobs12d_k6` (6 Gaussian blobs in 12-D, 600 rows to 4
+decimals, seed 20261019) pins dense Prim at d >= 8; its files were written
+by the code of commit 9f69fed, before d^2 added its squares in natural axis
+order. Radius, diameter and meta_radius were regenerated once, where they
+moved to the correctly rounded path lengths (CHANGES.md).
 Refactors must reproduce these files exactly. Never regenerate them to make
 this test pass: a byte that moves is a behaviour change that needs its own
 justification.
@@ -53,6 +56,7 @@ CASES = [
     ("blobs2d_k6_kdtree", 6, 1.5, 2.0, 2, True),
     ("grid3d_dup_k1_kdtree", 1, 2.0, 1.5, 2, False),
     ("blobs3d_k8_kdtree", 8, 2.0, 2.0, 2, False),
+    ("blobs12d_k6", 6, 1.5, 1.5, 3, False),
 ]
 
 
