@@ -33,45 +33,32 @@ class EdgeStats:
         return cls(mean=mean, std=math.sqrt(variance))
 
 
-def _plane_axes(dim: int) -> np.ndarray:
-    """The axes in the order _sq_dist reads them: in pairs (2j, 2j + 1),
-    the four pairs of each whole block of eight axes from the last pair
-    back, and the pairs after the last whole block forward. Below d = 8
-    this is 0, 1, .., d - 1."""
-    axes = np.arange(dim)
-    whole = dim - dim % 8
-    axes[:whole] = axes[:whole].reshape(-1, 4, 2)[:, ::-1].ravel()
-    return axes
-
-
 def _planes(rows: np.ndarray) -> np.ndarray:
-    """Rows (..., d) as contiguous coordinate planes (d, ...): plane k
-    holds every row's coordinate on axis _plane_axes(d)[k]."""
-    return np.ascontiguousarray(np.moveaxis(rows, -1, 0)[_plane_axes(rows.shape[-1])])
+    """Rows (..., d) as C-ordered coordinate planes (d, ...), plane k
+    holding axis k; a copy even for d = 1, as the builders write to it."""
+    return np.moveaxis(rows, -1, 0).copy()
 
 
-# Squared Euclidean distances of axis-major differences. diff has shape
-# (d, ...) and diff[k] holds the differences on axis _plane_axes(d)[k]; the
-# result has shape (...). Every d^2 the EMST compares comes from here: dense
-# Prim's rows, and the k-d tree's point-by-leaf rows, point-to-box screens
-# and box-pair bounds. The canonical tree is unique, so the two builders
-# return the same edges only if they compute the same d^2 for every pair.
+# Squared Euclidean distances of axis-major differences: diff has shape
+# (d, ...), diff[k] holds the differences on axis k, and the result has shape
+# (...). Every d^2 the EMST compares comes from here: dense Prim's rows, and
+# the k-d tree's point-by-leaf rows, point-to-box screens and box-pair
+# bounds. The canonical tree is unique, so the two builders return the same
+# edges only if they compute the same d^2 for every pair.
 #
-# The squares are added in one fixed order, so the tree does not depend on
-# the numpy build. Two lanes take the planes in the even and in the odd
-# slots of _plane_axes; each lane adds its squares in slot order, and the
-# two lanes are added last. For d = 3 that is (x0^2 + x2^2) + x1^2; a
-# left-to-right sum is a different function, which rounds differently on
-# many pairs once d >= 3. It is the order in which numpy's einsum loop
-# summed on an x86-64-v2 build (two SIMD lanes, four pairs per unrolled
-# step, no FMA), so no tree changed when this function replaced einsum.
+# d^2 = (x0^2 + x2^2 + x4^2 + ..) + (x1^2 + x3^2 + ..): two lanes over the
+# even and the odd axes, each added from the left in axis order, and the two
+# lanes added last. The order is this function's own, so the tree does not
+# depend on the numpy build.
 #
-# np.add.reduce over the outermost axis adds the planes of each lane into
-# its running sum one at a time: numpy sums pairwise only along the axis
-# that is fast in memory (np.sum's notes), so the squares are kept
-# C-ordered. They overwrite diff when it is C-contiguous and go to a new
-# array otherwise. tests/test_emst.py checks d = 1 .. 24 bit for bit
-# against a scalar reference.
+# np.add.reduce over the outermost axis adds the planes into each lane's
+# running sum one at a time. numpy sums pairwise only when the reduced axis
+# is its inner loop (np.sum's notes); in the C-ordered (d // 2, 2, ...)
+# lanes a later axis is innermost, even for one pair (dense Prim's last
+# step), where one lane over (d, 1) would be summed pairwise from d = 8.
+# The squares overwrite diff when it is C-contiguous and go to a new array
+# otherwise. tests/test_emst.py checks d = 1 .. 24 bit for bit against a
+# scalar reference.
 def _sq_dist(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     sq = np.square(diff, out=diff) if diff.flags.c_contiguous else np.square(diff, order="C")
     dim = len(sq)
@@ -165,12 +152,12 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
       time and O(m) memory.
 
     Both compute every d^2 with one function, _sq_dist, on coordinate
-    planes, so they agree on every tie. This is the one place the tree is checked: exactly n - 1 edges,
-    every endpoint in range, and together they span the points. A builder
-    that breaks that raises InputError here, so nothing downstream checks
-    again. The weights are math.dist on the coordinate rows, the
-    correctly rounded distance every output reports (np.sqrt of d^2 rounds
-    differently on many pairs).
+    planes, so they agree on every tie. This is the one place the tree is
+    checked: exactly n - 1 edges, every endpoint in range, and together they
+    span the points. A builder that breaks that raises InputError here, so
+    nothing downstream checks again. The weights are math.dist on the
+    coordinate rows, the correctly rounded distance every output reports
+    (np.sqrt of d^2 rounds differently on many pairs).
 
     Raises InputError when squared distances overflow float64 so that
     some part of the points has no finite edge to the rest.
@@ -213,6 +200,8 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return u, v, w
 
 
+# Both builders refuse an infinite d^2 themselves (_OVERFLOW); numpy need not warn.
+@np.errstate(over="ignore")
 def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical EMST edges as arrays (source, target) by dense Prim.
 
@@ -288,10 +277,9 @@ class _KdLeaves:
     in `perm`, padded to one width by repeating its last member. Leaf
     sizes differ by at most one, so only the last slot of a leaf can be
     padding, and `full` marks the leaves where it is not. Coordinates are
-    planes in _sq_dist's axis order (_planes): `pts` (d, leaves, width)
-    holds those of `pad`, and `box` (d, 2, nodes) each node's bounding box,
-    lower corner then upper. The tree is built level by level, one sort
-    per level.
+    planes (_planes): `pts` (d, leaves, width) holds those of `pad`, and
+    `box` (d, 2, nodes) each node's bounding box, lower corner then upper.
+    The tree is built level by level, one sort per level.
     """
 
     def __init__(self, coords: np.ndarray) -> None:
@@ -352,6 +340,7 @@ class _KdLeaves:
         return lower, upper
 
 
+@np.errstate(over="ignore")
 def _kdtree_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical EMST edges as arrays (u, v), u < v, by Boruvka."""
     return _Boruvka(coords).run()

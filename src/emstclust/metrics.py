@@ -13,6 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .emst import _SCALE_EXP
 from .errors import InputError
 from .model import Cluster, Dataset, Point
 
@@ -206,9 +207,13 @@ def diameter_and_set(
 def _rms_spread(rows: Sequence[Sequence[float]]) -> float:
     """Root mean squared Euclidean distance from coordinate rows to their
     mean: the one routine behind cluster_variance, the cluster reports
-    and compactness. Each distance is math.dist."""
+    and compactness. Each distance is math.dist. They are squared scaled
+    by the power of two that brings the largest just below 2^250, as the
+    EMST scales rows, so that no square overflows or underflows."""
     mu = [math.fsum(column) / len(rows) for column in zip(*rows)]
-    return math.sqrt(math.fsum([math.dist(row, mu) ** 2 for row in rows]) / len(rows))
+    dist = [math.dist(row, mu) for row in rows]
+    s = _SCALE_EXP - math.frexp(max(dist))[1]
+    return math.ldexp(math.sqrt(math.fsum(math.ldexp(x, s) ** 2 for x in dist) / len(rows)), -s)
 
 
 def cluster_variance(points: Sequence[Point]) -> float:

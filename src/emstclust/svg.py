@@ -55,11 +55,10 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
             f'<circle cx="{cx[i]:.3f}" cy="{cy[i]:.3f}" r="3" fill="{color}"/>'
             for i in result.partition.members_of(cid).tolist()
         )
-    for x, y in result.center_set.coords.tolist():
-        parts.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(_HEIGHT - sy(y))}"'
-            f' r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
-        )
+    parts.extend(
+        f'<circle cx="{cx[i]:.3f}" cy="{cy[i]:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
+        for i in (r.center_index for r in result.reports)
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

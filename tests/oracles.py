@@ -3,7 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 package: spanning trees by edge-subset enumeration instead of Prufer
 decoding, path distances by summing each tree path with math.fsum instead
-of integer sweeps, and so on.
+of integer sweeps, squared distances by one add per axis instead of a
+reduce over coordinate planes, and so on. Nothing here is imported from
+emstclust.emst.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from emstclust import (
     Point,
     SpanningForest,
 )
-from emstclust.emst import _planes, _sq_dist
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -68,10 +69,11 @@ def scaled_rows(coords: np.ndarray) -> np.ndarray:
 def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     """The unique minimum spanning tree under the canonical edge order.
 
-    Kruskal over every pair sorted by (d^2, u, v) with u < v, where d^2 is
-    emstclust.emst._sq_dist of the coordinate planes of each row of
-    differences of scaled_rows, the one expression both EMST builders
-    compare, so ties and rounding agree.
+    Kruskal over every pair sorted by (d^2, u, v) with u < v. d^2 is taken
+    on the rows of scaled_rows, the rows the EMST compares, in the order
+    the package documents: (x0^2 + x2^2 + ..) + (x1^2 + x3^2 + ..), each
+    lane added in axis order. Here that is one elementwise add per axis,
+    not emstclust.emst._sq_dist's reduce.
     Returns (u, v, weight) triples, weight being math.dist of the
     coordinates.
     """
@@ -79,8 +81,12 @@ def canonical_kruskal(points: list[Point]) -> set[tuple[int, int, float]]:
     coords = scaled_rows(np.array([p.coords for p in points], dtype=np.float64))
     pairs = []
     for u in range(n):
-        d2 = _sq_dist(_planes(coords - coords[u]))
-        pairs.extend((float(d2[v]), u, v) for v in range(u + 1, n))
+        diff = coords[u + 1 :] - coords[u]
+        lanes = [np.zeros(len(diff)), np.zeros(len(diff))]
+        for k in range(diff.shape[1]):
+            lanes[k % 2] = lanes[k % 2] + diff[:, k] * diff[:, k]
+        d2 = lanes[0] + lanes[1]
+        pairs.extend((float(d2[j]), u, u + 1 + j) for j in range(len(diff)))
     pairs.sort()
     parent = list(range(n))
     tree = set()

@@ -498,14 +498,11 @@ def test_kernel_matches_prim_and_scipy(coords):
 
 def reference_sq_dist(diff):
     """d^2 of one row of differences, in the order _sq_dist documents, one
-    Python float at a time: two lanes over the even and the odd axes, the
-    four pairs of each whole block of eight axes from the last pair back,
-    the remaining axes forward, and the two lanes added last."""
+    Python float at a time: two lanes over the even and the odd axes, each
+    added in axis order, and the two lanes added last."""
     lanes = [0.0, 0.0]
-    whole = len(diff) - len(diff) % 8
-    axes = [b + 2 * pair + lane for b in range(0, whole, 8) for pair in (3, 2, 1, 0) for lane in (0, 1)]
-    for k in axes + list(range(whole, len(diff))):
-        lanes[k % 2] = diff[k] * diff[k] + lanes[k % 2]
+    for k, x in enumerate(diff):
+        lanes[k % 2] = x * x + lanes[k % 2]
     return lanes[0] + lanes[1]
 
 
@@ -520,6 +517,17 @@ def hard_rows(rng, n, dim):
     coords[1::4] = -coords[0::4][: len(coords[1::4])]
     coords[2::4] = coords[0::4][: len(coords[2::4]), ::-1]
     return coords
+
+
+# Three 8-D points on which adding the squares in another order picks
+# another tree (TestSquaredDistance).
+ORDER_PINNED = [
+    [0.0] * 8,
+    [10.023643249400514, 10.900927392651871, 9.288319225439267, 10.897298894274488,
+     9.623662904020971, 9.846652897945152, 10.655405187640884, 9.818398272738323],
+    [10.655405187640886, 9.818398272738323, 9.623662904020971, 9.846652897945152,
+     9.288319225439267, 10.897298894274488, 10.023643249400514, 10.900927392651871],
+]
 
 
 class TestSquaredDistance:
@@ -537,23 +545,40 @@ class TestSquaredDistance:
         for i in range(len(coords)):
             emst._sq_dist(emst._planes(coords - coords[i]), out=into)
             assert into.tobytes() == rows[i].tobytes()
-        # Prim's original row expression, so the edge sets did not move.
-        literal = np.array([np.einsum("ij,ij->i", coords - c, coords - c) for c in coords])
-        assert rows.tobytes() == literal.tobytes()
 
     @pytest.mark.parametrize("dim", range(1, 25))
     def test_matches_the_documented_order(self, dim):
         coords = hard_rows(np.random.default_rng(100 + dim), 40, dim)
         diff = (coords[:, None, :] - coords[None, :, :]).reshape(-1, dim)
         expected = np.array([reference_sq_dist(row) for row in diff.tolist()])
-        # Dense Prim runs with smaller ufunc buffers; the order must not move.
+        # Dense Prim runs with smaller ufunc buffers, and its last step is
+        # one pair, (d, 1); the order must move with neither.
         for bufsize in (8192, emst._PRIM_BUFSIZE):
             default = np.setbufsize(bufsize)
             try:
-                got = emst._sq_dist(emst._planes(diff))
+                wide = emst._sq_dist(emst._planes(diff))
+                pairs = [emst._sq_dist(emst._planes(diff[i : i + 1])) for i in range(len(diff))]
+                nested = [emst._sq_dist(emst._planes(diff[i : i + 1, None])) for i in range(len(diff))]
             finally:
                 np.setbufsize(default)
-            assert got.tobytes() == expected.tobytes()
+            assert wide.tobytes() == expected.tobytes()
+            assert np.concatenate(pairs).tobytes() == expected.tobytes()
+            assert np.concatenate(nested).ravel().tobytes() == expected.tobytes()
+
+    def test_the_documented_order_decides_a_tree(self):
+        # Row 2 is row 1 with its axis pairs in reverse order and axis 0 one
+        # ulp up, so their exact d^2 to row 0 lie within an ulp. Added in
+        # axis order, row 2 is nearer; with the pairs reversed, row 1 is.
+        rows = ORDER_PINNED
+        natural = [reference_sq_dist(row) for row in rows[1:]]
+        reversed_pairs = [reference_sq_dist(row[6:] + row[4:6] + row[2:4] + row[:2]) for row in rows[1:]]
+        assert natural[1] < natural[0] and reversed_pairs[0] < reversed_pairs[1]
+        expected = {(0, 2), (1, 2)}
+        assert {(u, v) for u, v, _ in canonical_kruskal([Point(tuple(r)) for r in rows])} == expected
+        assert edge_set(emst._prim_emst(np.array(rows))) == expected
+        assert edge_set(emst._kdtree_emst(np.array(rows))) == expected
+        u, v, _ = emst._emst_arrays(np.array(rows))
+        assert set(zip(u.tolist(), v.tolist())) == expected
 
     @pytest.mark.parametrize("dim", [3, 8, 13])
     def test_any_memory_layout_gives_the_same_bits(self, dim):

@@ -408,6 +408,24 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == []
 
 
+def run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """`python -m emstclust args` in a child process that imports the
+    package this test imported, installed or not."""
+    package_root = str(Path(emstclust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "emstclust", *args], capture_output=True, text=True, env=env
+    )
+
+
+OVERFLOW_3D_CSV = "0,0,0\n1e200,0,0\n2e200,1,0\n"
+OVERFLOW_ERR = (
+    "input error: squared-distance overflow: some coordinate differences are"
+    " too large to square in float64, so the EMST cannot be built\n"
+)
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         path = write_csv(tmp_path, CHAIN_CSV)
@@ -482,12 +500,30 @@ class TestCli:
         )
 
     def test_squared_distance_overflow_exit_two(self, tmp_path, capsys):
-        path = write_csv(tmp_path, "0\n1e200\n2e200\n3e200\n")
-        code = main(
-            ["--input", str(path), "--k", "4", "--out", str(tmp_path / "out")]
-        )
-        assert code == 2
-        assert "squared-distance overflow" in capsys.readouterr().err
+        # stderr is the one error line: numpy's overflow warnings stay quiet.
+        for text, k in (("0\n1e200\n2e200\n3e200\n", "4"), (OVERFLOW_3D_CSV, "2")):
+            path = write_csv(tmp_path, text)
+            code = main(
+                ["--input", str(path), "--k", k, "--out", str(tmp_path / "out")]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == OVERFLOW_ERR
+
+    def test_overflow_stderr_is_one_line_in_a_subprocess(self, tmp_path):
+        # Outside pytest, whose warning capture would hide a RuntimeWarning.
+        path = write_csv(tmp_path, OVERFLOW_3D_CSV)
+        proc = run_module(["--input", str(path), "--k", "2", "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr == OVERFLOW_ERR
+
+    def test_huge_collinear_points_exit_zero(self, tmp_path):
+        # Every EMST edge has d^2 = 1e308, so the tree builds; the squared
+        # distances to the mean reach 2.5e309 unscaled.
+        path = write_csv(tmp_path, "".join(f"{i * 1e154!r},0\n" for i in range(11)))
+        out = tmp_path / "out"
+        assert main(["--input", str(path), "--k", "1", "--out", str(out)]) == 0
+        (cluster,) = json.loads((out / "clusters.json").read_text())["clusters"]
+        assert cluster["variance"] == pytest.approx(math.sqrt(10) * 1e154, rel=1e-15)
 
     def test_two_groups_overflow_exit_two(self, tmp_path, capsys):
         # 2000 points in 2-D go to the k-d tree kernel, not to Prim.
@@ -498,7 +534,7 @@ class TestCli:
             ["--input", str(path), "--k", "2", "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        assert "squared-distance overflow" in capsys.readouterr().err
+        assert capsys.readouterr().err == OVERFLOW_ERR
 
     def test_k_zero_exit_three(self, tmp_path):
         path = write_csv(tmp_path, CHAIN_CSV)
@@ -582,28 +618,8 @@ class TestCli:
         path = write_csv(tmp_path, CHAIN_CSV)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        # The child imports the package this test imported, installed or not.
-        package_root = str(Path(emstclust.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         for out in (out_a, out_b):
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "emstclust",
-                    "--input",
-                    str(path),
-                    "--k",
-                    "2",
-                    "--svg",
-                    "--out",
-                    str(out),
-                ],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
+            proc = run_module(["--input", str(path), "--k", "2", "--svg", "--out", str(out)])
             assert proc.returncode == 0, proc.stderr
         files_a = sorted(q.name for q in out_a.iterdir())
         files_b = sorted(q.name for q in out_b.iterdir())

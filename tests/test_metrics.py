@@ -287,6 +287,14 @@ class TestCentroidMeasures:
     def test_cluster_variance_pair(self):
         assert cluster_variance([p(0), p(2)]) == 1.0
 
+    def test_cluster_variance_of_tiny_and_huge_spreads(self):
+        # Unscaled, the squares of 1e-170 underflow to 0 and those of 5e154
+        # overflow.
+        assert cluster_variance([p(1e-170), p(3e-170)]) == pytest.approx(1e-170, rel=1e-15)
+        assert cluster_variance([p(i * 1e154, 0.0) for i in range(11)]) == pytest.approx(
+            math.sqrt(10) * 1e154, rel=1e-15
+        )
+
     def test_cluster_variance_chain_prefix(self):
         assert cluster_variance([p(0), p(1), p(3), p(6)]) == pytest.approx(
             math.sqrt(5.25), abs=1e-12
