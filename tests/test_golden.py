@@ -15,8 +15,13 @@ plus 600 repeats, seed 20261018) is the case above the 3-D crossover of 3000
 distinct rows. `blobs12d_k6` (6 Gaussian blobs in 12-D, 600 rows to 4
 decimals, seed 20261019) pins dense Prim at d >= 8; its files were written
 by the code of commit 9f69fed, before d^2 added its squares in natural axis
-order. Radius, diameter and meta_radius were regenerated once, where they
-moved to the correctly rounded path lengths (CHANGES.md).
+order. `blobs1d_k9_kdtree` (5 Gaussian blobs in 1-D, 700 distinct rows to 4
+decimals, seed 20261020) and `dupblobs2d_k10_kdtree` (6 Gaussian blobs in
+2-D, 1320 distinct rows plus 1700 repeats, seed 20261021) reach the k-d
+tree in 1-D and with repeats; their files were written by the code of
+commit 3b805ce, before the edge statistics and the spread shared one mean
+and one RMS routine. Radius, diameter and meta_radius were regenerated
+once, where they moved to the correctly rounded path lengths (CHANGES.md).
 Refactors must reproduce these files exactly. Never regenerate them to make
 this test pass: a byte that moves is a behaviour change that needs its own
 justification.
@@ -57,6 +62,8 @@ CASES = [
     ("grid3d_dup_k1_kdtree", 1, 2.0, 1.5, 2, False),
     ("blobs3d_k8_kdtree", 8, 2.0, 2.0, 2, False),
     ("blobs12d_k6", 6, 1.5, 1.5, 3, False),
+    ("blobs1d_k9_kdtree", 9, 1.5, 2.5, 3, False),
+    ("dupblobs2d_k10_kdtree", 10, 2.5, 1.5, 2, False),
 ]
 
 
@@ -86,7 +93,10 @@ def test_outputs_match_golden(tmp_path, case, k, zahn_c, zahn_f, zahn_depth, svg
         assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
 
 
-@pytest.mark.parametrize("case", ["blobs2d_k6_kdtree", "blobs3d_k8_kdtree"])
+@pytest.mark.parametrize(
+    "case",
+    ["blobs2d_k6_kdtree", "blobs3d_k8_kdtree", "blobs1d_k9_kdtree", "dupblobs2d_k10_kdtree"],
+)
 def test_case_reaches_the_kdtree(case):
     coords = read_points_csv(GOLDEN / case / "input.csv").coords
     distinct = len(np.unique(coords, axis=0))
