@@ -17,18 +17,20 @@ from .divisive import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
-from .emst import EdgeStats, build_emst, edge_statistics
+from .emst import build_emst
 from .errors import ConfigError, DegenerateInputError, InputError
 from .io import RunConfig, newick_string, read_points_csv, run_pipeline, write_outputs
 from .meta import MetaResult, central_cluster, emstucc
 from .metrics import (
     Compactness,
     DistanceTable,
+    EdgeStats,
     TreeEccentricities,
     center_and_radius,
     cluster_compactness,
     cluster_variance,
     diameter_and_set,
+    edge_statistics,
     path_distance_table,
     tree_eccentricities,
 )

@@ -13,17 +13,19 @@ from functools import cached_property
 
 import numpy as np
 
-# build_emst, edge_statistics, center_and_radius, diameter_and_set,
-# cluster_variance and path_distance_table are not used here: the
-# benchmark's layer trace looks them up in this module.
-from .emst import EdgeStats, _emst_arrays, build_emst, edge_statistics  # noqa: F401
+# The benchmark's layer trace looks up build_emst, edge_statistics (in
+# metrics.py with every statistic), center_and_radius, diameter_and_set,
+# cluster_variance and path_distance_table here; this module uses none.
+from .emst import _emst_arrays, build_emst  # noqa: F401
 from .errors import DegenerateInputError, InputError
 from .metrics import (  # noqa: F401
-    _eccentricities,
+    EdgeStats,
+    _center,
     _rms_spread,
     center_and_radius,
     cluster_variance,
     diameter_and_set,
+    edge_statistics,
     path_distance_table,
 )
 from .model import (
@@ -94,21 +96,16 @@ def _neighborhood_weights(
 
 def _zahn_test(adj: _Adjacency, u: int, v: int, w: float, config: CriterionConfig) -> bool:
     c = config.zahn_c
-    side_a = _neighborhood_weights(adj, u, v, config.zahn_depth)
-    side_b = _neighborhood_weights(adj, v, u, config.zahn_depth)
-    if not side_a and not side_b:
-        return False
     deviations = []
-    for side in (side_a, side_b):
+    for a, b in ((u, v), (v, u)):
+        side = _neighborhood_weights(adj, a, b, config.zahn_depth)
         stats = EdgeStats.of(side)
         deviations.append(c * stats.std)
         # Condition 1 compares only against sides that actually have edges.
         if side and w > stats.mean + deviations[-1]:
             return True
     top_dev = max(deviations)
-    if top_dev > 0.0 and w / top_dev > config.zahn_f:
-        return True
-    return False
+    return top_dev > 0.0 and w / top_dev > config.zahn_f
 
 
 def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) -> bool:
@@ -218,19 +215,11 @@ class ClusteringResult:
 
 
 def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
-    """Cluster c's report: its radius and diameter are the smallest and
-    largest of its members' eccentricities, its center the lowest member
-    at the radius."""
+    """Cluster c's report: its tree center, radius and diameter (_center)
+    and the RMS spread of its coordinates."""
     ids = part.members_of(c)
-    ecc = _eccentricities(ids, *part.edges_of(c))
-    center = int(np.argmin(ecc))  # the first minimum
-    return ClusterReport(
-        center_index=int(ids[center]),
-        radius=float(ecc[center]),
-        diameter=float(ecc.max()),
-        variance=_rms_spread(coords[ids].tolist()),
-        size=len(ids),
-    )
+    variance = _rms_spread(coords[ids].tolist())
+    return ClusterReport(*_center(ids, *part.edges_of(c)), variance, size=len(ids))
 
 
 def emstrd(

@@ -1,36 +1,13 @@
-"""Euclidean minimum spanning tree construction and edge weight statistics."""
+"""Euclidean minimum spanning tree construction; its statistics are in metrics.py."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 from .model import Dataset, SpanningForest, _lowest_members
-
-
-@dataclass(frozen=True)
-class EdgeStats:
-    """Mean and population standard deviation of a tree's edge weights."""
-
-    mean: float
-    std: float
-
-    @classmethod
-    def of(cls, weights: Sequence[float]) -> EdgeStats:
-        """Statistics of a weight list; both are 0 for an empty list.
-
-        math.fsum rounds correctly, so the result does not depend on the
-        order of the weights.
-        """
-        if not weights:
-            return cls(0.0, 0.0)
-        mean = math.fsum(weights) / len(weights)
-        variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
-        return cls(mean=mean, std=math.sqrt(variance))
 
 
 def _planes(rows: np.ndarray) -> np.ndarray:
@@ -605,14 +582,3 @@ class _Boruvka:
         best_d2[a] = near[first]
         best_to[a] = to[first]
         self._note(a)
-
-
-def edge_statistics(forest: SpanningForest) -> EdgeStats:
-    """Mean and population standard deviation of the forest's edge weights.
-
-    Raises DegenerateInputError for a forest with no edges.
-    """
-    if not len(forest.w):
-        raise DegenerateInputError("edge statistics need at least one edge")
-    return EdgeStats.of(forest.w.tolist())
-

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 # build_emst is not used here: the benchmark's layer trace looks it up.
-from .emst import _emst_arrays, build_emst  # noqa: F401
+from .emst import _OVERFLOW, _emst_arrays, build_emst  # noqa: F401
 from .errors import InputError
-from .metrics import _eccentricities
+from .metrics import _center
 from .model import Dataset, Dendrogram, MergeRecord, Point, SpanningForest
 
 
@@ -30,13 +30,7 @@ def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
     """
     if meta_tree.component_count != 1:
         raise InputError("the meta tree must be a single connected component")
-    return _central(meta_tree.vertex_count, meta_tree.u, meta_tree.v, meta_tree.w)
-
-
-def _central(k: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[int, float]:
-    ecc = _eccentricities(np.arange(k), u, v, w)
-    index = int(np.argmin(ecc))  # the first minimum
-    return index, float(ecc[index])
+    return _center(np.arange(meta_tree.vertex_count), meta_tree.u, meta_tree.v, meta_tree.w)[:2]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -78,12 +72,21 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
 
     Dendrogram leaves are nodes 0 .. k - 1 (cluster ids); merge m creates
     node k - 1 + m. Each record's left side is the group containing the
-    edge's smaller endpoint.
+    edge's smaller endpoint. Raises InputError, naming the cluster centers,
+    when their squared distances overflow float64.
     """
     if not isinstance(centers, Dataset):
         centers = Dataset(centers)
     k = len(centers)
-    u, v, w = _emst_arrays(centers.coords)
+    try:
+        u, v, w = _emst_arrays(centers.coords)
+    except InputError as exc:
+        if str(exc) != _OVERFLOW:
+            raise
+        raise InputError(
+            "squared-distance overflow: the cluster centers are too far apart to square"
+            " their differences in float64, so the meta EMST over them cannot be built"
+        ) from None
 
     group = list(range(k))  # union-find over the merged groups
     node_of = list(range(k))
@@ -92,21 +95,12 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
     merges = zip(u[ordered].tolist(), v[ordered].tolist(), w[ordered].tolist())
     for m, (a, b, level) in enumerate(merges, start=1):
         ra, rb = _find(group, a), _find(group, b)
-        new_node = k - 1 + m
-        records.append(
-            MergeRecord(
-                m=m,
-                level=level,
-                left=node_of[ra],
-                right=node_of[rb],
-                new_node=new_node,
-            )
-        )
+        records.append(MergeRecord(m, level, node_of[ra], node_of[rb], k - 1 + m))
         group[ra] = rb
-        node_of[rb] = new_node
+        node_of[rb] = k - 1 + m
 
     dendrogram = Dendrogram(leaf_count=k, merges=tuple(records))
-    index, radius = _central(k, u, v, w)
+    index, radius, _ = _center(np.arange(k), u, v, w)
     return MetaResult(
         tree=(u, v, w),
         dendrogram=dendrogram,

@@ -1,8 +1,7 @@
-"""Weighted tree path metrics and coordinate spread measures.
-
-Tree metrics (eccentricities, center, radius, diameter) are defined on the
-weighted path distances of a cluster's subtree, not on direct point-to-point
-distances. The variance is an RMS quantity over raw coordinates.
+"""Every statistic of the package: edge weight mean and deviation, tree
+path metrics (eccentricities, center, radius, diameter, on the weighted
+path distances of a cluster's subtree) and coordinate spread. Means and
+spreads come from one mean (_mean) and one root mean square (_rms).
 """
 
 from __future__ import annotations
@@ -14,8 +13,55 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .emst import _SCALE_EXP
-from .errors import InputError
-from .model import Cluster, Dataset, Point
+from .errors import DegenerateInputError, InputError
+from .model import Cluster, Dataset, Point, SpanningForest
+
+
+def _mean(values: Sequence[float]) -> float:
+    """math.fsum(values) / len(values). Where the sum overflows, the values
+    are summed scaled by 2^-b, b the bit length of their count, and the
+    quotient scaled back: the same float unless a scaled value is subnormal."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        b = n.bit_length()
+        return math.ldexp(math.fsum(math.ldexp(x, -b) for x in values) / n, b)
+
+
+def _rms(values: Sequence[float]) -> float:
+    """Root mean square of nonnegative values. Each is scaled by the power
+    of two that brings the largest just below 2^250, so that no square
+    overflows, and squared as y * y, not by libm's pow; x * 2^e scales to
+    the same y, so the result scales exactly by 2^e."""
+    s = _SCALE_EXP - math.frexp(max(values))[1]
+    scaled = [math.ldexp(x, s) for x in values]
+    return math.ldexp(math.sqrt(math.fsum(y * y for y in scaled) / len(values)), -s)
+
+
+@dataclass(frozen=True)
+class EdgeStats:
+    """Mean and population standard deviation of a tree's edge weights."""
+
+    mean: float
+    std: float
+
+    @classmethod
+    def of(cls, weights: Sequence[float]) -> EdgeStats:
+        """_mean and _rms of |w - mean| of a weight list, which do not depend
+        on the order of the weights; both are 0 for an empty list."""
+        if not weights:
+            return cls(0.0, 0.0)
+        mean = _mean(weights)
+        return cls(mean=mean, std=_rms([abs(w - mean) for w in weights]))
+
+
+def edge_statistics(forest: SpanningForest) -> EdgeStats:
+    """EdgeStats of the forest's edge weights; DegenerateInputError for a
+    forest with no edges."""
+    if not len(forest.w):
+        raise DegenerateInputError("edge statistics need at least one edge")
+    return EdgeStats.of(forest.w.tolist())
 
 
 @dataclass(frozen=True)
@@ -152,6 +198,17 @@ def _eccentricities(
     return np.array(_rounded(map(max, from_a, from_b), scale))
 
 
+def _center(
+    ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[int, float, float]:
+    """The center of the tree on members ids (ascending) with edges u, v, w:
+    the lowest member at the smallest eccentricity, that eccentricity (the
+    radius) and the largest (the diameter)."""
+    ecc = _eccentricities(ids, u, v, w)
+    i = int(np.argmin(ecc))  # the first minimum
+    return int(ids[i]), float(ecc[i]), float(ecc.max())
+
+
 def path_distance_table(cluster: Cluster) -> DistanceTable:
     """All-pairs path distances over a cluster's subtree.
 
@@ -180,40 +237,32 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
     return TreeEccentricities(vertices=tuple(cluster.ids.tolist()), eccentricities=ecc)
 
 
+def _attaining(table: DistanceTable | TreeEccentricities, ecc: float) -> frozenset[int]:
+    return frozenset(table.vertices[i] for i in np.flatnonzero(table.eccentricities == ecc))
+
+
 def center_and_radius(
     table: DistanceTable | TreeEccentricities,
 ) -> tuple[frozenset[int], float]:
     """Vertices of the smallest eccentricities and that minimum (the radius)."""
-    ecc = table.eccentricities
-    radius = float(ecc.min())
-    centers = frozenset(
-        table.vertices[i] for i in np.flatnonzero(ecc == radius)
-    )
-    return centers, radius
+    radius = float(table.eccentricities.min())
+    return _attaining(table, radius), radius
 
 
 def diameter_and_set(
     table: DistanceTable | TreeEccentricities,
 ) -> tuple[float, frozenset[int]]:
     """Largest of the eccentricities and the vertices attaining it."""
-    ecc = table.eccentricities
-    diameter = float(ecc.max())
-    attaining = frozenset(
-        table.vertices[i] for i in np.flatnonzero(ecc == diameter)
-    )
-    return diameter, attaining
+    diameter = float(table.eccentricities.max())
+    return diameter, _attaining(table, diameter)
 
 
 def _rms_spread(rows: Sequence[Sequence[float]]) -> float:
     """Root mean squared Euclidean distance from coordinate rows to their
-    mean: the one routine behind cluster_variance, the cluster reports
-    and compactness. Each distance is math.dist. They are squared scaled
-    by the power of two that brings the largest just below 2^250, as the
-    EMST scales rows, so that no square overflows or underflows."""
-    mu = [math.fsum(column) / len(rows) for column in zip(*rows)]
-    dist = [math.dist(row, mu) for row in rows]
-    s = _SCALE_EXP - math.frexp(max(dist))[1]
-    return math.ldexp(math.sqrt(math.fsum(math.ldexp(x, s) ** 2 for x in dist) / len(rows)), -s)
+    mean: the one routine behind cluster_variance, the cluster reports and
+    compactness. The mean is _mean per column, each distance math.dist."""
+    mu = [_mean(column) for column in zip(*rows)]
+    return _rms([math.dist(row, mu) for row in rows])
 
 
 def cluster_variance(points: Sequence[Point]) -> float:
@@ -254,5 +303,4 @@ def _compactness(variances: Sequence[float], dataset: Dataset) -> Compactness:
     whole = _rms_spread(dataset.coords.tolist())
     if whole == 0.0:
         return Compactness(0.0, True)
-    ratios = [variance / whole for variance in variances]
-    return Compactness(math.fsum(ratios) / len(ratios), False)
+    return Compactness(_mean([variance / whole for variance in variances]), False)

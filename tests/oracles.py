@@ -142,11 +142,13 @@ def brute_force_mst_weight(dataset: Dataset) -> float:
 
 
 def mean_std(weights: list[float]) -> tuple[float, float]:
-    """Mean and population standard deviation; (0, 0) for no weights."""
+    """Mean and population standard deviation by the textbook formula,
+    unscaled, each square a correctly rounded multiply; (0, 0) for no
+    weights. Valid where no square leaves the normal range."""
     if not weights:
         return 0.0, 0.0
     mean = math.fsum(weights) / len(weights)
-    variance = math.fsum((w - mean) ** 2 for w in weights) / len(weights)
+    variance = math.fsum((w - mean) * (w - mean) for w in weights) / len(weights)
     return mean, math.sqrt(variance)
 
 

@@ -13,6 +13,7 @@ from emstclust import (
     CRITERION_LONGEST,
     CRITERION_THRESHOLD,
     CRITERION_ZAHN,
+    MODE_STD,
     CriterionConfig,
     Dataset,
     DegenerateInputError,
@@ -22,8 +23,10 @@ from emstclust import (
     Point,
     SpanningForest,
     build_emst,
+    cluster_compactness,
     edge_statistics,
     emstrd,
+    emstucc,
     select_edge_to_remove,
     zahn_inconsistent,
 )
@@ -362,3 +365,46 @@ class TestRemovalReplay:
         # Condition 2 implies condition 1 on the side with the larger
         # threshold (an empty side's threshold is 0), so it never decides.
         assert 2 not in first_clause
+
+
+def scaled_dataset(coords: list[tuple[float, ...]], e: int) -> Dataset:
+    return Dataset(tuple(Point(tuple(math.ldexp(x, e) for x in row)) for row in coords))
+
+
+class TestPowerOfTwoScaling:
+    """Scaling every coordinate by 2^e is exact, so it must change no
+    decision, and every length must scale by exactly 2^e: the edge
+    statistics and the spread scale their squares, the EMST its rows, and
+    path lengths and math.dist are exact or correctly rounded. At 2^-600
+    and 2^-700 unscaled squares of the edge weights' deviations underflow;
+    at 2^300 the EMST takes the rows unscaled."""
+
+    @pytest.mark.parametrize("mode", [MODE_STD, MODE_ZAHN])
+    @pytest.mark.parametrize("e", [-700, -600, 300])
+    def test_decisions_equal_and_lengths_scale_exactly(self, e, mode):
+        config = CriterionConfig(mode=mode)
+        for seed in range(25):
+            rng = random.Random(seed)
+            n, dim = rng.randint(20, 120), rng.randint(1, 3)
+            centers = [[rng.uniform(-10, 10) for _ in range(dim)] for _ in range(3)]
+            coords = [
+                tuple(rng.gauss(c, rng.choice([0.3, 1.0])) for c in rng.choice(centers))
+                for _ in range(n)
+            ]
+            ds, big = scaled_dataset(coords, 0), scaled_dataset(coords, e)
+            a, b = emstrd(ds, 5, config), emstrd(big, 5, config)
+            assert [(u, v, f) for u, v, _, f in b.removed] == [(u, v, f) for u, v, _, f in a.removed]
+            assert [w for *_, w, _ in b.removed] == [math.ldexp(w, e) for *_, w, _ in a.removed]
+            assert np.array_equal(b.partition.labels, a.partition.labels)
+            for x, y in zip(a.reports, b.reports):
+                assert (y.center_index, y.size) == (x.center_index, x.size)
+                assert (y.radius, y.diameter, y.variance) == tuple(
+                    math.ldexp(z, e) for z in (x.radius, x.diameter, x.variance)
+                )
+            assert cluster_compactness(b.clusters, big) == cluster_compactness(a.clusters, ds)
+            meta_a, meta_b = emstucc(a.center_set), emstucc(b.center_set)
+            assert meta_b.central_cluster == meta_a.central_cluster
+            assert meta_b.meta_radius == math.ldexp(meta_a.meta_radius, e)
+            for x, y in zip(meta_a.dendrogram.merges, meta_b.dendrogram.merges):
+                assert (y.left, y.right, y.new_node) == (x.left, x.right, x.new_node)
+                assert y.level == math.ldexp(x.level, e)

@@ -424,6 +424,12 @@ OVERFLOW_ERR = (
     "input error: squared-distance overflow: some coordinate differences are"
     " too large to square in float64, so the EMST cannot be built\n"
 )
+META_OVERFLOW_ERR = (
+    "input error: squared-distance overflow: the cluster centers are too far"
+    " apart to square their differences in float64, so the meta EMST over"
+    " them cannot be built\n"
+)
+HUGE_COLLINEAR_CSV = "".join(f"{i * 1e154!r},0\n" for i in range(11))
 
 
 class TestCli:
@@ -519,11 +525,44 @@ class TestCli:
     def test_huge_collinear_points_exit_zero(self, tmp_path):
         # Every EMST edge has d^2 = 1e308, so the tree builds; the squared
         # distances to the mean reach 2.5e309 unscaled.
-        path = write_csv(tmp_path, "".join(f"{i * 1e154!r},0\n" for i in range(11)))
+        path = write_csv(tmp_path, HUGE_COLLINEAR_CSV)
         out = tmp_path / "out"
         assert main(["--input", str(path), "--k", "1", "--out", str(out)]) == 0
         (cluster,) = json.loads((out / "clusters.json").read_text())["clusters"]
         assert cluster["variance"] == pytest.approx(math.sqrt(10) * 1e154, rel=1e-15)
+
+    def test_meta_overflow_names_the_cluster_centers(self, tmp_path, capsys):
+        # The data EMST of the line builds (see above); at k = 2 the two
+        # centers are at least 5e154 apart, so only the meta tree overflows.
+        path = write_csv(tmp_path, HUGE_COLLINEAR_CSV)
+        code = main(["--input", str(path), "--k", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == META_OVERFLOW_ERR
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("criterion", ["std", "zahn"])
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_largest_edge_weights_exit_zero(self, tmp_path, k, criterion):
+        # Edges of 1.3e154, whose deviations from the mean edge weight
+        # square to more than the largest float unscaled.
+        path = write_csv(tmp_path, "0\n0\n0\n1.3e154\n2.6e154\n2.6e154\n2.6e154\n")
+        out = tmp_path / "out"
+        args = ["--input", str(path), "--k", k, "--criterion", criterion, "--out", str(out)]
+        assert main(args) == 0
+        doc = json.loads((out / "clusters.json").read_text())
+        assert len(doc["clusters"]) == int(k) and math.isfinite(doc["compactness"])
+        for cluster in doc["clusters"]:
+            assert all(math.isfinite(cluster[key]) for key in ("radius", "diameter", "variance"))
+        assert math.isfinite(json.loads((out / "meta.json").read_text())["meta_radius"])
+
+    def test_coordinates_near_the_largest_float_exit_zero(self, tmp_path):
+        # The first column sums to 3e308 before its mean is taken.
+        path = write_csv(tmp_path, "1e308,0\n1e308,0\n1e308,1\n")
+        out = tmp_path / "out"
+        assert main(["--input", str(path), "--k", "1", "--out", str(out)]) == 0
+        (cluster,) = json.loads((out / "clusters.json").read_text())["clusters"]
+        assert (cluster["radius"], cluster["diameter"]) == (1.0, 1.0)
+        assert cluster["variance"] == pytest.approx(math.sqrt(2) / 3, rel=1e-15)
 
     def test_two_groups_overflow_exit_two(self, tmp_path, capsys):
         # 2000 points in 2-D go to the k-d tree kernel, not to Prim.

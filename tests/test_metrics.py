@@ -13,6 +13,7 @@ from emstclust import (
     Cluster,
     Dataset,
     Edge,
+    EdgeStats,
     InputError,
     Point,
     build_emst,
@@ -24,8 +25,10 @@ from emstclust import (
     path_distance_table,
     tree_eccentricities,
 )
+from emstclust.metrics import _mean
 from oracles import (
     eccentricities_oracle,
+    mean_std,
     path_distance_oracle,
     random_tree,
     tree_as_cluster,
@@ -294,6 +297,10 @@ class TestCentroidMeasures:
         assert cluster_variance([p(i * 1e154, 0.0) for i in range(11)]) == pytest.approx(
             math.sqrt(10) * 1e154, rel=1e-15
         )
+        # The first column sums past the largest float; the mean (1e308,
+        # 1/3) lies 1/3, 1/3 and 2/3 from the points.
+        pts = [p(1e308, 0.0), p(1e308, 0.0), p(1e308, 1.0)]
+        assert cluster_variance(pts) == pytest.approx(math.sqrt(2) / 3, rel=1e-15)
 
     def test_cluster_variance_chain_prefix(self):
         assert cluster_variance([p(0), p(1), p(3), p(6)]) == pytest.approx(
@@ -331,6 +338,41 @@ class TestCentroidMeasures:
             assert cluster_variance(moved) == pytest.approx(
                 cluster_variance(pts), abs=1e-9
             )
+
+
+class TestOneStatisticsRule:
+    def test_edge_stats_equal_the_textbook_formula(self):
+        rng = random.Random(907)
+        for _ in range(2000):
+            top = rng.choice([1.0, 10.0, 1000.0])
+            weights = [rng.uniform(0.0, top) for _ in range(rng.randint(1, 40))]
+            weights += rng.sample(weights, rng.randint(0, len(weights)))  # ties
+            assert EdgeStats.of(weights) == EdgeStats(*mean_std(weights))
+
+    def test_edge_stats_scale_exactly(self):
+        # Unscaled, the squares of the deviations would be subnormal from
+        # about e = -510 down.
+        rng = random.Random(911)
+        for e in range(-900, 401):
+            weights = [rng.uniform(0.5, 10.0) for _ in range(rng.randint(1, 12))]
+            stats = EdgeStats.of(weights)
+            assert EdgeStats.of([math.ldexp(w, e) for w in weights]) == EdgeStats(
+                math.ldexp(stats.mean, e), math.ldexp(stats.std, e)
+            )
+
+    def test_squares_are_multiplies_not_pow(self):
+        # The mean is 1.4133..., so the distances are 0.9666..., 0.9633...
+        # and 0.0033...; with ** 2, this platform's libm pow rounds one
+        # square differently and the spread comes out one ulp larger,
+        # 0x1.936a9b884c848p-1.
+        pts = [p(2.38), p(0.45), p(1.41)]
+        assert cluster_variance(pts) == float.fromhex("0x1.936a9b884c847p-1")
+        assert cluster_variance(pts) == mean_std([2.38, 0.45, 1.41])[1]
+
+    def test_mean_of_values_whose_sum_overflows(self):
+        # Halved, four values of 1e308 would still overflow.
+        assert _mean([1e308] * 4) == 1e308
+        assert _mean([2.0**1023, 2.0**1023, 2.0**1022]) == math.ldexp(5 / 3, 1022)
 
 
 class TestCompactness:
