@@ -1,9 +1,9 @@
 """Divisive clustering by repeated removal of long EMST edges.
 
-The tree is split one edge per iteration. Each removal raises the component
-count by exactly one, so reaching k clusters takes exactly k - 1 removals.
-Edge weight statistics are computed once on the original tree and reused
-unchanged for every removal decision.
+Each removal raises the component count by exactly one, so reaching k
+clusters takes exactly k - 1 removals, all chosen by one routine
+(_removals). Edge weight statistics are computed once on the original tree
+and reused unchanged for every removal decision.
 """
 
 from __future__ import annotations
@@ -46,22 +46,11 @@ CRITERION_LONGEST = "longest"
 CRITERION_ZAHN = "zahn"
 
 _Adjacency = dict[int, dict[int, float]]
-# A tree's edges as parallel lists: u, v and weight.
-_EdgeLists = tuple[list[int], list[int], list[float]]
 
 
-def _edge_lists(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> _EdgeLists:
-    return u.tolist(), v.tolist(), w.tolist()
-
-
-def _heaviest_first(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[int]:
-    """Edge positions ordered by weight descending, ties by (u, v)."""
-    return np.lexsort((v, u, -w)).tolist()
-
-
-def _adjacency(edges: _EdgeLists) -> _Adjacency:
+def _adjacency(us: list[int], vs: list[int], ws: list[float]) -> _Adjacency:
     adj: _Adjacency = {}
-    for a, b, w in zip(*edges):
+    for a, b, w in zip(us, vs, ws):
         adj.setdefault(a, {})[b] = w
         adj.setdefault(b, {})[a] = w
     return adj
@@ -127,53 +116,53 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
     an empty side's bound is 0 and a non-empty side's is >= 0, so some
     non-empty side attains the maximum, and condition 1 holds on it.
     """
-    if e not in tree.edges:
+    adj = _adjacency(tree.u.tolist(), tree.v.tolist(), tree.w.tolist())
+    # The same test as Edge equality, without building the tree's edge views.
+    if adj.get(e.u, {}).get(e.v) != e.weight:
         raise InputError(f"edge {e.endpoints} is not in the tree")
-    return _zahn_test(_adjacency(_edge_lists(tree.u, tree.v, tree.w)), e.u, e.v, e.weight, config)
+    return _zahn_test(adj, e.u, e.v, e.weight, config)
 
 
-def _select(
-    order: list[int],
-    edges: _EdgeLists,
-    adj: _Adjacency | None,
-    stats: EdgeStats,
-    config: CriterionConfig,
-) -> tuple[int, str]:
-    """Position in `order` of the edge to remove next, and the clause that
-    chose it. `order` holds the positions in `edges` of the remaining edges,
-    heaviest first; `adj` is their adjacency, needed in MODE_ZAHN only."""
-    if not order:
+def _removals(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray, count: int, stats: EdgeStats, config: CriterionConfig
+) -> list[tuple[int, str]]:
+    """The first `count` edges to remove from the forest (u, v, w) by the
+    rule emstrd documents, in removal order: each one's position in the
+    arrays and the clause that chose it."""
+    if count > len(w):
         raise DegenerateInputError("no edges left to remove")
-    us, vs, ws = edges
-    if config.mode == MODE_ZAHN:
-        for i, e in enumerate(order):
+    order = np.lexsort((v, u, -w))
+    if config.mode != MODE_ZAHN:
+        cut = order[:count]
+        above = w[cut] > stats.mean + stats.std
+        return [
+            (e, CRITERION_THRESHOLD if a else CRITERION_LONGEST)
+            for e, a in zip(cut.tolist(), above.tolist())
+        ]
+    us, vs, ws = u.tolist(), v.tolist(), w.tolist()
+    adj = _adjacency(us, vs, ws)
+    live = order.tolist()
+    cuts: list[tuple[int, str]] = []
+    for _ in range(count):
+        for i, e in enumerate(live):
             if _zahn_test(adj, us[e], vs[e], ws[e], config):
-                return i, CRITERION_ZAHN
-        return 0, CRITERION_LONGEST
-    if ws[order[0]] > stats.mean + stats.std:
-        return 0, CRITERION_THRESHOLD
-    return 0, CRITERION_LONGEST
+                fired = CRITERION_ZAHN
+                break
+        else:
+            i, fired = 0, CRITERION_LONGEST
+        e = live.pop(i)
+        del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
+        cuts.append((e, fired))
+    return cuts
 
 
 def select_edge_to_remove(
     forest: SpanningForest, stats: EdgeStats, config: CriterionConfig
 ) -> tuple[Edge, str]:
-    """Pick the next edge to remove and report which clause selected it.
-
-    The forest's edges are ordered heaviest first, weight ties broken
-    lexicographically on (min endpoint, max endpoint). In MODE_STD the first
-    edge of that order is returned, tagged "threshold" when its weight
-    exceeds stats.mean + stats.std (the original tree's statistics) and
-    "longest" otherwise. In MODE_ZAHN the first edge of that order that
-    zahn_inconsistent flags is returned tagged "zahn", falling back to the
-    first edge tagged "longest" when no edge is inconsistent.
-    """
-    us, vs, ws = edges = _edge_lists(forest.u, forest.v, forest.w)
-    order = _heaviest_first(forest.u, forest.v, forest.w)
-    adj = _adjacency(edges) if config.mode == MODE_ZAHN else None
-    i, fired = _select(order, edges, adj, stats, config)
-    e = order[i]
-    return Edge(us[e], vs[e], ws[e]), fired
+    """The edge emstrd would remove next from the forest, given the
+    original tree's statistics, and the clause that chose it."""
+    ((e, fired),) = _removals(forest.u, forest.v, forest.w, 1, stats, config)
+    return Edge(forest.u[e], forest.v[e], forest.w[e]), fired
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,17 +216,20 @@ def emstrd(
 ) -> ClusteringResult:
     """Split a dataset into k clusters by removing k - 1 EMST edges.
 
-    Builds the EMST, fixes its edge weight statistics and sorts its edges
-    once, heaviest first with ties broken on (min endpoint, max endpoint).
-    Each of the k - 1 removals takes an edge out of that single ordered list
-    by the rule select_edge_to_remove documents: in MODE_STD always the
-    first edge, in MODE_ZAHN the first edge the neighborhood test flags in
-    the remaining forest (else the first edge). The clusters are the
+    The EMST's edges are ordered once, heaviest first, weight ties broken
+    lexicographically on (min endpoint, max endpoint), and its edge weight
+    statistics are fixed once. In MODE_STD the removals are the first
+    k - 1 edges of that order, each tagged "threshold" when its weight
+    exceeds mean + std of the original tree's edge weights and "longest"
+    otherwise. In MODE_ZAHN each removal takes the first remaining edge of
+    that order that the neighborhood test (zahn_inconsistent) flags in the
+    remaining forest, tagged "zahn", and falls back to the first remaining
+    edge, tagged "longest", when none is flagged. The clusters are the
     components of the kept edges, found in one pass; the tree was checked
-    once when it was built, and nothing is validated again. Because the
-    criterion depends only on the original statistics and the current
-    forest, the k + 1 clustering always refines the k clustering for the
-    same dataset and configuration.
+    once when it was built, and nothing is validated again. Because each
+    removal depends only on the original statistics and the current
+    forest, the k + 1 clustering removes the same edges as the k
+    clustering and one more, so it refines it.
     """
     if config is None:
         config = CriterionConfig()
@@ -248,25 +240,15 @@ def emstrd(
         raise InputError(f"k must be in [1, {n}], got {k}")
 
     u, v, w = _emst_arrays(coords)
-    us, vs, ws = edges = _edge_lists(u, v, w)
-    stats = EdgeStats.of(ws)
-    order = _heaviest_first(u, v, w)
-    # Only the zahn test reads neighborhoods, so std mode builds no adjacency.
-    adj = _adjacency(edges) if config.mode == MODE_ZAHN else None
-    keep = np.ones(len(order), dtype=bool)
-    removed: list[tuple[int, int, float, str]] = []
-    while 1 + len(removed) < k:
-        i, fired = _select(order, edges, adj, stats, config)
-        e = order.pop(i)
-        if adj is not None:
-            del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
-        keep[e] = False
-        removed.append((us[e], vs[e], ws[e], fired))
-    del adj, edges, us, vs, ws
+    cuts = _removals(u, v, w, k - 1, EdgeStats.of(w.tolist()), config)
+    cut = np.array([e for e, _ in cuts], dtype=np.int64)
+    keep = np.ones(len(w), dtype=bool)
+    keep[cut] = False
+    removed = tuple(zip(u[cut].tolist(), v[cut].tolist(), w[cut].tolist(), (f for _, f in cuts)))
 
     part = Partition.of_forest(n, u[keep], v[keep], w[keep])
     reports = tuple(_report(coords, part, c) for c in range(part.count))
     center_set = Dataset._of_array(coords[[r.center_index for r in reports]])
     return ClusteringResult(
-        partition=part, reports=reports, center_set=center_set, removed=tuple(removed)
+        partition=part, reports=reports, center_set=center_set, removed=removed
     )

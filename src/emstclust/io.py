@@ -104,8 +104,9 @@ def read_points_csv(path: Path | str) -> Dataset:
         for lineno, row in enumerate(_csv_rows(handle, path), start=1):
             # A row whose cells all parse to finite floats is data: float()
             # accepts a cell only if it accepts the stripped cell, with the
-            # same value, and never a surrogate. Other rows take the checks
-            # that skip blank rows and a header and name the first bad cell.
+            # same value, and never a surrogate. Other rows are blank, the
+            # header, data padded with \x1c-\x1f (str.strip() removes them,
+            # float() does not), or refused naming the first bad cell.
             try:
                 values = tuple(map(float, row))
                 clean = all(map(math.isfinite, values))

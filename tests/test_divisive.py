@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emstclust import (
     CRITERION_LONGEST,
@@ -105,6 +107,17 @@ class TestZahnInconsistent:
         with pytest.raises(InputError):
             zahn_inconsistent(forest, Edge(0, 2, 1.0), ZAHN)
 
+    def test_edge_with_another_weight_rejected(self):
+        forest = chain_forest([1.0, 1.0])
+        with pytest.raises(InputError):
+            zahn_inconsistent(forest, Edge(0, 1, 2.0), ZAHN)
+
+    def test_builds_no_edge_views(self):
+        tree = build_emst(dataset_1d(0, 1, 3, 6, 10))
+        edge = Edge(tree.u[2], tree.v[2], tree.w[2])
+        zahn_inconsistent(tree, edge, ZAHN)
+        assert "edges" not in tree.__dict__
+
     def test_ratio_condition_with_spread_neighborhood(self):
         # Neighborhood weights {1, 9} on one side: mean 5, std 4, so the
         # first two conditions fail for w = 12 at c = 2 (threshold 13) until
@@ -135,6 +148,17 @@ class TestSelectEdgeZahn:
         assert fired == CRITERION_LONGEST
         assert edge.weight == 2.0
         assert edge.endpoints == (0, 1)
+
+
+class TestSelectEdgeIsFirstRemoval:
+    @pytest.mark.parametrize("config", [STD, ZAHN])
+    def test_equals_emstrd_first_removal(self, config):
+        for seed in range(3):
+            for ds in replay_datasets(seed):
+                tree = build_emst(ds)
+                got = select_edge_to_remove(tree, edge_statistics(tree), config)
+                assert got == emstrd(ds, 2, config).removed_edges[0]
+                assert "edges" not in tree.__dict__
 
 
 class TestEmstrd:
@@ -408,3 +432,29 @@ class TestPowerOfTwoScaling:
             for x, y in zip(meta_a.dendrogram.merges, meta_b.dendrogram.merges):
                 assert (y.left, y.right, y.new_node) == (x.left, x.right, x.new_node)
                 assert y.level == math.ldexp(x.level, e)
+
+
+@st.composite
+def scaled_datasets(draw):
+    """n 2-60 points in 1-3 dimensions, small integers (ties and repeats)
+    or floats, scaled by 2^e for e in [-700, 300]."""
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 3))
+    cell = st.one_of(
+        st.integers(-8, 8).map(float),
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    )
+    coords = draw(st.lists(st.tuples(*[cell] * dim), min_size=n, max_size=n))
+    return scaled_dataset(coords, draw(st.integers(-700, 300)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_datasets(), st.data())
+def test_one_more_cluster_is_one_more_cut(ds, data):
+    """emstrd at k + 1 removes the edges it removes at k, in the same order,
+    and one more, so its labels refine the k labels."""
+    k = data.draw(st.integers(1, len(ds) - 1), label="k")
+    for config in (STD, ZAHN):
+        coarse, fine = emstrd(ds, k, config), emstrd(ds, k + 1, config)
+        assert fine.removed[: k - 1] == coarse.removed
+        pairs = set(zip(fine.partition.labels.tolist(), coarse.partition.labels.tolist()))
+        assert len(pairs) == fine.cluster_count == k + 1

@@ -66,6 +66,13 @@ class TestReadPointsCsv:
         path = write_csv(tmp_path, " 1.5 ,\x1c2\x1c\n3,\t4\n")
         assert read_points_csv(path).coords.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
+    def test_row_parsed_after_stripping_takes_the_width_check(self, tmp_path):
+        # The only rows the cell-by-cell parse returns are padded with
+        # \x1c-\x1f, and they are data like any other row.
+        path = write_csv(tmp_path, "1,2\n\x1f3\x1f\n")
+        with pytest.raises(InputError, match="line 2: expected 2 columns, got 1"):
+            read_points_csv(path)
+
     def test_numeric_first_row_is_data(self, tmp_path):
         ds = read_points_csv(write_csv(tmp_path, "1,2\n3,4\n"))
         assert len(ds) == 2
