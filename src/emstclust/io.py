@@ -4,12 +4,14 @@ All output files are written atomically (write to a uniquely named temporary
 sibling, then rename) and every real number is serialized with 17 significant
 digits so a reader parsing the file recovers bit-identical values. Identical
 input and configuration therefore produce byte-identical files across runs.
+Each JSON file has its own formatter for its one fixed layout, and
+clusters.json is streamed into the atomic write one cluster at a time; no
+document dict or generic serializer sits in between.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -137,48 +139,6 @@ def read_points_csv(path: Path | str) -> Dataset:
     return Dataset._of_array(np.array(rows, dtype=np.float64))
 
 
-def _format_float(value: float) -> str:
-    return format(value, ".17g")
-
-
-def _to_json(value, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(key))}: {_to_json(item, indent + 2)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
-        # A member list: one join in place of a call per integer.
-        if not len(value):
-            return "[]"
-        return "[\n" + inner + (",\n" + inner).join(map(str, value.tolist())) + "\n" + pad + "]"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_to_json(item, indent + 2)}" for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _json_text(value) -> str:
-    return _to_json(value, 0) + "\n"
-
-
 def newick_string(dendrogram: Dendrogram) -> str:
     """Serialize a dendrogram to Newick with explicit branch lengths.
 
@@ -193,23 +153,25 @@ def newick_string(dendrogram: Dendrogram) -> str:
     # node has one parent, so a child's text is dropped once used, and the
     # texts alive never add up to more than the output.
     for rec in dendrogram.merges:
-        left_len = _format_float(rec.level - level[rec.left])
-        right_len = _format_float(rec.level - level[rec.right])
-        text.append(f"({text[rec.left]}:{left_len},{text[rec.right]}:{right_len})")
+        left_len = rec.level - level[rec.left]
+        right_len = rec.level - level[rec.right]
+        text.append(f"({text[rec.left]}:{left_len:.17g},{text[rec.right]}:{right_len:.17g})")
         text[rec.left] = text[rec.right] = None
         level.append(rec.level)
     return text[-1] + ";"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     # A random sibling name keeps concurrent runs into one directory off each
     # other's temporary file. Mode "x" never opens an existing file, and unlike
     # tempfile.mkstemp (always 0600) it gives the permissions open() gives.
+    # The chunks are made while they are written, so a formatter that raises
+    # partway through leaves no file either.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -222,42 +184,55 @@ def _assignments_csv(result: ClusteringResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clusters_document(result: ClusteringResult, dataset: Dataset) -> dict:
+def _array(items: Iterable[str], pad: str) -> str:
+    """A JSON array of rendered items, closed at indent pad; [] when empty."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n{pad}]" if body else "[]"
+
+
+def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
+    """clusters.json: the header, one chunk per cluster, then the removed edges."""
     compactness = _compactness([report.variance for report in result.reports], dataset)
-    clusters = []
+    yield (
+        f'{{\n  "cluster_count": {result.cluster_count},\n'
+        f'  "compactness": {compactness.value:.17g},\n'
+        f'  "compactness_degenerate": {"true" if compactness.degenerate else "false"},\n'
+        '  "clusters": ['
+    )
     for cid, report in enumerate(result.reports):
-        clusters.append(
-            {
-                "id": cid,
-                "size": report.size,
-                "members": result.partition.members_of(cid),
-                "center_index": report.center_index,
-                "radius": report.radius,
-                "diameter": report.diameter,
-                "variance": report.variance,
-            }
+        members = ",\n        ".join(map(str, result.partition.members_of(cid).tolist()))
+        yield (
+            f"{',' if cid else ''}\n    {{\n"
+            f'      "id": {cid},\n'
+            f'      "size": {report.size},\n'
+            f'      "members": [\n        {members}\n      ],\n'
+            f'      "center_index": {report.center_index},\n'
+            f'      "radius": {report.radius:.17g},\n'
+            f'      "diameter": {report.diameter:.17g},\n'
+            f'      "variance": {report.variance:.17g}\n'
+            "    }"
         )
-    removed = [
-        {"u": u, "v": v, "weight": weight, "criterion": fired}
-        for u, v, weight, fired in result.removed
-    ]
-    return {
-        "cluster_count": result.cluster_count,
-        "compactness": compactness.value,
-        "compactness_degenerate": compactness.degenerate,
-        "clusters": clusters,
-        "removed_edges": removed,
-    }
+    removed = _array(
+        (
+            f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
+            f'      "criterion": "{fired}"\n    }}'
+            for u, v, weight, fired in result.removed
+        ),
+        "  ",
+    )
+    yield f'\n  ],\n  "removed_edges": {removed}\n}}\n'
 
 
-def _dendrogram_document(dendrogram: Dendrogram) -> dict:
-    return {
-        "leaf_count": dendrogram.leaf_count,
-        "merges": [
-            {"m": rec.m, "level": rec.level, "left": rec.left, "right": rec.right}
+def _dendrogram_json(dendrogram: Dendrogram) -> str:
+    merges = _array(
+        (
+            f'    {{\n      "m": {rec.m},\n      "level": {rec.level:.17g},\n'
+            f'      "left": {rec.left},\n      "right": {rec.right}\n    }}'
             for rec in dendrogram.merges
-        ],
-    }
+        ),
+        "  ",
+    )
+    return f'{{\n  "leaf_count": {dendrogram.leaf_count},\n  "merges": {merges}\n}}\n'
 
 
 def write_outputs(
@@ -278,28 +253,26 @@ def write_outputs(
 
     written: list[Path] = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, chunks: Iterable[str]) -> None:
         path = out / name
-        _atomic_write(path, text)
+        _atomic_write(path, chunks)
         written.append(path)
 
-    emit("assignments.csv", _assignments_csv(result))
-    emit("clusters.json", _json_text(_clusters_document(result, dataset)))
-    emit("dendrogram.json", _json_text(_dendrogram_document(meta.dendrogram)))
-    emit("dendrogram.newick", newick_string(meta.dendrogram) + "\n")
+    emit("assignments.csv", [_assignments_csv(result)])
+    emit("clusters.json", _clusters_json(result, dataset))
+    emit("dendrogram.json", [_dendrogram_json(meta.dendrogram)])
+    emit("dendrogram.newick", [newick_string(meta.dendrogram), "\n"])
     emit(
         "meta.json",
-        _json_text(
-            {
-                "central_cluster": meta.central_cluster,
-                "meta_radius": meta.meta_radius,
-            }
-        ),
+        [
+            f'{{\n  "central_cluster": {meta.central_cluster},\n'
+            f'  "meta_radius": {meta.meta_radius:.17g}\n}}\n'
+        ],
     )
     if config.emit_svg:
-        emit("dendrogram.svg", dendrogram_svg(meta.dendrogram))
+        emit("dendrogram.svg", [dendrogram_svg(meta.dendrogram)])
         if dataset.dimension == 2:
-            emit("scatter.svg", scatter_svg(dataset, result))
+            emit("scatter.svg", [scatter_svg(dataset, result)])
     return written
 
 

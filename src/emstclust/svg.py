@@ -66,12 +66,14 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
 def dendrogram_svg(dendrogram: Dendrogram) -> str:
     """Classic bottom-up dendrogram, leaves at the base, merges above."""
     k = dendrogram.leaf_count
-    children = {rec.new_node: (rec.left, rec.right) for rec in dendrogram.merges}
-    levels = {rec.new_node: rec.level for rec in dendrogram.merges}
-    root = k - 1 + len(dendrogram.merges) if dendrogram.merges else 0
+    # Lists indexed by node: the k leaves, then node k - 1 + m for merge m.
+    # The last node is the root, leaf 0 when k = 1.
+    children = [None] * k + [(rec.left, rec.right) for rec in dendrogram.merges]
+    levels = [0.0] * k + [rec.level for rec in dendrogram.merges]
+    internal = range(k, len(levels))
 
     leaf_order: list[int] = []
-    stack = [root]
+    stack = [len(levels) - 1]
     while stack:
         node = stack.pop()
         if node < k:
@@ -82,30 +84,27 @@ def dendrogram_svg(dendrogram: Dendrogram) -> str:
             stack.append(left)
     leaf_order.reverse()
 
-    slot = {leaf: i for i, leaf in enumerate(leaf_order)}
     usable_h = _HEIGHT - 2 * _MARGIN
     step = (_WIDTH - 2 * _MARGIN) / (k - 1) if k > 1 else 0.0
     top = dendrogram.final_level if dendrogram.final_level > 0.0 else 1.0
 
     def y_of(node: int) -> float:
-        return _HEIGHT - _MARGIN - levels.get(node, 0.0) / top * usable_h
+        return _HEIGHT - _MARGIN - levels[node] / top * usable_h
 
-    xs: dict[int, float] = {}
-    for leaf in leaf_order:
-        xs[leaf] = _MARGIN + slot[leaf] * step if k > 1 else _WIDTH / 2
-    # Internal node ids grow with merge order, so ascending id order always
-    # sees both children first.
-    order = sorted(children)
-    for node in order:
+    xs = [0.0] * k
+    for i, leaf in enumerate(leaf_order):
+        xs[leaf] = _MARGIN + i * step if k > 1 else _WIDTH / 2
+    # A merge's children are earlier nodes, so their xs are already there.
+    for node in internal:
         left, right = children[node]
-        xs[node] = (xs[left] + xs[right]) / 2.0
+        xs.append((xs[left] + xs[right]) / 2.0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
         f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
         f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
     ]
-    for node in order:
+    for node in internal:
         left, right = children[node]
         y_bar = y_of(node)
         for child in (left, right):

@@ -15,6 +15,7 @@ import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from emstclust import (
     Cluster,
@@ -331,6 +332,23 @@ def gaussian_blobs(
             points.append(Point(coords))
             labels.append(label)
     return points, labels
+
+
+def scaled_dataset(coords: list[tuple[float, ...]], e: int) -> Dataset:
+    return Dataset(tuple(Point(tuple(math.ldexp(x, e) for x in row)) for row in coords))
+
+
+@st.composite
+def scaled_datasets(draw):
+    """n 2-60 points in 1-3 dimensions, small integers (ties and repeats)
+    or floats, scaled by 2^e for e in [-700, 300]."""
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 3))
+    cell = st.one_of(
+        st.integers(-8, 8).map(float),
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    )
+    coords = draw(st.lists(st.tuples(*[cell] * dim), min_size=n, max_size=n))
+    return scaled_dataset(coords, draw(st.integers(-700, 300)))
 
 
 def parse_newick(text: str):

@@ -32,7 +32,14 @@ from emstclust import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
-from oracles import eccentricities_oracle, gaussian_blobs, removal_replay, tree_as_forest
+from oracles import (
+    eccentricities_oracle,
+    gaussian_blobs,
+    removal_replay,
+    scaled_dataset,
+    scaled_datasets,
+    tree_as_forest,
+)
 
 
 def dataset_1d(*values):
@@ -391,10 +398,6 @@ class TestRemovalReplay:
         assert 2 not in first_clause
 
 
-def scaled_dataset(coords: list[tuple[float, ...]], e: int) -> Dataset:
-    return Dataset(tuple(Point(tuple(math.ldexp(x, e) for x in row)) for row in coords))
-
-
 class TestPowerOfTwoScaling:
     """Scaling every coordinate by 2^e is exact, so it must change no
     decision, and every length must scale by exactly 2^e: the edge
@@ -432,19 +435,6 @@ class TestPowerOfTwoScaling:
             for x, y in zip(meta_a.dendrogram.merges, meta_b.dendrogram.merges):
                 assert (y.left, y.right, y.new_node) == (x.left, x.right, x.new_node)
                 assert y.level == math.ldexp(x.level, e)
-
-
-@st.composite
-def scaled_datasets(draw):
-    """n 2-60 points in 1-3 dimensions, small integers (ties and repeats)
-    or floats, scaled by 2^e for e in [-700, 300]."""
-    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 3))
-    cell = st.one_of(
-        st.integers(-8, 8).map(float),
-        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
-    )
-    coords = draw(st.lists(st.tuples(*[cell] * dim), min_size=n, max_size=n))
-    return scaled_dataset(coords, draw(st.integers(-700, 300)))
 
 
 @settings(max_examples=40, deadline=None)

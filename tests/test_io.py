@@ -8,14 +8,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emstclust import (
+    MODE_STD,
     MODE_ZAHN,
     Cluster,
     ConfigError,
@@ -28,6 +32,7 @@ from emstclust import (
     RunConfig,
     SpanningForest,
     build_emst,
+    cluster_compactness,
     emstrd,
     emstucc,
     newick_string,
@@ -38,7 +43,7 @@ from emstclust import (
 import emstclust
 from emstclust import io as emst_io
 from emstclust.cli import main
-from oracles import count_internal, leaf_depths, parse_newick
+from oracles import count_internal, leaf_depths, parse_newick, scaled_datasets
 
 
 def write_csv(tmp_path: Path, text: str, name: str = "points.csv") -> Path:
@@ -332,6 +337,57 @@ class TestWriteOutputs:
         assert meta == {"central_cluster": 0, "meta_radius": 0.0}
 
 
+@settings(max_examples=25, deadline=None)
+@given(scaled_datasets(), st.data())
+def test_json_files_read_back_exactly(ds, data):
+    """clusters.json, dendrogram.json and meta.json parse back, key order
+    included, to the values of the result they were written from."""
+    k = data.draw(st.integers(1, len(ds)), label="k")
+    for mode in (MODE_STD, MODE_ZAHN):
+        result = emstrd(ds, k, CriterionConfig(mode=mode))
+        meta = emstucc(result.center_set)
+        compactness = cluster_compactness(result.clusters, ds)
+        with tempfile.TemporaryDirectory() as out:
+            config = RunConfig(Path("unused.csv"), k, CriterionConfig(mode=mode), Path(out))
+            write_outputs(result, meta, config, ds)
+            read = {
+                name: json.loads((Path(out) / name).read_text(), object_pairs_hook=list)
+                for name in ("clusters.json", "dendrogram.json", "meta.json")
+            }
+        clusters = [
+            [
+                ("id", cid),
+                ("size", report.size),
+                ("members", sorted(cluster.members)),
+                ("center_index", report.center_index),
+                ("radius", report.radius),
+                ("diameter", report.diameter),
+                ("variance", report.variance),
+            ]
+            for cid, (report, cluster) in enumerate(zip(result.reports, result.clusters))
+        ]
+        removed = [
+            [("u", e.u), ("v", e.v), ("weight", e.weight), ("criterion", fired)]
+            for e, fired in result.removed_edges
+        ]
+        assert read["clusters.json"] == [
+            ("cluster_count", k),
+            ("compactness", compactness.value),
+            ("compactness_degenerate", compactness.degenerate),
+            ("clusters", clusters),
+            ("removed_edges", removed),
+        ]
+        merges = [
+            [("m", rec.m), ("level", rec.level), ("left", rec.left), ("right", rec.right)]
+            for rec in meta.dendrogram.merges
+        ]
+        assert read["dendrogram.json"] == [("leaf_count", k), ("merges", merges)]
+        assert read["meta.json"] == [
+            ("central_cluster", meta.central_cluster),
+            ("meta_radius", meta.meta_radius),
+        ]
+
+
 class TestArrayPipeline:
     """run_pipeline works on arrays from the CSV to the files: it builds no
     Point or Edge, and no SpanningForest or Cluster by either constructor.
@@ -388,7 +444,7 @@ class TestAtomicWrite:
     def test_bytes_and_permissions_of_a_plain_open(self, tmp_path):
         text = "point_index,cluster_id\n0,0\nnon-ascii \u00e9\n"
         target = tmp_path / "out.csv"
-        emst_io._atomic_write(target, text)
+        emst_io._atomic_write(target, [text])
         plain = tmp_path / "plain.csv"
         with open(plain, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -405,14 +461,27 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(emst_io.os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
-            emst_io._atomic_write(target, "new\n")
+            emst_io._atomic_write(target, ["new\n"])
         assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]
         assert target.read_text() == "old\n"
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
-            emst_io._atomic_write(tmp_path / "meta.json", "lone surrogate \ud800")
+            emst_io._atomic_write(tmp_path / "meta.json", ["lone surrogate \ud800"])
         assert list(tmp_path.iterdir()) == []
+
+    def test_formatter_raising_partway_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "clusters.json"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "{\n"
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            emst_io._atomic_write(target, chunks())
+        assert not list(tmp_path.glob("*.tmp"))
+        assert target.read_bytes() == b"old\n"
 
 
 def run_module(args: list[str]) -> subprocess.CompletedProcess:
