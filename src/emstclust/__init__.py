@@ -43,7 +43,6 @@ from .model import (
     Dataset,
     Dendrogram,
     Edge,
-    MergeRecord,
     Partition,
     Point,
     SpanningForest,
@@ -70,7 +69,6 @@ __all__ = [
     "InputError",
     "MODE_STD",
     "MODE_ZAHN",
-    "MergeRecord",
     "MetaResult",
     "Partition",
     "Point",

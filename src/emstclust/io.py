@@ -4,9 +4,9 @@ All output files are written atomically (write to a uniquely named temporary
 sibling, then rename) and every real number is serialized with 17 significant
 digits so a reader parsing the file recovers bit-identical values. Identical
 input and configuration therefore produce byte-identical files across runs.
-Each JSON file has its own formatter for its one fixed layout, and
-clusters.json is streamed into the atomic write one cluster at a time; no
-document dict or generic serializer sits in between.
+Each JSON file has its own formatter for its one fixed layout; clusters.json
+(one cluster at a time) and dendrogram.newick (a walk over the dendrogram's
+arrays) are streamed into the atomic write, with no document in between.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -139,6 +140,36 @@ def read_points_csv(path: Path | str) -> Dataset:
     return Dataset._of_array(np.array(rows, dtype=np.float64))
 
 
+def _newick_chunks(dendrogram: Dendrogram) -> Iterator[str]:
+    """newick_string's text in pieces, from a walk that goes down each left
+    spine to a leaf, then up to the first node it leaves by a left child,
+    and on to that node's right child. It holds no stack and no subtree text.
+    """
+    k = dendrogram.leaf_count
+    left, right = dendrogram.left, dendrogram.right
+    node = root = 2 * k - 2
+    parent = np.empty(root + 1, dtype=np.int64)
+    parent[left] = parent[right] = np.arange(k, root + 1)
+    height = np.concatenate((np.zeros(k), dendrogram.level))
+    while True:
+        while node >= k:
+            yield "("
+            node = left[node - k]
+        yield f"C{node}"
+        while node != root:
+            up = parent[node]
+            yield f":{height[up] - height[node]:.17g}"
+            if left[up - k] == node:
+                yield ","
+                node = right[up - k]
+                break
+            yield ")"
+            node = up
+        else:
+            yield ";"
+            return
+
+
 def newick_string(dendrogram: Dendrogram) -> str:
     """Serialize a dendrogram to Newick with explicit branch lengths.
 
@@ -146,19 +177,11 @@ def newick_string(dendrogram: Dendrogram) -> str:
     length is the parent's merge level minus the child's own level, so the
     tree is ultrametric with every leaf at depth equal to the final level.
     """
-    text: list[str | None] = [f"C{leaf}" for leaf in range(dendrogram.leaf_count)]
-    level = [0.0] * dendrogram.leaf_count
-    # Merge m creates node leaf_count - 1 + m from two earlier nodes, so the
-    # lists grow in node order and both children are already rendered. Each
-    # node has one parent, so a child's text is dropped once used, and the
-    # texts alive never add up to more than the output.
-    for rec in dendrogram.merges:
-        left_len = rec.level - level[rec.left]
-        right_len = rec.level - level[rec.right]
-        text.append(f"({text[rec.left]}:{left_len:.17g},{text[rec.right]}:{right_len:.17g})")
-        text[rec.left] = text[rec.right] = None
-        level.append(rec.level)
-    return text[-1] + ";"
+    # "".join would hold every piece at once: over ten times the text.
+    text = bytearray()
+    for chunk in _newick_chunks(dendrogram):
+        text += chunk.encode()
+    return text.decode()
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -224,11 +247,12 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
 
 
 def _dendrogram_json(dendrogram: Dendrogram) -> str:
+    rows = zip(dendrogram.level.tolist(), dendrogram.left.tolist(), dendrogram.right.tolist())
     merges = _array(
         (
-            f'    {{\n      "m": {rec.m},\n      "level": {rec.level:.17g},\n'
-            f'      "left": {rec.left},\n      "right": {rec.right}\n    }}'
-            for rec in dendrogram.merges
+            f'    {{\n      "m": {m},\n      "level": {level:.17g},\n'
+            f'      "left": {left},\n      "right": {right}\n    }}'
+            for m, (level, left, right) in enumerate(rows, start=1)
         ),
         "  ",
     )
@@ -261,7 +285,7 @@ def write_outputs(
     emit("assignments.csv", [_assignments_csv(result)])
     emit("clusters.json", _clusters_json(result, dataset))
     emit("dendrogram.json", [_dendrogram_json(meta.dendrogram)])
-    emit("dendrogram.newick", [newick_string(meta.dendrogram), "\n"])
+    emit("dendrogram.newick", chain(_newick_chunks(meta.dendrogram), "\n"))
     emit(
         "meta.json",
         [

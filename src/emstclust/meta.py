@@ -19,7 +19,7 @@ import numpy as np
 from .emst import _OVERFLOW, _emst_arrays, build_emst  # noqa: F401
 from .errors import InputError
 from .metrics import _center
-from .model import Dataset, Dendrogram, MergeRecord, Point, SpanningForest
+from .model import Dataset, Dendrogram, Point, SpanningForest
 
 
 def central_cluster(meta_tree: SpanningForest) -> tuple[int, float]:
@@ -71,7 +71,7 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
     total weight.
 
     Dendrogram leaves are nodes 0 .. k - 1 (cluster ids); merge m creates
-    node k - 1 + m. Each record's left side is the group containing the
+    node k - 1 + m. Each merge's left node is the group containing the
     edge's smaller endpoint. Raises InputError, naming the cluster centers,
     when their squared distances overflow float64.
     """
@@ -88,22 +88,21 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
             " their differences in float64, so the meta EMST over them cannot be built"
         ) from None
 
-    group = list(range(k))  # union-find over the merged groups
-    node_of = list(range(k))
-    records: list[MergeRecord] = []
+    # Union-find over the nodes: a group's root is the last node formed from it.
+    group = list(range(k))
+    left, right = [], []
     ordered = np.lexsort((v, u, w))
-    merges = zip(u[ordered].tolist(), v[ordered].tolist(), w[ordered].tolist())
-    for m, (a, b, level) in enumerate(merges, start=1):
+    for a, b in zip(u[ordered].tolist(), v[ordered].tolist()):
         ra, rb = _find(group, a), _find(group, b)
-        records.append(MergeRecord(m, level, node_of[ra], node_of[rb], k - 1 + m))
-        group[ra] = rb
-        node_of[rb] = k - 1 + m
+        left.append(ra)
+        right.append(rb)
+        group[ra] = group[rb] = len(group)
+        group.append(len(group))
 
-    dendrogram = Dendrogram(leaf_count=k, merges=tuple(records))
     index, radius, _ = _center(np.arange(k), u, v, w)
     return MetaResult(
         tree=(u, v, w),
-        dendrogram=dendrogram,
+        dendrogram=Dendrogram(k, left, right, w[ordered]),
         central_cluster=index,
         meta_radius=radius,
     )

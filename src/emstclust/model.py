@@ -2,8 +2,8 @@
 
 Vertices are always identified by their 0-based position in the dataset, so
 an edge or a cluster can be interpreted without carrying the coordinates
-around. Points, trees and partitions are held as read-only numpy arrays.
-Built from objects through their public constructors, they are validated
+around. Points, trees, partitions and dendrograms are held as read-only
+numpy arrays. Built through their public constructors, they are validated
 there; built by the library's own array routines (the _of_array(s)
 constructors), they were checked once where the data entered. Their object
 forms (Point, Edge, frozensets) are views built on first access.
@@ -12,7 +12,7 @@ forms (Point, Edge, frozensets) are views built on first access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -379,65 +379,51 @@ class ClusterReport:
             )
 
 
-@dataclass(frozen=True)
-class MergeRecord:
-    """One agglomerative merge: step number, level, and the joined nodes."""
-
-    m: int
-    level: float
-    left: int
-    right: int
-    new_node: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """A complete sequence of merges over leaf_count leaves.
+    """A complete sequence of merges over leaf_count leaves, as three
+    read-only arrays of length leaf_count - 1.
 
-    Leaves are nodes 0 .. leaf_count - 1; merge m creates node
-    leaf_count - 1 + m. Merge levels never decrease, and a fully conjoint
-    clustering has exactly leaf_count - 1 merges.
+    Leaves are nodes 0 .. leaf_count - 1. Merge m (from 1) joins nodes
+    left[m - 1] and right[m - 1] at level[m - 1] into node leaf_count - 1 + m,
+    so the last node is the root. Each child is an earlier node, every node
+    but the root is joined exactly once, and levels never decrease.
     """
 
     leaf_count: int
-    merges: tuple[MergeRecord, ...] = field(default_factory=tuple)
+    left: np.ndarray
+    right: np.ndarray
+    level: np.ndarray
 
     def __post_init__(self) -> None:
-        k = int(self.leaf_count)
-        merges = tuple(self.merges)
+        k = _whole(self.leaf_count, "leaf_count", InputError)
         if k < 1:
             raise InputError("a dendrogram needs at least one leaf")
-        if len(merges) != k - 1:
-            raise InputError(
-                f"{k} leaves need exactly {k - 1} merges, got {len(merges)}"
-            )
-        previous = None
-        for i, rec in enumerate(merges, start=1):
-            if rec.m != i:
-                raise InputError(f"merge numbers must run 1..{k - 1}, got {rec.m}")
-            if not math.isfinite(rec.level) or rec.level < 0.0:
-                raise InputError(f"merge level must be finite and >= 0, got {rec.level!r}")
-            if previous is not None and rec.level < previous:
-                raise InputError(
-                    f"merge levels must be non-decreasing, {rec.level} after {previous}"
-                )
-            expected_new = k - 1 + i
-            if rec.new_node != expected_new:
-                raise InputError(
-                    f"merge {i} must create node {expected_new}, got {rec.new_node}"
-                )
-            for side in (rec.left, rec.right):
-                if side < 0 or side >= expected_new:
-                    raise InputError(f"merge {i} joins unknown node {side}")
-            if rec.left == rec.right:
-                raise InputError(f"merge {i} joins node {rec.left} with itself")
-            previous = rec.level
+        left, right = np.asarray(self.left), np.asarray(self.right)
+        level = np.array(self.level, dtype=np.float64)
+        if not left.shape == right.shape == level.shape == (k - 1,):
+            raise InputError(f"{k} leaves need left, right and level of length {k - 1}")
+        nodes = np.stack((left, right))
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+            ids = nodes.astype(np.int64) if nodes.dtype.kind in "biuf" else None
+        if ids is None or not np.array_equal(ids, nodes):
+            raise InputError("node ids must be whole numbers")
+        if np.any((ids < 0) | (ids >= np.arange(k, 2 * k - 1))):
+            raise InputError("each merge must join two nodes formed before it")
+        # 2k - 2 child places for 2k - 2 nodes: none joined twice means each once.
+        joined = np.bincount(ids.ravel(), minlength=2 * k - 1)
+        if joined.max() > 1:
+            raise InputError(f"node {joined.argmax()} is joined {joined.max()} times, not once")
+        if not (np.isfinite(level).all() and np.all(np.diff(level, prepend=0.0) >= 0.0)):
+            raise InputError("merge levels must be finite, >= 0 and non-decreasing")
         object.__setattr__(self, "leaf_count", k)
-        object.__setattr__(self, "merges", merges)
+        object.__setattr__(self, "left", _read_only(ids[0]))
+        object.__setattr__(self, "right", _read_only(ids[1]))
+        object.__setattr__(self, "level", _read_only(level))
 
     @property
     def final_level(self) -> float:
-        return self.merges[-1].level if self.merges else 0.0
+        return self.level[-1].item() if len(self.level) else 0.0
 
 
 @dataclass(frozen=True)

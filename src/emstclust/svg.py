@@ -66,60 +66,50 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
 def dendrogram_svg(dendrogram: Dendrogram) -> str:
     """Classic bottom-up dendrogram, leaves at the base, merges above."""
     k = dendrogram.leaf_count
-    # Lists indexed by node: the k leaves, then node k - 1 + m for merge m.
-    # The last node is the root, leaf 0 when k = 1.
-    children = [None] * k + [(rec.left, rec.right) for rec in dendrogram.merges]
-    levels = [0.0] * k + [rec.level for rec in dendrogram.merges]
-    internal = range(k, len(levels))
+    left, right = dendrogram.left.tolist(), dendrogram.right.tolist()
+    # Indexed by node: the k leaves, then node k - 1 + m for merge m.
+    levels = [0.0] * k + dendrogram.level.tolist()
 
+    first, step = (_MARGIN, (_WIDTH - 2 * _MARGIN) / (k - 1)) if k > 1 else (_WIDTH / 2, 0.0)
+    xs = [0.0] * k
     leaf_order: list[int] = []
-    stack = [len(levels) - 1]
+    stack = [len(levels) - 1]  # the root, leaf 0 when k = 1
     while stack:
         node = stack.pop()
         if node < k:
+            xs[node] = first + len(leaf_order) * step
             leaf_order.append(node)
         else:
-            left, right = children[node]
-            stack.append(right)
-            stack.append(left)
-    leaf_order.reverse()
+            stack += (left[node - k], right[node - k])
 
     usable_h = _HEIGHT - 2 * _MARGIN
-    step = (_WIDTH - 2 * _MARGIN) / (k - 1) if k > 1 else 0.0
     top = dendrogram.final_level if dendrogram.final_level > 0.0 else 1.0
 
     def y_of(node: int) -> float:
         return _HEIGHT - _MARGIN - levels[node] / top * usable_h
-
-    xs = [0.0] * k
-    for i, leaf in enumerate(leaf_order):
-        xs[leaf] = _MARGIN + i * step if k > 1 else _WIDTH / 2
-    # A merge's children are earlier nodes, so their xs are already there.
-    for node in internal:
-        left, right = children[node]
-        xs.append((xs[left] + xs[right]) / 2.0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
         f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
         f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
     ]
-    for node in internal:
-        left, right = children[node]
+    # A merge's children are earlier nodes, so their xs are already there.
+    for node, a, b in zip(range(k, len(levels)), left, right):
+        xs.append((xs[a] + xs[b]) / 2.0)
         y_bar = y_of(node)
-        for child in (left, right):
+        for child in (a, b):
             parts.append(
                 f'<line x1="{_fmt(xs[child])}" y1="{_fmt(y_of(child))}"'
                 f' x2="{_fmt(xs[child])}" y2="{_fmt(y_bar)}"'
                 ' stroke="black" stroke-width="1.5"/>'
             )
         parts.append(
-            f'<line x1="{_fmt(xs[left])}" y1="{_fmt(y_bar)}"'
-            f' x2="{_fmt(xs[right])}" y2="{_fmt(y_bar)}"'
+            f'<line x1="{_fmt(xs[a])}" y1="{_fmt(y_bar)}"'
+            f' x2="{_fmt(xs[b])}" y2="{_fmt(y_bar)}"'
             ' stroke="black" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_fmt((xs[left] + xs[right]) / 2 + 4)}" y="{_fmt(y_bar - 4)}"'
+            f'<text x="{_fmt((xs[a] + xs[b]) / 2 + 4)}" y="{_fmt(y_bar - 4)}"'
             f' font-size="10" font-family="sans-serif">{format(levels[node], ".6g")}</text>'
         )
     for leaf in leaf_order:

@@ -235,7 +235,7 @@ def test_criterion_7_meta_contract():
     problems = []
 
     worked = emstucc([Point((0.0,)), Point((1.0,)), Point((5.0,))])
-    levels = [rec.level for rec in worked.dendrogram.merges]
+    levels = worked.dendrogram.level.tolist()
     if levels != [1.0, 4.0]:
         problems.append(f"worked example levels {levels}")
     if worked.central_cluster != 1:
@@ -248,9 +248,9 @@ def test_criterion_7_meta_contract():
             Point((rng.uniform(0, 100), rng.uniform(0, 100))) for _ in range(k)
         ]
         result = emstucc(centers)
-        if len(result.dendrogram.merges) != k - 1:
+        if len(result.dendrogram.level) != k - 1:
             problems.append(f"trial {trial}: merge count")
-        merge_levels = [rec.level for rec in result.dendrogram.merges]
+        merge_levels = result.dendrogram.level.tolist()
         if merge_levels != sorted(merge_levels):
             problems.append(f"trial {trial}: levels decrease")
         if abs(math.fsum(merge_levels) - result.meta_tree.total_weight) > 1e-9:

@@ -432,9 +432,9 @@ class TestPowerOfTwoScaling:
             meta_a, meta_b = emstucc(a.center_set), emstucc(b.center_set)
             assert meta_b.central_cluster == meta_a.central_cluster
             assert meta_b.meta_radius == math.ldexp(meta_a.meta_radius, e)
-            for x, y in zip(meta_a.dendrogram.merges, meta_b.dendrogram.merges):
-                assert (y.left, y.right, y.new_node) == (x.left, x.right, x.new_node)
-                assert y.level == math.ldexp(x.level, e)
+            x, y = meta_a.dendrogram, meta_b.dendrogram
+            assert (y.left.tolist(), y.right.tolist()) == (x.left.tolist(), x.right.tolist())
+            assert y.level.tolist() == [math.ldexp(z, e) for z in x.level.tolist()]
 
 
 @settings(max_examples=40, deadline=None)

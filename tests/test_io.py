@@ -27,7 +27,6 @@ from emstclust import (
     Dendrogram,
     Edge,
     InputError,
-    MergeRecord,
     Point,
     RunConfig,
     SpanningForest,
@@ -163,16 +162,10 @@ class TestReadPointsCsv:
 
 class TestNewick:
     def test_single_leaf(self):
-        assert newick_string(Dendrogram(leaf_count=1)) == "C0;"
+        assert newick_string(Dendrogram(1, [], [], [])) == "C0;"
 
     def test_three_leaf_worked_example(self):
-        d = Dendrogram(
-            leaf_count=3,
-            merges=(
-                MergeRecord(1, 1.0, 0, 1, 3),
-                MergeRecord(2, 4.0, 3, 2, 4),
-            ),
-        )
+        d = Dendrogram(3, [0, 3], [1, 2], [1.0, 4.0])
         assert newick_string(d) == "((C0:1,C1:1):3,C2:4);"
 
     def test_reparse_round_trip(self):
@@ -194,11 +187,12 @@ class TestNewick:
         # text alive would hold about k / 2 copies of the output, here
         # 27 MB; dropping them leaves O(k) bytes.
         k = 2000
-        merges = tuple(
-            MergeRecord(m, float(m), 0 if m == 1 else k - 2 + m, m, k - 1 + m)
-            for m in range(1, k)
+        dendrogram = Dendrogram(
+            k,
+            [0 if m == 1 else k - 2 + m for m in range(1, k)],
+            list(range(1, k)),
+            [float(m) for m in range(1, k)],
         )
-        dendrogram = Dendrogram(leaf_count=k, merges=merges)
         tracemalloc.start()
         try:
             text = newick_string(dendrogram)
@@ -378,8 +372,15 @@ def test_json_files_read_back_exactly(ds, data):
             ("removed_edges", removed),
         ]
         merges = [
-            [("m", rec.m), ("level", rec.level), ("left", rec.left), ("right", rec.right)]
-            for rec in meta.dendrogram.merges
+            [("m", m), ("level", level), ("left", left), ("right", right)]
+            for m, (level, left, right) in enumerate(
+                zip(
+                    meta.dendrogram.level.tolist(),
+                    meta.dendrogram.left.tolist(),
+                    meta.dendrogram.right.tolist(),
+                ),
+                start=1,
+            )
         ]
         assert read["dendrogram.json"] == [("leaf_count", k), ("merges", merges)]
         assert read["meta.json"] == [

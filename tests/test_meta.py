@@ -74,11 +74,9 @@ class TestCentralCluster:
 class TestEmstucc:
     def test_three_center_worked_example(self):
         result = emstucc([p(0), p(1), p(5)])
-        records = [
-            (rec.m, rec.level, rec.left, rec.right, rec.new_node)
-            for rec in result.dendrogram.merges
-        ]
-        assert records == [(1, 1.0, 0, 1, 3), (2, 4.0, 3, 2, 4)]
+        d = result.dendrogram
+        records = list(zip(d.level.tolist(), d.left.tolist(), d.right.tolist()))
+        assert records == [(1.0, 0, 1), (4.0, 3, 2)]
         assert result.central_cluster == 1
         assert result.meta_radius == 4.0
         assert result.dendrogram.leaf_count == 3
@@ -86,13 +84,14 @@ class TestEmstucc:
     def test_single_center(self):
         result = emstucc([p(9, 9)])
         assert result.dendrogram.leaf_count == 1
-        assert result.dendrogram.merges == ()
+        d = result.dendrogram
+        assert len(d.left) == len(d.right) == len(d.level) == 0
         assert result.central_cluster == 0
         assert result.meta_radius == 0.0
 
     def test_duplicate_centers_merge_at_zero(self):
         result = emstucc([p(1), p(1), p(4)])
-        levels = [rec.level for rec in result.dendrogram.merges]
+        levels = result.dendrogram.level.tolist()
         assert levels[0] == 0.0
         assert levels == sorted(levels)
 
@@ -104,8 +103,8 @@ class TestEmstucc:
                 p(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(k)
             ]
             result = emstucc(centers)
-            assert len(result.dendrogram.merges) == k - 1
-            levels = [rec.level for rec in result.dendrogram.merges]
+            assert len(result.dendrogram.level) == k - 1
+            levels = result.dendrogram.level.tolist()
             assert levels == sorted(levels)
             assert math.fsum(levels) == pytest.approx(
                 result.meta_tree.total_weight, abs=1e-9
@@ -126,7 +125,6 @@ class TestEmstucc:
         centers = [p(rng.uniform(0, 10)) for _ in range(12)]
         result = emstucc(centers)
         seen = set()
-        for rec in result.dendrogram.merges:
-            seen.add(rec.left)
-            seen.add(rec.right)
+        seen.update(result.dendrogram.left.tolist())
+        seen.update(result.dendrogram.right.tolist())
         assert set(range(12)) <= seen

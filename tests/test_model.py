@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from emstclust import (
     Dendrogram,
     Edge,
     InputError,
-    MergeRecord,
     MODE_STD,
     MODE_ZAHN,
     Point,
@@ -164,42 +164,56 @@ class TestClusterReport:
 
 class TestDendrogram:
     def test_single_leaf(self):
-        d = Dendrogram(leaf_count=1, merges=())
+        d = Dendrogram(1, [], [], [])
         assert d.final_level == 0.0
 
-    def test_merge_count_enforced(self):
-        with pytest.raises(InputError):
-            Dendrogram(leaf_count=3, merges=(MergeRecord(1, 1.0, 0, 1, 3),))
-
-    def test_levels_must_not_decrease(self):
-        with pytest.raises(InputError):
-            Dendrogram(
-                leaf_count=3,
-                merges=(
-                    MergeRecord(1, 2.0, 0, 1, 3),
-                    MergeRecord(2, 1.0, 3, 2, 4),
-                ),
-            )
-
-    def test_new_node_ids_sequential(self):
-        with pytest.raises(InputError):
-            Dendrogram(
-                leaf_count=3,
-                merges=(
-                    MergeRecord(1, 1.0, 0, 1, 9),
-                    MergeRecord(2, 2.0, 9, 2, 4),
-                ),
-            )
+    @pytest.mark.parametrize(
+        "leaf_count, left, right, level, message",
+        [
+            (3, [0], [1], [1.0], "3 leaves need left, right and level of length 2"),
+            (3, [0, 3], [1, 2], [1.0], "3 leaves need left, right and level of length 2"),
+            (3, [[0, 3]], [[1, 2]], [[1.0, 4.0]], "3 leaves need left, right and level of length 2"),
+            (3, [0, 4], [1, 2], [1.0, 2.0], "each merge must join two nodes formed before it"),
+            (3, [0, 9], [1, 2], [1.0, 2.0], "each merge must join two nodes formed before it"),
+            (3, [0, 3], [-1, 2], [1.0, 2.0], "each merge must join two nodes formed before it"),
+            (3, [0, 0], [1, 2], [1.0, 2.0], "node 0 is joined 2 times, not once"),
+            (3, [0, 1], [0, 2], [1.0, 2.0], "node 0 is joined 2 times, not once"),
+            (4, [0, 2, 1], [1, 4, 3], [1.0, 2.0, 3.0], "node 1 is joined 2 times, not once"),
+            (3, [0, 3], [1, 3], [1.0, 2.0], "node 3 is joined 2 times, not once"),
+            (3, [0, 2.9], [1, 2], [1.0, 2.0], "node ids must be whole numbers"),
+            (3, [0, 3], [1, math.nan], [1.0, 2.0], "node ids must be whole numbers"),
+            (3, [0, 3], [1, "two"], [1.0, 2.0], "node ids must be whole numbers"),
+            (3, [0, 3], [1, 2], [1.0, math.nan], "merge levels must be finite, >= 0 and non-"),
+            (3, [0, 3], [1, 2], [1.0, math.inf], "merge levels must be finite, >= 0 and non-"),
+            (3, [0, 3], [1, 2], [-1.0, 2.0], "merge levels must be finite, >= 0 and non-"),
+            (3, [0, 3], [1, 2], [2.0, 1.0], "merge levels must be finite, >= 0 and non-"),
+            (0, [], [], [], "a dendrogram needs at least one leaf"),
+            (2.5, [0], [1], [1.0], "leaf_count must be a whole number, got 2.5"),
+        ],
+        ids=[
+            "one-merge-short", "level-short", "two-dimensional", "node-not-formed-yet",
+            "node-never-formed", "negative-node", "left-joined-twice", "joined-with-itself",
+            "subtree-joined-twice", "node-never-joined", "fractional-id", "nan-id",
+            "string-id", "nan-level", "infinite-level", "negative-level", "decreasing-level",
+            "no-leaves", "fractional-leaf-count",
+        ],
+    )
+    def test_refused(self, leaf_count, left, right, level, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Dendrogram(leaf_count, left, right, level)
 
     def test_valid_three_leaves(self):
-        d = Dendrogram(
-            leaf_count=3,
-            merges=(
-                MergeRecord(1, 1.0, 0, 1, 3),
-                MergeRecord(2, 4.0, 3, 2, 4),
-            ),
-        )
+        d = Dendrogram(3, [0, 3], [1, 2], [1.0, 4.0])
         assert d.final_level == 4.0
+
+    def test_arrays_are_read_only_copies(self):
+        left = np.array([0, 3])
+        d = Dendrogram(3.0, left, np.array([1, 2]), [1.0, 4.0])
+        left[0] = 1
+        assert d.leaf_count == 3 and d.left.tolist() == [0, 3]
+        assert (d.left.dtype, d.right.dtype, d.level.dtype) == (np.int64, np.int64, np.float64)
+        with pytest.raises(ValueError):
+            d.level[0] = 0.0
 
 
 class TestCriterionConfig:
