@@ -190,7 +190,7 @@ class ClusteringResult:
     def clusters(self) -> tuple[Cluster, ...]:
         part = self.partition
         return tuple(
-            Cluster._of_arrays(part.members_of(c), *part.edges_of(c))
+            Cluster(part.members_of(c), *part.edges_of(c))
             for c in range(part.count)
         )
 

@@ -73,11 +73,11 @@ _PRIM_BUFSIZE = 1 << 10  # numpy ufunc buffer size, in elements, during dense Pr
 def build_emst(dataset: Dataset) -> SpanningForest:
     """Build the Euclidean minimum spanning tree of a dataset.
 
-    The tree is _emst_arrays(dataset.coords), held by a SpanningForest
-    without building an Edge; see there. A single-point dataset yields a
-    forest with no edges.
+    The tree is _emst_arrays(dataset.coords), see there, handed to the one
+    SpanningForest constructor; no Edge is built. A single-point dataset
+    yields a forest with no edges.
     """
-    return SpanningForest._of_arrays(len(dataset), *_emst_arrays(dataset.coords))
+    return SpanningForest(len(dataset), *_emst_arrays(dataset.coords))
 
 
 def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -56,7 +56,7 @@ class MetaResult:
 
     @cached_property
     def meta_tree(self) -> SpanningForest:
-        return SpanningForest._of_arrays(self.dendrogram.leaf_count, *self.tree)
+        return SpanningForest(self.dendrogram.leaf_count, *self.tree)
 
 
 def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:

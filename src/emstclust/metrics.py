@@ -14,7 +14,7 @@ import numpy as np
 
 from .emst import _SCALE_EXP
 from .errors import DegenerateInputError, InputError
-from .model import Cluster, Dataset, Point, SpanningForest
+from .model import Cluster, Dataset, Point, SpanningForest, _whole_ids
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -77,7 +77,7 @@ class DistanceTable:
     distances: np.ndarray
 
     def __post_init__(self) -> None:
-        vertices = tuple(int(v) for v in self.vertices)
+        vertices = tuple(_whole_ids(self.vertices, "vertices").tolist())
         if not vertices:
             raise InputError("a distance table needs at least one vertex")
         if len(set(vertices)) != len(vertices):
@@ -286,13 +286,11 @@ def cluster_compactness(clusters: Sequence[Cluster], dataset: Dataset) -> Compac
     """
     if not clusters:
         raise InputError("at least one cluster is required")
-    n = len(dataset)
-    seen: set[int] = set()
-    for c in clusters:
-        if not c.members.isdisjoint(seen):
-            raise InputError("clusters overlap")
-        seen |= c.members
-    if seen != set(range(n)):
+    # Member ids are whole and >= 0 (the Cluster constructor checks them).
+    counts = np.bincount(np.concatenate([c.ids for c in clusters]), minlength=len(dataset))
+    if counts.max() > 1:
+        raise InputError("clusters overlap")
+    if len(counts) != len(dataset) or not counts.all():
         raise InputError("clusters must partition the dataset indices")
     variances = [_rms_spread(dataset.coords[c.ids].tolist()) for c in clusters]
     return _compactness(variances, dataset)

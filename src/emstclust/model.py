@@ -3,10 +3,11 @@
 Vertices are always identified by their 0-based position in the dataset, so
 an edge or a cluster can be interpreted without carrying the coordinates
 around. Points, trees, partitions and dendrograms are held as read-only
-numpy arrays. Built through their public constructors, they are validated
-there; built by the library's own array routines (the _of_array(s)
-constructors), they were checked once where the data entered. Their object
-forms (Point, Edge, frozensets) are views built on first access.
+numpy arrays. Trees, clusters and dendrograms have one constructor each,
+which checks its arrays with a handful of numpy operations; a Dataset
+built by the library's own array routines (Dataset._of_array) was checked
+once where the data entered. Their object forms (Point, Edge, frozensets)
+are views built on first access.
 """
 
 from __future__ import annotations
@@ -59,6 +60,18 @@ def _whole(value, name: str, error: type[Exception]) -> int:
     if whole != value:
         raise error(f"{name} must be a whole number, got {value!r}")
     return whole
+
+
+def _whole_ids(values, name: str) -> np.ndarray:
+    """values as a new int64 array, or InputError when one is not a whole
+    number (2.9, nan, "a"): the one rule for every id, which each caller
+    range-checks; ids are refused, never truncated."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+        ids = values.astype(np.int64) if values.dtype.kind in "biuf" else None
+    if ids is None or not (ids == values).all():
+        raise InputError(f"{name} must be whole numbers")
+    return ids
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -122,7 +135,7 @@ class Edge:
     weight: float
 
     def __post_init__(self) -> None:
-        u, v = int(self.u), int(self.v)
+        u, v = _whole_ids((self.u, self.v), "edge endpoints").tolist()
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if u < 0 or v < 0:
@@ -167,54 +180,48 @@ def _lowest_members(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = up
 
 
-def _edge_arrays(edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parallel arrays u, v and weight of edges, in ascending (u, v) order."""
-    ordered = sorted(edges)
-    u = np.array([e.u for e in ordered], dtype=np.int64)
-    v = np.array([e.v for e in ordered], dtype=np.int64)
-    w = np.array([e.weight for e in ordered], dtype=np.float64)
-    return u, v, w
-
-
 def _edge_views(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> frozenset[Edge]:
     return frozenset(map(Edge, u.tolist(), v.tolist(), w.tolist()))
+
+
+def _tree_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (u[i], v[i], w[i]) as new read-only arrays u < v (int64)
+    and w (float64) in ascending (u, v) order, after the checks that every
+    tree shares: u, v and w 1-D and of one length, whole endpoints, no
+    self-loop, weights finite and >= 0. The caller checks the range."""
+    u, v, w = np.asarray(u), np.asarray(v), np.array(w, dtype=np.float64)
+    if not (u.ndim == 1 and u.shape == v.shape == w.shape):
+        raise InputError("u, v and w must be 1-D and of one length")
+    ends = _whole_ids(np.array((u, v)), "edge endpoints")
+    lo, hi = np.minimum(ends[0], ends[1]), np.maximum(ends[0], ends[1])
+    if (lo == hi).any():
+        raise InputError(f"self-loop at vertex {lo[lo == hi][0]}")
+    if not (np.isfinite(w) & (w >= 0.0)).all():
+        raise InputError("edge weights must be finite and >= 0")
+    order = np.lexsort((hi, lo))
+    return _read_only(lo[order]), _read_only(hi[order]), _read_only(w[order])
 
 
 class SpanningForest:
     """An acyclic edge set over vertices 0 .. vertex_count - 1.
 
-    The edges are held as read-only parallel arrays u < v and w, in
-    ascending (u, v) order. edges, the same edges as a frozenset of Edge
-    objects, is built on first access. With acyclicity enforced, the number
-    of connected components is always vertex_count - len(u).
+    The edges (u[i], v[i], w[i]), in any order and orientation, are held as
+    read-only arrays u < v and w in ascending (u, v) order. edges, the same
+    edges as a frozenset of Edge objects, is built on first access. With
+    acyclicity enforced, the number of components is vertex_count - len(u).
     """
 
-    def __init__(self, vertex_count: int, edges: Iterable[Edge]) -> None:
-        n = int(vertex_count)
+    def __init__(self, vertex_count: int, u, v, w) -> None:
+        n = _whole(vertex_count, "vertex_count", InputError)
         if n < 1:
             raise InputError("a forest needs at least one vertex")
-        edges = frozenset(edges)
-        u, v, w = _edge_arrays(edges)
-        for e in edges:
-            if e.v >= n:
-                raise InputError(f"edge {e.endpoints} leaves vertex range 0..{n - 1}")
+        u, v, w = _tree_edges(u, v, w)
+        if len(u) and (u[0] < 0 or v.max() >= n):
+            raise InputError(f"edge endpoints must lie in 0..{n - 1}")
         if np.count_nonzero(_lowest_members(n, u, v) == np.arange(n)) != n - len(u):
             raise InputError("the edges close a cycle")
-        self._hold(n, u, v, w)
-        self.__dict__["edges"] = edges
-
-    @classmethod
-    def _of_arrays(
-        cls, vertex_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> SpanningForest:
-        """A forest over arrays the caller has checked; no Edge is built."""
-        forest = cls.__new__(cls)
-        forest._hold(vertex_count, u, v, w)
-        return forest
-
-    def _hold(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         self.vertex_count = n
-        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
+        self.u, self.v, self.w = u, v, w
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -234,45 +241,31 @@ class SpanningForest:
 class Cluster:
     """One connected subtree of an EMST: its members and its internal edges.
 
-    ids holds the members in ascending order, and u < v and w the edges in
-    ascending (u, v) order, all read-only arrays over the dataset's point
-    indices. members (a frozenset) and edges (a frozenset of Edge objects)
-    are built on first access.
+    The members (ids) and the edges (u[i], v[i], w[i]), in any order and
+    orientation, are held as read-only arrays of point indices: ids
+    ascending, u < v and w in ascending (u, v) order. members (a frozenset)
+    and edges (a frozenset of Edge objects) are built on first access.
     """
 
-    def __init__(self, members: Iterable[int], edges: Iterable[Edge]) -> None:
-        members = frozenset(int(m) for m in members)
-        edges = frozenset(edges)
-        if not members:
-            raise InputError("a cluster needs at least one member")
-        if len(edges) != len(members) - 1:
-            raise InputError(
-                f"{len(members)} members need {len(members) - 1} edges, got {len(edges)}"
-            )
-        for e in edges:
-            if e.u not in members or e.v not in members:
-                raise InputError(f"edge {e.endpoints} leaves the member set")
-        ids = np.array(sorted(members), dtype=np.int64)
-        u, v, w = _edge_arrays(edges)
+    def __init__(self, ids, u, v, w) -> None:
+        ids = _whole_ids(ids, "member ids")
+        if ids.ndim != 1 or not len(ids):
+            raise InputError("a cluster needs a 1-D sequence of at least one member")
+        ids, m = np.sort(ids), len(ids)
+        if ids[0] < 0 or (ids[1:] == ids[:-1]).any():
+            raise InputError("cluster members must be distinct and >= 0")
+        u, v, w = _tree_edges(u, v, w)
+        if len(u) != m - 1:
+            raise InputError(f"{m} members need {m - 1} edges, got {len(u)}")
+        ends = np.array((u, v))
+        local = np.searchsorted(ids, ends)
+        if not (ids[np.minimum(local, m - 1)] == ends).all():
+            raise InputError("an edge leaves the member set")
         # With m - 1 edges the subtree is acyclic exactly when it connects.
-        if _lowest_members(len(ids), np.searchsorted(ids, u), np.searchsorted(ids, v)).any():
-            raise InputError("the edges close a cycle")
-        self._hold(ids, u, v, w)
-        self.__dict__["members"] = members
-        self.__dict__["edges"] = edges
-
-    @classmethod
-    def _of_arrays(
-        cls, ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> Cluster:
-        """A cluster over arrays the caller has checked; no Edge is built."""
-        cluster = cls.__new__(cls)
-        cluster._hold(ids, u, v, w)
-        return cluster
-
-    def _hold(self, ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        if _lowest_members(m, local[0], local[1]).any():
+            raise InputError("the edges close a cycle, so they do not connect the members")
         self.ids = _read_only(ids)
-        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
+        self.u, self.v, self.w = u, v, w
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -403,11 +396,7 @@ class Dendrogram:
         level = np.array(self.level, dtype=np.float64)
         if not left.shape == right.shape == level.shape == (k - 1,):
             raise InputError(f"{k} leaves need left, right and level of length {k - 1}")
-        nodes = np.stack((left, right))
-        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
-            ids = nodes.astype(np.int64) if nodes.dtype.kind in "biuf" else None
-        if ids is None or not np.array_equal(ids, nodes):
-            raise InputError("node ids must be whole numbers")
+        ids = _whole_ids(np.stack((left, right)), "node ids")
         if np.any((ids < 0) | (ids >= np.arange(k, 2 * k - 1))):
             raise InputError("each merge must join two nodes formed before it")
         # 2k - 2 child places for 2k - 2 nodes: none joined twice means each once.
@@ -447,9 +436,13 @@ class CriterionConfig:
                 f"criterion mode must be one of {_VALID_MODES}, got {self.mode!r}"
             )
         for name in ("zahn_c", "zahn_f"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                value = math.nan  # refused below, naming the field
             if not math.isfinite(value) or value <= 0.0:
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+                raise ConfigError(f"{name} must be finite and > 0, got {raw!r}")
             object.__setattr__(self, name, value)
         depth = _whole(self.zahn_depth, "zahn_depth", ConfigError)
         if depth < 1:

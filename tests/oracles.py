@@ -292,12 +292,18 @@ def random_tree(rng: random.Random, n: int, lo: float = 0.5, hi: float = 10.0) -
     return edges
 
 
+def edge_lists(edges: list[Edge]) -> tuple[list[int], list[int], list[float]]:
+    """The u, v and weight lists of Edge objects, as the tree constructors
+    take them."""
+    return [e.u for e in edges], [e.v for e in edges], [e.weight for e in edges]
+
+
 def tree_as_cluster(n: int, edges: list[Edge]) -> Cluster:
-    return Cluster(members=frozenset(range(n)), edges=frozenset(edges))
+    return Cluster(range(n), *edge_lists(edges))
 
 
 def tree_as_forest(n: int, edges: list[Edge]) -> SpanningForest:
-    return SpanningForest(vertex_count=n, edges=frozenset(edges))
+    return SpanningForest(n, *edge_lists(edges))
 
 
 def max_min_separation(points: list[Point]) -> float:

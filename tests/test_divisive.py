@@ -66,9 +66,8 @@ class TestSelectEdgeStd:
     def test_longest_clause_below_threshold(self):
         tree = build_emst(dataset_1d(0, 1, 3, 6, 10))
         stats = edge_statistics(tree)
-        remaining = SpanningForest(
-            5, frozenset(e for e in tree.edges if e.weight != 4.0)
-        )
+        keep = tree.w != 4.0
+        remaining = SpanningForest(5, tree.u[keep], tree.v[keep], tree.w[keep])
         edge, fired = select_edge_to_remove(remaining, stats, STD)
         assert edge.weight == 3.0
         assert fired == CRITERION_LONGEST

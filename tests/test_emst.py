@@ -34,6 +34,7 @@ from oracles import (
     canonical_kruskal,
     max_min_separation,
     scaled_rows,
+    tree_as_forest,
 )
 
 
@@ -133,10 +134,10 @@ class TestBuildEmst:
             ds = random_dataset(rng, n, rng.choice([1, 2]))
             tree = build_emst(ds)
             heaviest = min(tree.edges, key=lambda e: (-e.weight, e.u, e.v))
-            rest = frozenset(tree.edges) - {heaviest}
-            from emstclust import Partition, SpanningForest
+            rest = [e for e in tree.edges if e != heaviest]
+            from emstclust import Partition
 
-            forest = SpanningForest(n, rest)
+            forest = tree_as_forest(n, rest)
             parts = Partition.of_forest(n, forest.u, forest.v, forest.w)
             assert parts.count == 2
             achieved = min(

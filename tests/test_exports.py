@@ -41,3 +41,19 @@ def test_every_public_binding_is_listed_in_all():
         and not isinstance(getattr(emstclust, name), types.ModuleType)
     }
     assert public - set(emstclust.__all__) == set()
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Library example runs as written, so the documented API
+    cannot drift from the package."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n") :]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    # Four blobs of three points each, for the example's k = 4.
+    corners = ((0, 0), (50, 0), (0, 50), (50, 50))
+    pairs = [(x + dx, y + dy) for x, y in corners for dx, dy in ((0, 0), (1, 0), (0, 2))]
+    exec(compile(code, "README.md", "exec"), {"pairs": pairs})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 + 1 + 1
+    assert lines[0] == "[0, 1, 2] 2.0 3.0"
+    assert lines[-1].startswith("[2 4 9] [2 4] [4 9] [1.5 0.5]")

@@ -391,8 +391,8 @@ def test_json_files_read_back_exactly(ds, data):
 
 class TestArrayPipeline:
     """run_pipeline works on arrays from the CSV to the files: it builds no
-    Point or Edge, and no SpanningForest or Cluster by either constructor.
-    Those are the library's object views."""
+    Point or Edge, and no SpanningForest or Cluster. Those are the
+    library's object views and checked trees."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -409,9 +409,8 @@ class TestArrayPipeline:
 
         count(Point, "__post_init__")
         count(Edge, "__post_init__")
-        for cls in (SpanningForest, Cluster):
-            count(cls, "__init__")
-            count(cls, "_of_arrays")
+        count(SpanningForest, "__init__")
+        count(Cluster, "__init__")
         return counts
 
     @pytest.mark.parametrize("mode", ["std", "zahn"])
@@ -428,8 +427,9 @@ class TestArrayPipeline:
         # The counters see the object views when something does build them.
         dataset = read_points_csv(path)
         assert emstrd(dataset, 3).clusters and dataset.points
-        assert built["Cluster._of_arrays"] == 3 and built["Point.__post_init__"] == 2000
+        assert built["Cluster.__init__"] == 3 and built["Point.__post_init__"] == 2000
         assert build_emst(dataset).edges and built["Edge.__post_init__"] == 1999
+        assert built["SpanningForest.__init__"] == 1
 
 
 class TestAtomicWrite:

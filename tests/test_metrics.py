@@ -12,6 +12,7 @@ import pytest
 from emstclust import (
     Cluster,
     Dataset,
+    DistanceTable,
     Edge,
     EdgeStats,
     InputError,
@@ -27,6 +28,7 @@ from emstclust import (
 )
 from emstclust.metrics import _mean
 from oracles import (
+    edge_lists,
     eccentricities_oracle,
     mean_std,
     path_distance_oracle,
@@ -51,6 +53,12 @@ CHAIN = chain_cluster([1.0, 2.0, 3.0, 4.0])
 
 
 class TestPathDistanceTable:
+    @pytest.mark.parametrize("vertices", [(0.5, 1.5), (0, 2.9), (0, math.nan), (0, "a")])
+    def test_fractional_vertices_refused(self, vertices):
+        # (0.5, 1.5) used to be truncated to (0, 1).
+        with pytest.raises(InputError, match="vertices must be whole numbers"):
+            DistanceTable(vertices, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_two_hop_chain(self):
         table = path_distance_table(chain_cluster([1.0, 2.0]))
         assert table.distance(0, 2) == 3.0
@@ -172,7 +180,7 @@ def shaped_cluster(rng, n, shape, weight, offset=0):
         Edge(label[i], label[PARENT_OF[shape](i, rng)], WEIGHT_OF[weight](rng))
         for i in range(1, n)
     ]
-    return Cluster(frozenset(label), frozenset(edges))
+    return Cluster(label, *edge_lists(edges))
 
 
 def assert_same_as_table(cluster):
@@ -214,7 +222,7 @@ class TestTreeEccentricities:
                 tuple(p(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n))
             )
             tree = build_emst(ds)
-            assert_same_as_table(Cluster(frozenset(range(n)), tree.edges))
+            assert_same_as_table(Cluster(range(n), tree.u, tree.v, tree.w))
 
     @pytest.mark.parametrize("weight", sorted(WEIGHT_OF))
     @pytest.mark.parametrize("shape", sorted(PARENT_OF))
@@ -392,19 +400,22 @@ class TestCompactness:
 
     def test_degenerate_identical_points(self):
         ds = Dataset((p(3, 3), p(3, 3), p(3, 3)))
-        clusters = [Cluster(frozenset({0, 1, 2}), frozenset([Edge(0, 1, 0.0), Edge(1, 2, 0.0)]))]
+        clusters = [Cluster([0, 1, 2], [0, 1], [1, 2], [0.0, 0.0])]
         value, degenerate = cluster_compactness(clusters, ds)
         assert value == 0.0
         assert degenerate is True
 
     def test_partition_enforced(self):
         ds = Dataset((p(0), p(1), p(2)))
-        incomplete = [Cluster(frozenset({0, 1}), frozenset([Edge(0, 1, 1.0)]))]
-        with pytest.raises(InputError):
+        incomplete = [Cluster([0, 1], [0], [1], [1.0])]
+        with pytest.raises(InputError, match="clusters must partition the dataset indices"):
             cluster_compactness(incomplete, ds)
+        beyond = [Cluster([0, 1], [0], [1], [1.0]), Cluster([2, 3], [2], [3], [1.0])]
+        with pytest.raises(InputError, match="clusters must partition the dataset indices"):
+            cluster_compactness(beyond, ds)
         overlapping = [
-            Cluster(frozenset({0, 1}), frozenset([Edge(0, 1, 1.0)])),
-            Cluster(frozenset({1, 2}), frozenset([Edge(1, 2, 1.0)])),
+            Cluster([0, 1], [0], [1], [1.0]),
+            Cluster([1, 2], [1], [2], [1.0]),
         ]
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="clusters overlap"):
             cluster_compactness(overlapping, ds)

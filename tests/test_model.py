@@ -80,17 +80,52 @@ class TestEdge:
     def test_zero_weight_allowed(self):
         assert Edge(0, 1, 0.0).weight == 0.0
 
+    def test_whole_endpoints_of_any_type(self):
+        e = Edge(np.int32(5), 2.0, 1)
+        assert (e.u, e.v, e.weight) == (2, 5, 1.0)
+        assert type(e.u) is int and type(e.v) is int
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            (2.9, 5, "edge endpoints must be whole numbers"),
+            (0, math.nan, "edge endpoints must be whole numbers"),
+            (0, math.inf, "edge endpoints must be whole numbers"),
+            ("a", 1, "edge endpoints must be whole numbers"),
+            (-1, 2, "vertex indices must be non-negative"),
+        ],
+        ids=["fractional", "nan", "infinite", "string", "negative"],
+    )
+    def test_refused(self, u, v, message):
+        # Edge(2.9, 5, 1.0) used to be truncated to Edge(2, 5, 1.0).
+        with pytest.raises(InputError, match=message):
+            Edge(u, v, 1.0)
+
+
+# Refusals shared by both tree types, as (u, v, w, message). Cycles and
+# ids out of range have named tests in each type's class.
+EDGE_REFUSALS = {
+    "fractional-endpoint": ([0, 1.5], [1, 2], [1.0, 1.0], "edge endpoints must be whole numbers"),
+    "nan-endpoint": ([0, math.nan], [1, 2], [1.0, 1.0], "edge endpoints must be whole numbers"),
+    "string-endpoint": ([0, "a"], [1, 2], [1.0, 1.0], "edge endpoints must be whole numbers"),
+    "repeated-pair": ([0, 1], [1, 0], [1.0, 2.0], "the edges close a cycle"),
+    "length-mismatch": ([0, 1], [1], [1.0, 1.0], "u, v and w must be 1-D and of one length"),
+    "two-dimensional": ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "u, v and w must be 1-D and of one"),
+    "self-loop": ([0, 1], [1, 1], [1.0, 1.0], "self-loop at vertex 1"),
+    "nan-weight": ([0, 1], [1, 2], [1.0, math.nan], "edge weights must be finite and >= 0"),
+    "negative-weight": ([0, 1], [1, 2], [-1.0, 1.0], "edge weights must be finite and >= 0"),
+}
+
 
 class TestSpanningForest:
     def test_component_count_chain(self):
-        edges = [Edge(i, i + 1, 1.0) for i in range(4)]
-        forest = SpanningForest(5, frozenset(edges))
+        forest = SpanningForest(5, [0, 1, 2, 3], [1, 2, 3, 4], [1.0] * 4)
         assert forest.component_count == 1
-        smaller = SpanningForest(5, frozenset(edges[:1] + edges[2:]))
+        smaller = SpanningForest(5, [0, 2, 3], [1, 3, 4], [1.0] * 3)
         assert smaller.component_count == 2
 
     def test_components_sorted_by_lowest_member(self):
-        forest = SpanningForest(5, frozenset([Edge(3, 4, 1.0), Edge(0, 2, 1.0)]))
+        forest = SpanningForest(5, [3, 0], [4, 2], [1.0, 1.0])
         part = Partition.of_forest(5, forest.u, forest.v, forest.w)
         assert [part.members_of(c).tolist() for c in range(part.count)] == [
             [0, 2],
@@ -100,39 +135,106 @@ class TestSpanningForest:
         assert part.labels.tolist() == [0, 1, 0, 2, 2]
 
     def test_rejects_cycle(self):
-        with pytest.raises(InputError):
-            SpanningForest(
-                3, frozenset([Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 1.0)])
-            )
+        with pytest.raises(InputError, match="the edges close a cycle"):
+            SpanningForest(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
 
     def test_rejects_out_of_range_vertex(self):
-        with pytest.raises(InputError):
-            SpanningForest(2, frozenset([Edge(0, 5, 1.0)]))
+        with pytest.raises(InputError, match=re.escape("edge endpoints must lie in 0..1")):
+            SpanningForest(2, [0], [5], [1.0])
 
     def test_total_weight(self):
-        forest = SpanningForest(3, frozenset([Edge(0, 1, 1.5), Edge(1, 2, 2.5)]))
+        forest = SpanningForest(3, [0, 1], [1, 2], [1.5, 2.5])
         assert forest.total_weight == 4.0
+
+    def test_any_order_and_orientation_held_as_read_only_copies(self):
+        u = np.array([2, 1, 0])
+        forest = SpanningForest(4.0, u, (1, 0, 3), [3, 1.0, 2.0])
+        u[0] = 3
+        assert forest.vertex_count == 4
+        assert (forest.u.tolist(), forest.v.tolist(), forest.w.tolist()) == (
+            [0, 0, 1], [1, 3, 2], [1.0, 2.0, 3.0]
+        )
+        assert (forest.u.dtype, forest.v.dtype, forest.w.dtype) == (np.int64, np.int64, np.float64)
+        assert forest.edges == {Edge(0, 1, 1.0), Edge(0, 3, 2.0), Edge(1, 2, 3.0)}
+        with pytest.raises(ValueError):
+            forest.w[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "vertex_count, u, v, w, message",
+        [
+            (2.5, [0], [1], [1.0], "vertex_count must be a whole number, got 2.5"),
+            (math.nan, [], [], [], "vertex_count must be a whole number, got nan"),
+            (0, [], [], [], "a forest needs at least one vertex"),
+            (3, [-1], [1], [1.0], "edge endpoints must lie in 0..2"),
+            *((3, *case) for case in EDGE_REFUSALS.values()),
+        ],
+        ids=[
+            "fractional-vertex-count", "nan-vertex-count", "no-vertices", "negative-endpoint",
+            *EDGE_REFUSALS,
+        ],
+    )
+    def test_refused(self, vertex_count, u, v, w, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SpanningForest(vertex_count, u, v, w)
 
 
 class TestCluster:
     def test_valid_singleton(self):
-        c = Cluster(frozenset({7}), frozenset())
-        assert c.size == 1
+        c = Cluster([7], [], [], [])
+        assert c.size == 1 and c.members == {7} and c.edges == frozenset()
 
     def test_edge_count_must_fit_members(self):
-        with pytest.raises(InputError):
-            Cluster(frozenset({0, 1, 2}), frozenset([Edge(0, 1, 1.0)]))
+        with pytest.raises(InputError, match="3 members need 2 edges, got 1"):
+            Cluster([0, 1, 2], [0], [1], [1.0])
 
     def test_edges_must_stay_inside(self):
-        with pytest.raises(InputError):
-            Cluster(frozenset({0, 1}), frozenset([Edge(0, 2, 1.0)]))
+        with pytest.raises(InputError, match="an edge leaves the member set"):
+            Cluster([0, 1], [0], [2], [1.0])
 
     def test_rejects_internal_cycle(self):
-        with pytest.raises(InputError):
-            Cluster(
-                frozenset({0, 1, 2, 3}),
-                frozenset([Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 1.0)]),
-            )
+        # Three edges over four members that close a cycle leave one out.
+        with pytest.raises(InputError, match="the edges close a cycle, so they do not connect"):
+            Cluster([0, 1, 2, 3], [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
+
+    def test_any_order_and_orientation_held_as_read_only_copies(self):
+        ids = np.array([9, 4, 7])
+        c = Cluster(ids, [9, 4], [7, 7], [2.0, 1])
+        ids[0] = 5
+        assert (c.ids.tolist(), c.u.tolist(), c.v.tolist(), c.w.tolist()) == (
+            [4, 7, 9], [4, 7], [7, 9], [1.0, 2.0]
+        )
+        assert (c.ids.dtype, c.u.dtype, c.w.dtype) == (np.int64, np.int64, np.float64)
+        assert c.members == {4, 7, 9} and c.edges == {Edge(4, 7, 1.0), Edge(7, 9, 2.0)}
+        with pytest.raises(ValueError):
+            c.ids[0] = 0
+
+    @pytest.mark.parametrize(
+        "ids, u, v, w, message",
+        [
+            ([0.5, 1.7], [0], [1], [1.0], "member ids must be whole numbers"),
+            ([0, math.nan], [0], [1], [1.0], "member ids must be whole numbers"),
+            (["a", "b"], [0], [1], [1.0], "member ids must be whole numbers"),
+            ([-1], [], [], [], "cluster members must be distinct and >= 0"),
+            ([0, 1, 1], [0, 1], [1, 2], [1.0, 1.0], "cluster members must be distinct and >= 0"),
+            ([], [], [], [], "a cluster needs a 1-D sequence of at least one member"),
+            (7, [], [], [], "a cluster needs a 1-D sequence of at least one member"),
+            ([0, 2], [0], [1], [1.0], "an edge leaves the member set"),
+            ([0, 1], [-1], [1], [1.0], "an edge leaves the member set"),
+            *(([0, 1, 2], *case) for case in EDGE_REFUSALS.values()),
+            # m - 1 edges that leave the members disconnected close a cycle.
+            ([0, 1, 2, 3, 4, 5], [0, 1, 0, 3, 4], [1, 2, 2, 4, 5], [1.0] * 5,
+             "the edges close a cycle, so they do not connect the members"),
+        ],
+        ids=[
+            "fractional-member", "nan-member", "string-member", "negative-member",
+            "repeated-member", "no-members", "not-a-sequence", "edge-between-members",
+            "negative-endpoint", *EDGE_REFUSALS,
+            "disconnected",
+        ],
+    )
+    def test_refused(self, ids, u, v, w, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Cluster(ids, u, v, w)
 
 
 class TestClusterReport:
@@ -238,6 +340,14 @@ class TestCriterionConfig:
             CriterionConfig(zahn_f=-1.0)
         with pytest.raises(ConfigError):
             CriterionConfig(zahn_depth=0)
+
+    @pytest.mark.parametrize("name", ["zahn_c", "zahn_f"])
+    @pytest.mark.parametrize("value", ["x", None, [2.0]])
+    def test_non_numeric_parameters_refused(self, name, value):
+        # float("x") used to escape as a bare ValueError.
+        message = f"{name} must be finite and > 0, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            CriterionConfig(**{name: value})
 
     def test_non_integral_depth_refused(self):
         with pytest.raises(ConfigError, match="zahn_depth must be a whole number, got 1.7"):
