@@ -207,7 +207,7 @@ def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
     """Cluster c's report: its tree center, radius and diameter (_center)
     and the RMS spread of its coordinates."""
     ids = part.members_of(c)
-    variance = _rms_spread(coords[ids].tolist())
+    variance = _rms_spread(coords[ids])
     return ClusterReport(*_center(ids, *part.edges_of(c)), variance, size=len(ids))
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .model import Dataset, SpanningForest, _lowest_members
+from .model import _CHUNK, Dataset, SpanningForest, _lowest_members
 
 
 def _planes(rows: np.ndarray) -> np.ndarray:
@@ -134,7 +134,9 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     span the points. A builder that breaks that raises InputError here, so
     nothing downstream checks again. The weights are math.dist on the
     coordinate rows, the correctly rounded distance every output reports
-    (np.sqrt of d^2 rounds differently on many pairs).
+    (np.sqrt of d^2 rounds differently on many pairs), taken one chunk of
+    _CHUNK edges at a time into a float64 array: the endpoint rows exist
+    as Python lists for one chunk only, not for the whole tree.
 
     Raises InputError when squared distances overflow float64 so that
     some part of the points has no finite edge to the rest.
@@ -173,7 +175,10 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise InputError("the EMST edges do not span the points")
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
-    w = np.array(list(map(math.dist, coords[u].tolist(), coords[v].tolist())), dtype=np.float64)
+    w = np.empty(len(u))
+    for start in range(0, len(u), _CHUNK):
+        ends = slice(start, start + _CHUNK)
+        w[ends] = list(map(math.dist, coords[u[ends]].tolist(), coords[v[ends]].tolist()))
     return u, v, w
 
 

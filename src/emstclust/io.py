@@ -4,9 +4,11 @@ All output files are written atomically (write to a uniquely named temporary
 sibling, then rename) and every real number is serialized with 17 significant
 digits so a reader parsing the file recovers bit-identical values. Identical
 input and configuration therefore produce byte-identical files across runs.
-Each JSON file has its own formatter for its one fixed layout; clusters.json
-(one cluster at a time) and dendrogram.newick (a walk over the dendrogram's
-arrays) are streamed into the atomic write, with no document in between.
+Each output file has its own formatter for its one fixed layout, and every
+one is streamed into the atomic write in chunks, with no document in
+between: clusters.json one cluster at a time, dendrogram.newick from a walk
+over the dendrogram's arrays, and assignments.csv, the merge array of
+dendrogram.json, the removed edges and both SVGs _CHUNK rows at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -26,8 +28,9 @@ from .errors import ConfigError, InputError
 from .meta import MetaResult, emstucc
 # cluster_compactness is not used here: the benchmark's layer trace looks it up.
 from .metrics import _compactness, cluster_compactness  # noqa: F401
-from .model import CriterionConfig, Dataset, Dendrogram, _whole
-from .svg import dendrogram_svg, scatter_svg
+from .model import _CHUNK, CriterionConfig, Dataset, Dendrogram, _values, _whole
+# The str renderers are not used here: the benchmark's layer trace looks them up.
+from .svg import _dendrogram_chunks, _scatter_chunks, dendrogram_svg, scatter_svg  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,9 @@ def read_points_csv(path: Path | str) -> Dataset:
     treated as a header and skipped. Ragged rows, non-finite or
     non-numeric cells, bytes that are not UTF-8 and fields over the csv
     module's size limit raise an input error naming the file and the
-    1-based line number. The rows go straight into the dataset's
-    coordinate array; no Point is built.
+    1-based line number. The rows are folded into float64 blocks _CHUNK
+    rows at a time and the blocks into the dataset's coordinate array; no
+    Point is built.
     """
     path = Path(path)
     try:
@@ -100,8 +104,9 @@ def read_points_csv(path: Path | str) -> Dataset:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
+    blocks: list[np.ndarray] = []
     rows: list[tuple[float, ...]] = []
-    width: int | None = None
+    width: int | None = None  # set by the first data row
     header_seen = False
     with handle:
         for lineno, row in enumerate(_csv_rows(handle, path), start=1):
@@ -122,7 +127,7 @@ def read_points_csv(path: Path | str) -> Dataset:
                     raise InputError(f"{path}: line {lineno}: not UTF-8 text") from None
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                if not rows and not header_seen and not _looks_numeric(row):
+                if width is None and not header_seen and not _looks_numeric(row):
                     header_seen = True
                     continue
                 values = _parse_row(row, lineno, path)
@@ -135,9 +140,14 @@ def read_points_csv(path: Path | str) -> Dataset:
                     f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
                 )
             rows.append(values)
-    if not rows:
+            if len(rows) == _CHUNK:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows.clear()
+    if rows:
+        blocks.append(np.array(rows, dtype=np.float64))
+    if not blocks:
         raise InputError(f"no data rows in {path}")
-    return Dataset._of_array(np.array(rows, dtype=np.float64))
+    return Dataset._of_array(np.concatenate(blocks))
 
 
 def _newick_chunks(dendrogram: Dendrogram) -> Iterator[str]:
@@ -201,16 +211,24 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _assignments_csv(result: ClusteringResult) -> str:
-    labels = result.partition.labels.tolist()
-    lines = ["point_index,cluster_id", *map("{},{}".format, range(len(labels)), labels)]
-    return "\n".join(lines) + "\n"
+def _assignments_csv(result: ClusteringResult) -> Iterator[str]:
+    """assignments.csv: the header, then _CHUNK rows to a chunk."""
+    labels = result.partition.labels
+    yield "point_index,cluster_id\n"
+    for start in range(0, len(labels), _CHUNK):
+        chunk = labels[start : start + _CHUNK].tolist()
+        yield "".join(map("{},{}\n".format, range(start, start + len(chunk)), chunk))
 
 
-def _array(items: Iterable[str], pad: str) -> str:
-    """A JSON array of rendered items, closed at indent pad; [] when empty."""
-    body = ",\n".join(items)
-    return f"[\n{body}\n{pad}]" if body else "[]"
+def _array(items: Iterable[str], pad: str) -> Iterator[str]:
+    """A JSON array of rendered items, closed at indent pad, _CHUNK items
+    to a chunk; [] when empty."""
+    items = iter(items)
+    opening = "[\n"
+    while batch := list(islice(items, _CHUNK)):
+        yield opening + ",\n".join(batch)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else f"\n{pad}]"
 
 
 def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
@@ -235,7 +253,8 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
             f'      "variance": {report.variance:.17g}\n'
             "    }"
         )
-    removed = _array(
+    yield '\n  ],\n  "removed_edges": '
+    yield from _array(
         (
             f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
             f'      "criterion": "{fired}"\n    }}'
@@ -243,12 +262,14 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
         ),
         "  ",
     )
-    yield f'\n  ],\n  "removed_edges": {removed}\n}}\n'
+    yield "\n}\n"
 
 
-def _dendrogram_json(dendrogram: Dendrogram) -> str:
-    rows = zip(dendrogram.level.tolist(), dendrogram.left.tolist(), dendrogram.right.tolist())
-    merges = _array(
+def _dendrogram_json(dendrogram: Dendrogram) -> Iterator[str]:
+    """dendrogram.json: the leaf count, then the merges _CHUNK at a time."""
+    yield f'{{\n  "leaf_count": {dendrogram.leaf_count},\n  "merges": '
+    rows = _values(dendrogram.level, dendrogram.left, dendrogram.right)
+    yield from _array(
         (
             f'    {{\n      "m": {m},\n      "level": {level:.17g},\n'
             f'      "left": {left},\n      "right": {right}\n    }}'
@@ -256,7 +277,7 @@ def _dendrogram_json(dendrogram: Dendrogram) -> str:
         ),
         "  ",
     )
-    return f'{{\n  "leaf_count": {dendrogram.leaf_count},\n  "merges": {merges}\n}}\n'
+    yield "\n}\n"
 
 
 def write_outputs(
@@ -282,9 +303,9 @@ def write_outputs(
         _atomic_write(path, chunks)
         written.append(path)
 
-    emit("assignments.csv", [_assignments_csv(result)])
+    emit("assignments.csv", _assignments_csv(result))
     emit("clusters.json", _clusters_json(result, dataset))
-    emit("dendrogram.json", [_dendrogram_json(meta.dendrogram)])
+    emit("dendrogram.json", _dendrogram_json(meta.dendrogram))
     emit("dendrogram.newick", chain(_newick_chunks(meta.dendrogram), "\n"))
     emit(
         "meta.json",
@@ -294,9 +315,9 @@ def write_outputs(
         ],
     )
     if config.emit_svg:
-        emit("dendrogram.svg", [dendrogram_svg(meta.dendrogram)])
+        emit("dendrogram.svg", _dendrogram_chunks(meta.dendrogram))
         if dataset.dimension == 2:
-            emit("scatter.svg", [scatter_svg(dataset, result)])
+            emit("scatter.svg", _scatter_chunks(dataset, result))
     return written
 
 

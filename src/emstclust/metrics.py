@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .emst import _SCALE_EXP
 from .errors import DegenerateInputError, InputError
-from .model import Cluster, Dataset, Point, SpanningForest, _whole_ids
+from .model import _CHUNK, Cluster, Dataset, Point, SpanningForest, _whole_ids
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -33,9 +34,10 @@ def _rms(values: Sequence[float]) -> float:
     """Root mean square of nonnegative values. Each is scaled by the power
     of two that brings the largest just below 2^250, so that no square
     overflows, and squared as y * y, not by libm's pow; x * 2^e scales to
-    the same y, so the result scales exactly by 2^e."""
+    the same y, so the result scales exactly by 2^e. values may be a
+    float64 array; no list of the scaled values is made."""
     s = _SCALE_EXP - math.frexp(max(values))[1]
-    scaled = [math.ldexp(x, s) for x in values]
+    scaled = map(math.ldexp, values, repeat(s))
     return math.ldexp(math.sqrt(math.fsum(y * y for y in scaled) / len(values)), -s)
 
 
@@ -257,17 +259,30 @@ def diameter_and_set(
     return diameter, _attaining(table, diameter)
 
 
-def _rms_spread(rows: Sequence[Sequence[float]]) -> float:
-    """Root mean squared Euclidean distance from coordinate rows to their
-    mean: the one routine behind cluster_variance, the cluster reports and
-    compactness. The mean is _mean per column, each distance math.dist."""
-    mu = [_mean(column) for column in zip(*rows)]
-    return _rms([math.dist(row, mu) for row in rows])
+def _rms_spread(coords: np.ndarray) -> float:
+    """Root mean squared Euclidean distance from the rows of a float64
+    (n, d) array to their mean: the one routine behind cluster_variance,
+    the cluster reports and compactness. The mean is _mean per column, each
+    distance math.dist. Past one chunk, the distances are taken _CHUNK rows
+    at a time into a float64 array, so the rows exist as Python lists for
+    one chunk only; a single chunk stays in lists, which is faster for the
+    many small clusters of a large k."""
+    n = len(coords)
+    if n <= _CHUNK:
+        rows = coords.tolist()
+        mu = [_mean(column) for column in zip(*rows)]
+        return _rms(list(map(math.dist, rows, repeat(mu))))
+    mu = [_mean(column) for column in coords.T]
+    dist = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        dist[rows] = list(map(math.dist, coords[rows].tolist(), repeat(mu)))
+    return _rms(dist)
 
 
 def cluster_variance(points: Sequence[Point]) -> float:
     """Root mean squared Euclidean distance from the points to their mean."""
-    return _rms_spread(Dataset(points).coords.tolist())
+    return _rms_spread(Dataset(points).coords)
 
 
 class Compactness(NamedTuple):
@@ -292,13 +307,13 @@ def cluster_compactness(clusters: Sequence[Cluster], dataset: Dataset) -> Compac
         raise InputError("clusters overlap")
     if len(counts) != len(dataset) or not counts.all():
         raise InputError("clusters must partition the dataset indices")
-    variances = [_rms_spread(dataset.coords[c.ids].tolist()) for c in clusters]
+    variances = [_rms_spread(dataset.coords[c.ids]) for c in clusters]
     return _compactness(variances, dataset)
 
 
 def _compactness(variances: Sequence[float], dataset: Dataset) -> Compactness:
     """cluster_compactness from the clusters' variances, in cluster order."""
-    whole = _rms_spread(dataset.coords.tolist())
+    whole = _rms_spread(dataset.coords)
     if whole == 0.0:
         return Compactness(0.0, True)
     return Compactness(_mean([variance / whole for variance in variances]), False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,18 @@ MODE_STD = "std_threshold_or_longest"
 MODE_ZAHN = "zahn"
 
 _VALID_MODES = (MODE_STD, MODE_ZAHN)
+
+# Rows per step wherever whole arrays become Python objects or text: the
+# EMST weights, the RMS spread, CSV ingest and every writer. No per-row
+# Python object outlives its chunk, so peak memory follows the arrays.
+_CHUNK = 1024
+
+
+def _values(*arrays: np.ndarray) -> Iterator[tuple]:
+    """zip of the arrays' values as Python scalars, converted _CHUNK rows
+    at a time."""
+    for start in range(0, len(arrays[0]), _CHUNK):
+        yield from zip(*(a[start : start + _CHUNK].tolist() for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -66,12 +78,22 @@ def _whole_ids(values, name: str) -> np.ndarray:
     """values as a new int64 array, or InputError when one is not a whole
     number (2.9, nan, "a"): the one rule for every id, which each caller
     range-checks; ids are refused, never truncated."""
-    values = np.asarray(values)
+    values = _as_array(values, None, f"{name} must be whole numbers")
     with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
         ids = values.astype(np.int64) if values.dtype.kind in "biuf" else None
     if ids is None or not (ids == values).all():
         raise InputError(f"{name} must be whole numbers")
     return ids
+
+
+def _as_array(values, dtype, message: str) -> np.ndarray:
+    """np.asarray(values, dtype), or InputError(message) where numpy cannot
+    make an array of values: a ragged list, or a string where a float
+    belongs."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InputError(message) from None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -189,15 +211,18 @@ def _tree_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and w (float64) in ascending (u, v) order, after the checks that every
     tree shares: u, v and w 1-D and of one length, whole endpoints, no
     self-loop, weights finite and >= 0. The caller checks the range."""
-    u, v, w = np.asarray(u), np.asarray(v), np.array(w, dtype=np.float64)
+    shape = "u, v and w must be 1-D and of one length"
+    u, v = _as_array(u, None, shape), _as_array(v, None, shape)
+    weights = "edge weights must be finite and >= 0"
+    w = _as_array(w, np.float64, weights)
     if not (u.ndim == 1 and u.shape == v.shape == w.shape):
-        raise InputError("u, v and w must be 1-D and of one length")
+        raise InputError(shape)
     ends = _whole_ids(np.array((u, v)), "edge endpoints")
     lo, hi = np.minimum(ends[0], ends[1]), np.maximum(ends[0], ends[1])
     if (lo == hi).any():
         raise InputError(f"self-loop at vertex {lo[lo == hi][0]}")
     if not (np.isfinite(w) & (w >= 0.0)).all():
-        raise InputError("edge weights must be finite and >= 0")
+        raise InputError(weights)
     order = np.lexsort((hi, lo))
     return _read_only(lo[order]), _read_only(hi[order]), _read_only(w[order])
 
@@ -392,10 +417,12 @@ class Dendrogram:
         k = _whole(self.leaf_count, "leaf_count", InputError)
         if k < 1:
             raise InputError("a dendrogram needs at least one leaf")
-        left, right = np.asarray(self.left), np.asarray(self.right)
-        level = np.array(self.level, dtype=np.float64)
+        shape = f"{k} leaves need left, right and level of length {k - 1}"
+        left, right = _as_array(self.left, None, shape), _as_array(self.right, None, shape)
+        levels = "merge levels must be finite, >= 0 and non-decreasing"
+        level = _as_array(self.level, np.float64, levels).copy()
         if not left.shape == right.shape == level.shape == (k - 1,):
-            raise InputError(f"{k} leaves need left, right and level of length {k - 1}")
+            raise InputError(shape)
         ids = _whole_ids(np.stack((left, right)), "node ids")
         if np.any((ids < 0) | (ids >= np.arange(k, 2 * k - 1))):
             raise InputError("each merge must join two nodes formed before it")
@@ -404,7 +431,7 @@ class Dendrogram:
         if joined.max() > 1:
             raise InputError(f"node {joined.argmax()} is joined {joined.max()} times, not once")
         if not (np.isfinite(level).all() and np.all(np.diff(level, prepend=0.0) >= 0.0)):
-            raise InputError("merge levels must be finite, >= 0 and non-decreasing")
+            raise InputError(levels)
         object.__setattr__(self, "leaf_count", k)
         object.__setattr__(self, "left", _read_only(ids[0]))
         object.__setattr__(self, "right", _read_only(ids[1]))

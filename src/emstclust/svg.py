@@ -2,13 +2,20 @@
 
 Rendering avoids plotting libraries on purpose: the byte content of every
 output must be identical across reruns, so figures are assembled from plain
-strings with fixed-precision coordinates.
+strings with fixed-precision coordinates. Each figure is made in chunks of
+_CHUNK lines, which write_outputs streams into its file; scatter_svg and
+dendrogram_svg join them into one string.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from typing import Iterable, Iterator
+
+import numpy as np
+
 from .divisive import ClusteringResult
-from .model import Dataset, Dendrogram
+from .model import _CHUNK, Dataset, Dendrogram, _values
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
@@ -32,8 +39,22 @@ def _scale(lo: float, hi: float, span: float):
     return lambda x: _MARGIN + (x - lo) / extent * span
 
 
-def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
-    """2-D scatter with one color per cluster and ringed center points."""
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each ended by a newline, joined _CHUNK lines at a time."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _CHUNK)):
+        yield "\n".join(batch) + "\n"
+
+
+_HEADER = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
+    f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
+    f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
+)
+
+
+def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]:
+    """scatter_svg's text, _CHUNK lines to a chunk."""
     if dataset.dimension != 2:
         raise ValueError("scatter rendering needs 2-D data")
     coords = dataset.coords
@@ -42,38 +63,35 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
     sy = _scale(float(ys.min()), float(ys.max()), _HEIGHT - 2 * _MARGIN)
     # The lambdas take arrays too, with the same operations in the same
     # order. SVG y grows downward, data y grows upward.
-    cx, cy = sx(xs).tolist(), (_HEIGHT - sy(ys)).tolist()
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
-        f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
-        f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
-    ]
-    for cid in range(result.cluster_count):
-        color = _PALETTE[cid % len(_PALETTE)]
-        parts.extend(
-            f'<circle cx="{cx[i]:.3f}" cy="{cy[i]:.3f}" r="3" fill="{color}"/>'
-            for i in result.partition.members_of(cid).tolist()
-        )
-    parts.extend(
-        f'<circle cx="{cx[i]:.3f}" cy="{cy[i]:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
-        for i in (r.center_index for r in result.reports)
+    cx, cy = sx(xs), _HEIGHT - sy(ys)
+    # The points cluster by cluster, each cluster's in ascending order.
+    order = result.partition.members
+    points = (
+        f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{_PALETTE[c % len(_PALETTE)]}"/>'
+        for x, y, c in _values(cx[order], cy[order], result.partition.labels[order])
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    centers = np.fromiter((r.center_index for r in result.reports), np.int64, result.cluster_count)
+    rings = (
+        f'<circle cx="{x:.3f}" cy="{y:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
+        for x, y in _values(cx[centers], cy[centers])
+    )
+    return _joined(chain(_HEADER, points, rings, ("</svg>",)))
 
 
-def dendrogram_svg(dendrogram: Dendrogram) -> str:
-    """Classic bottom-up dendrogram, leaves at the base, merges above."""
+def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
+    """2-D scatter with one color per cluster and ringed center points."""
+    return "".join(_scatter_chunks(dataset, result))
+
+
+def _dendrogram_chunks(dendrogram: Dendrogram) -> Iterator[str]:
+    """dendrogram_svg's text, _CHUNK lines to a chunk."""
     k = dendrogram.leaf_count
     left, right = dendrogram.left.tolist(), dendrogram.right.tolist()
-    # Indexed by node: the k leaves, then node k - 1 + m for merge m.
-    levels = [0.0] * k + dendrogram.level.tolist()
-
     first, step = (_MARGIN, (_WIDTH - 2 * _MARGIN) / (k - 1)) if k > 1 else (_WIDTH / 2, 0.0)
+    # Indexed by node: the k leaves, then node k - 1 + m for merge m.
     xs = [0.0] * k
     leaf_order: list[int] = []
-    stack = [len(levels) - 1]  # the root, leaf 0 when k = 1
+    stack = [2 * k - 2]  # the root, leaf 0 when k = 1
     while stack:
         node = stack.pop()
         if node < k:
@@ -82,40 +100,43 @@ def dendrogram_svg(dendrogram: Dendrogram) -> str:
         else:
             stack += (left[node - k], right[node - k])
 
+    # Each node's height in the figure. The merges' come from the level
+    # array, by the operations in the order used on the leaves' level 0.0.
     usable_h = _HEIGHT - 2 * _MARGIN
     top = dendrogram.final_level if dendrogram.final_level > 0.0 else 1.0
+    ys = [_HEIGHT - _MARGIN - 0.0 / top * usable_h] * k
+    bars = _HEIGHT - _MARGIN - dendrogram.level / top * usable_h
 
-    def y_of(node: int) -> float:
-        return _HEIGHT - _MARGIN - levels[node] / top * usable_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}"'
-        f' height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
-        f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
-    ]
-    # A merge's children are earlier nodes, so their xs are already there.
-    for node, a, b in zip(range(k, len(levels)), left, right):
-        xs.append((xs[a] + xs[b]) / 2.0)
-        y_bar = y_of(node)
-        for child in (a, b):
-            parts.append(
-                f'<line x1="{_fmt(xs[child])}" y1="{_fmt(y_of(child))}"'
-                f' x2="{_fmt(xs[child])}" y2="{_fmt(y_bar)}"'
+    def merges() -> Iterator[str]:
+        # A merge's children are earlier nodes, so their xs are already there.
+        for a, b, y, level in _values(dendrogram.left, dendrogram.right, bars, dendrogram.level):
+            x = (xs[a] + xs[b]) / 2.0
+            xs.append(x)
+            ys.append(y)
+            for child in (a, b):
+                yield (
+                    f'<line x1="{_fmt(xs[child])}" y1="{_fmt(ys[child])}"'
+                    f' x2="{_fmt(xs[child])}" y2="{_fmt(y)}"'
+                    ' stroke="black" stroke-width="1.5"/>'
+                )
+            yield (
+                f'<line x1="{_fmt(xs[a])}" y1="{_fmt(y)}"'
+                f' x2="{_fmt(xs[b])}" y2="{_fmt(y)}"'
                 ' stroke="black" stroke-width="1.5"/>'
             )
-        parts.append(
-            f'<line x1="{_fmt(xs[a])}" y1="{_fmt(y_bar)}"'
-            f' x2="{_fmt(xs[b])}" y2="{_fmt(y_bar)}"'
-            ' stroke="black" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt((xs[a] + xs[b]) / 2 + 4)}" y="{_fmt(y_bar - 4)}"'
-            f' font-size="10" font-family="sans-serif">{format(levels[node], ".6g")}</text>'
-        )
-    for leaf in leaf_order:
-        parts.append(
-            f'<text x="{_fmt(xs[leaf])}" y="{_fmt(_HEIGHT - _MARGIN + 16)}"'
-            f' font-size="12" font-family="sans-serif" text-anchor="middle">C{leaf}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            yield (
+                f'<text x="{_fmt(x + 4)}" y="{_fmt(y - 4)}"'
+                f' font-size="10" font-family="sans-serif">{format(level, ".6g")}</text>'
+            )
+
+    leaves = (
+        f'<text x="{_fmt(xs[leaf])}" y="{_fmt(_HEIGHT - _MARGIN + 16)}"'
+        f' font-size="12" font-family="sans-serif" text-anchor="middle">C{leaf}</text>'
+        for leaf in leaf_order
+    )
+    return _joined(chain(_HEADER, merges(), leaves, ("</svg>",)))
+
+
+def dendrogram_svg(dendrogram: Dendrogram) -> str:
+    """Classic bottom-up dendrogram, leaves at the base, merges above."""
+    return "".join(_dendrogram_chunks(dendrogram))

@@ -635,15 +635,16 @@ from emstclust import emst, build_emst
 from test_emst import blob_dataset, traced_peak
 
 dataset = blob_dataset(4000)
+rows = dataset.coords.copy()
 kernel_sizes = emst._KDTREE_MIN_N
 assert len(dataset) >= kernel_sizes[2]  # the k-d tree runs
 
-def peak(sizes):
+def peaks(sizes, builder):
     emst._KDTREE_MIN_N = sizes
-    return traced_peak(build_emst, dataset)
+    return traced_peak(build_emst, dataset), traced_peak(builder, rows)
 
-peak(kernel_sizes), peak({})  # one-time caches are no call's memory
-print(json.dumps([peak(kernel_sizes), peak({})]))
+peaks(kernel_sizes, emst._kdtree_emst), peaks({}, emst._prim_emst)  # one-time caches
+print(json.dumps([peaks(kernel_sizes, emst._kdtree_emst), peaks({}, emst._prim_emst)]))
 """
 
 
@@ -657,7 +658,7 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    def test_build_emst_peak_not_above_dense_prim(self):
+    def test_build_emst_peak_is_its_builders_plus_one_weight_chunk(self):
         # In a fresh interpreter: what earlier tests leave in caches and free
         # lists moves an in-process peak by up to ~15 kB.
         child = subprocess.run(
@@ -667,12 +668,14 @@ class TestMemory:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             check=True,
         )
-        kernel, prim = json.loads(child.stdout)
-        # Both peaks are the coordinate rows the edge weights are taken from
-        # (math.dist over two lists of n - 1 rows), 1.2 MB here, above the
-        # kernel's own 1.0 MB; the two paths leave free lists differing by
-        # under a kilobyte.
-        assert kernel <= prim * 1.01
+        # Beyond the builder, build_emst holds a few arrays of n values and
+        # one chunk of endpoint rows for the weights: two 2-D row lists and
+        # one float per edge, under 256 bytes. Here build_emst peaks 0.1 MB
+        # above either builder (1.1 MB for the k-d tree, 0.3 MB for Prim);
+        # weights taken over whole row lists of n - 1 edges held 1.2 MB on
+        # both paths.
+        for build, builder in json.loads(child.stdout):
+            assert build <= builder + emst._CHUNK * 256
 
     def test_kernel_peak_is_linear_at_50k(self):
         # About 8 MB; one n_leaves^2 float64 matrix (2048 leaves) is 33.5 MB.

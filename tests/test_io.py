@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from emstclust import (
     Cluster,
     ConfigError,
     CriterionConfig,
+    Dataset,
     Dendrogram,
     Edge,
     InputError,
@@ -42,6 +44,7 @@ from emstclust import (
 import emstclust
 from emstclust import io as emst_io
 from emstclust.cli import main
+from emstclust.svg import dendrogram_svg, scatter_svg
 from oracles import count_internal, leaf_depths, parse_newick, scaled_datasets
 
 
@@ -157,6 +160,47 @@ class TestReadPointsCsv:
     def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n", "long.csv")
         with pytest.raises(InputError, match=r"long.csv: line 2: field larger than field limit"):
+            read_points_csv(path)
+
+
+CHUNK = emst_io._CHUNK
+
+
+def grid_rows(count: int) -> list[str]:
+    """count distinct 2-D data rows."""
+    return [f"{i * 0.5!r},{(i % 7) - 3.25!r}" for i in range(count)]
+
+
+class TestReadAcrossChunks:
+    """read_points_csv folds rows into float64 blocks of CHUNK rows; line
+    numbers, messages and the header rule do not see the blocks."""
+
+    def test_rows_across_two_flushes_equal_loadtxt(self, tmp_path):
+        path = write_csv(tmp_path, "\n".join(grid_rows(2 * CHUNK + 1)) + "\n")
+        coords = read_points_csv(path).coords
+        assert coords.shape == (2 * CHUNK + 1, 2)
+        assert np.array_equal(coords, np.loadtxt(path, delimiter=",", ndmin=2))
+
+    def test_header_and_blank_rows_around_the_boundary(self, tmp_path):
+        rows = grid_rows(2 * CHUNK + 1)
+        lines = ["x,y", "", *rows[: CHUNK - 1], "", " , ", rows[CHUNK - 1], "", *rows[CHUNK:], ""]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        plain = write_csv(tmp_path, "\n".join(rows) + "\n", "plain.csv")
+        assert np.array_equal(read_points_csv(path).coords, np.loadtxt(plain, delimiter=","))
+
+    @pytest.mark.parametrize("line", [CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("1,2,3", "expected 2 columns, got 3"), ("x,y", "non-numeric value 'x'")],
+        ids=["ragged", "non-numeric"],
+    )
+    def test_bad_row_at_a_boundary_names_its_line(self, tmp_path, line, bad, message):
+        # At line CHUNK + 1 the rows read so far have just been flushed to a
+        # block: a non-numeric row there is still data, not a header.
+        rows = grid_rows(2 * CHUNK + 2)
+        rows[line - 1] = bad
+        path = write_csv(tmp_path, "\n".join(rows) + "\n", "bad.csv")
+        with pytest.raises(InputError, match=re.escape(f"bad.csv: line {line}: {message}")):
             read_points_csv(path)
 
 
@@ -432,6 +476,60 @@ class TestArrayPipeline:
         assert built["SpanningForest.__init__"] == 1
 
 
+def traced_peak(fn, *args) -> tuple[object, int]:
+    """fn(*args) and the traced peak of the call."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def every_point_a_cluster():
+    """k = n = 20000: every writer's largest output per point."""
+    dataset = Dataset._of_array(np.random.default_rng(3).random((20_000, 2)))
+    result = emstrd(dataset, len(dataset))
+    return dataset, result, emstucc(result.center_set)
+
+
+class TestBoundedMemory:
+    def test_reader_peak_is_a_small_multiple_of_the_array(self, tmp_path):
+        rows = np.random.default_rng(6).random((100_000, 2))
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+        dataset, peak = traced_peak(read_points_csv, path)
+        assert np.array_equal(dataset.coords, rows)
+        # The blocks and their concatenation, two copies of the 1.6 MB
+        # array, and one chunk of row tuples; a tuple per row took 16 MB.
+        assert peak < 3 * rows.nbytes
+
+    @pytest.mark.parametrize("name", ["scatter.svg", "dendrogram.svg", "assignments.csv"])
+    def test_writer_peak_is_a_fraction_of_its_file(self, every_point_a_cluster, name):
+        dataset, result, meta = every_point_a_cluster
+        chunks = {
+            "scatter.svg": lambda: emst_io._scatter_chunks(dataset, result),
+            "dendrogram.svg": lambda: emst_io._dendrogram_chunks(meta.dendrogram),
+            "assignments.csv": lambda: emst_io._assignments_csv(result),
+        }[name]
+        size, peak = traced_peak(lambda: sum(map(len, chunks())))
+        # Whole-file lists of lines and the joined text took 4 to 12 times
+        # the file. Left: arrays of n values (scatter), a float and an int
+        # per dendrogram node, and one chunk; a chunk of 1024 labels as
+        # ints and lines is 0.13 MB, over half of the 0.22 MB assignments.csv.
+        fraction = 3 / 4 if name == "assignments.csv" else 1 / 2
+        assert peak < fraction * size
+
+    def test_string_renderers_equal_the_streamed_files(self, every_point_a_cluster, tmp_path):
+        dataset, result, meta = every_point_a_cluster
+        config = RunConfig(tmp_path / "unused.csv", len(dataset), CriterionConfig(), tmp_path, True)
+        write_outputs(result, meta, config, dataset)
+        assert scatter_svg(dataset, result) == (tmp_path / "scatter.svg").read_text()
+        assert dendrogram_svg(meta.dendrogram) == (tmp_path / "dendrogram.svg").read_text()
+        assert newick_string(meta.dendrogram) + "\n" == (tmp_path / "dendrogram.newick").read_text()
+
+
 class TestAtomicWrite:
     def test_leftover_at_a_fixed_temporary_name_does_not_block(self, tmp_path):
         # Temporary files used to be <name>.tmp, shared by every run into the
@@ -483,6 +581,32 @@ class TestAtomicWrite:
             emst_io._atomic_write(target, chunks())
         assert not list(tmp_path.glob("*.tmp"))
         assert target.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize(
+        "name, figure",
+        [("_scatter_chunks", "scatter.svg"), ("_dendrogram_chunks", "dendrogram.svg")],
+    )
+    def test_svg_raising_partway_leaves_no_file(self, tmp_path, monkeypatch, name, figure):
+        # 3000 points and 3000 clusters: both figures span several chunks.
+        rows = np.random.default_rng(12).random((3000, 2))
+        path = write_csv(tmp_path, "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+        render = getattr(emst_io, name)
+        written = []
+
+        def failing(*args):
+            for chunk in render(*args):
+                written.append(chunk)
+                yield chunk
+                if len(written) == 2:
+                    raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(emst_io, name, failing)
+        config = RunConfig(path, 3000, CriterionConfig(), tmp_path / "out", emit_svg=True)
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            run_pipeline(config)
+        assert len(written) == 2
+        left = [p.name for p in config.output_dir.iterdir()]
+        assert figure not in left and not [n for n in left if n.endswith(".tmp")]
 
 
 def run_module(args: list[str]) -> subprocess.CompletedProcess:

@@ -26,7 +26,7 @@ from emstclust import (
     path_distance_table,
     tree_eccentricities,
 )
-from emstclust.metrics import _mean
+from emstclust.metrics import _CHUNK, _mean, _rms, _rms_spread
 from oracles import (
     edge_lists,
     eccentricities_oracle,
@@ -376,6 +376,29 @@ class TestOneStatisticsRule:
         pts = [p(2.38), p(0.45), p(1.41)]
         assert cluster_variance(pts) == float.fromhex("0x1.936a9b884c847p-1")
         assert cluster_variance(pts) == mean_std([2.38, 0.45, 1.41])[1]
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("scale", [1e3, 1e307], ids=["plain", "sums-overflow"])
+    def test_spread_across_chunks_equals_the_whole_list_formula(self, n, scale):
+        # Past one chunk the distances go into a float64 array a chunk at a
+        # time; at 1e307 the column sums overflow and _mean takes its
+        # scaled path over the array.
+        rows = np.random.default_rng(n).uniform(2.0, 9.0, (n, 3)) * scale
+        lists = rows.tolist()
+        mu = [_mean(column) for column in zip(*lists)]
+        assert _rms_spread(rows) == _rms([math.dist(row, mu) for row in lists])
+
+    def test_spread_memory_follows_the_array(self):
+        # The distances as one float64 array (1.6 MB) and one chunk of row
+        # lists; row lists of the whole array took 40 MB.
+        rows = np.random.default_rng(8).random((200_000, 2))
+        tracemalloc.start()
+        try:
+            _rms_spread(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes
 
     def test_mean_of_values_whose_sum_overflows(self):
         # Halved, four values of 1e308 would still overflow.

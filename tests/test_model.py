@@ -116,6 +116,15 @@ EDGE_REFUSALS = {
     "negative-weight": ([0, 1], [1, 2], [-1.0, 1.0], "edge weights must be finite and >= 0"),
 }
 
+# Inputs numpy cannot make an array of, which used to escape as a bare
+# ValueError from the conversion.
+UNCONVERTIBLE_EDGES = {
+    "string-weight": ([0, 1], [1, 2], [1.0, "a"], "edge weights must be finite and >= 0"),
+    "ragged-weights": ([0, 1], [1, 2], [[1.0], [1.0, 2.0]], "edge weights must be finite and"),
+    "ragged-u": ([[0], [1, 2]], [1, 2], [1.0, 1.0], "u, v and w must be 1-D and of one length"),
+    "ragged-v": ([0, 1], [[1, 2], [2]], [1.0, 1.0], "u, v and w must be 1-D and of one length"),
+}
+
 
 class TestSpanningForest:
     def test_component_count_chain(self):
@@ -177,6 +186,13 @@ class TestSpanningForest:
         with pytest.raises(InputError, match=re.escape(message)):
             SpanningForest(vertex_count, u, v, w)
 
+    @pytest.mark.parametrize(
+        "u, v, w, message", UNCONVERTIBLE_EDGES.values(), ids=list(UNCONVERTIBLE_EDGES)
+    )
+    def test_unconvertible_refused(self, u, v, w, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SpanningForest(3, u, v, w)
+
 
 class TestCluster:
     def test_valid_singleton(self):
@@ -235,6 +251,17 @@ class TestCluster:
     def test_refused(self, ids, u, v, w, message):
         with pytest.raises(InputError, match=re.escape(message)):
             Cluster(ids, u, v, w)
+
+    @pytest.mark.parametrize(
+        "u, v, w, message", UNCONVERTIBLE_EDGES.values(), ids=list(UNCONVERTIBLE_EDGES)
+    )
+    def test_unconvertible_refused(self, u, v, w, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Cluster([0, 1, 2], u, v, w)
+
+    def test_ragged_ids_refused(self):
+        with pytest.raises(InputError, match="member ids must be whole numbers"):
+            Cluster([[0], [1, 2]], [0, 1], [1, 2], [1.0, 1.0])
 
 
 class TestClusterReport:
@@ -303,6 +330,20 @@ class TestDendrogram:
     def test_refused(self, leaf_count, left, right, level, message):
         with pytest.raises(InputError, match=re.escape(message)):
             Dendrogram(leaf_count, left, right, level)
+
+    @pytest.mark.parametrize(
+        "left, right, level, message",
+        [
+            ([0, 3], [1, 2], [1.0, "a"], "merge levels must be finite, >= 0 and non-decreasing"),
+            ([0, 3], [1, 2], [[1.0], [1.0, 2.0]], "merge levels must be finite, >= 0 and non-"),
+            ([[0], [3, 1]], [1, 2], [1.0, 2.0], "3 leaves need left, right and level of length 2"),
+            ([0, 3], [[1, 2], [2]], [1.0, 2.0], "3 leaves need left, right and level of length 2"),
+        ],
+        ids=["string-level", "ragged-levels", "ragged-left", "ragged-right"],
+    )
+    def test_unconvertible_refused(self, left, right, level, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Dendrogram(3, left, right, level)
 
     def test_valid_three_leaves(self):
         d = Dendrogram(3, [0, 3], [1, 2], [1.0, 4.0])
