@@ -38,7 +38,6 @@ from .model import (
     MODE_STD,
     MODE_ZAHN,
     Cluster,
-    ClusterReport,
     CriterionConfig,
     Dataset,
     Dendrogram,
@@ -55,7 +54,6 @@ __all__ = [
     "CRITERION_THRESHOLD",
     "CRITERION_ZAHN",
     "Cluster",
-    "ClusterReport",
     "ClusteringResult",
     "Compactness",
     "ConfigError",

@@ -31,14 +31,17 @@ from .metrics import (  # noqa: F401
 from .model import (
     MODE_ZAHN,
     Cluster,
-    ClusterReport,
     CriterionConfig,
     Dataset,
     Edge,
     Partition,
     Point,
     SpanningForest,
+    _as_array,
+    _read_only,
+    _values,
     _whole,
+    _whole_ids,
 )
 
 CRITERION_THRESHOLD = "threshold"
@@ -125,24 +128,21 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
 
 def _removals(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, count: int, stats: EdgeStats, config: CriterionConfig
-) -> list[tuple[int, str]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` edges to remove from the forest (u, v, w) by the
-    rule emstrd documents, in removal order: each one's position in the
-    arrays and the clause that chose it."""
+    rule emstrd documents, in removal order, as two arrays: each one's
+    position in u, v and w, and the clause that chose it."""
     if count > len(w):
         raise DegenerateInputError("no edges left to remove")
     order = np.lexsort((v, u, -w))
     if config.mode != MODE_ZAHN:
         cut = order[:count]
         above = w[cut] > stats.mean + stats.std
-        return [
-            (e, CRITERION_THRESHOLD if a else CRITERION_LONGEST)
-            for e, a in zip(cut.tolist(), above.tolist())
-        ]
+        return cut, np.where(above, CRITERION_THRESHOLD, CRITERION_LONGEST)
     us, vs, ws = u.tolist(), v.tolist(), w.tolist()
     adj = _adjacency(us, vs, ws)
     live = order.tolist()
-    cuts: list[tuple[int, str]] = []
+    cuts, clauses = [], []
     for _ in range(count):
         for i, e in enumerate(live):
             if _zahn_test(adj, us[e], vs[e], ws[e], config):
@@ -152,8 +152,9 @@ def _removals(
             i, fired = 0, CRITERION_LONGEST
         e = live.pop(i)
         del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
-        cuts.append((e, fired))
-    return cuts
+        cuts.append(e)
+        clauses.append(fired)
+    return np.array(cuts, dtype=np.int64), np.array(clauses, dtype=str)
 
 
 def select_edge_to_remove(
@@ -161,26 +162,63 @@ def select_edge_to_remove(
 ) -> tuple[Edge, str]:
     """The edge emstrd would remove next from the forest, given the
     original tree's statistics, and the clause that chose it."""
-    ((e, fired),) = _removals(forest.u, forest.v, forest.w, 1, stats, config)
-    return Edge(forest.u[e], forest.v[e], forest.w[e]), fired
+    (e,), (fired,) = _removals(forest.u, forest.v, forest.w, 1, stats, config)
+    return Edge(forest.u[e], forest.v[e], forest.w[e]), str(fired)
 
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
-    """Outcome of a divisive run: clusters, their reports, and the removal log.
+    """Outcome of a divisive run, held as read-only arrays.
 
-    partition holds the clusters as arrays, ordered by lowest member; that
-    order defines the cluster ids used everywhere else. reports run parallel
-    to it, and center_set holds each cluster's center point. removed lists
-    (u, v, weight, fired criterion) per removed edge, in removal order.
-    clusters, centers and removed_edges give the same as objects (Cluster,
-    Point, (Edge, criterion)) and are built on first access.
+    partition holds the clusters by lowest member, which defines the cluster
+    ids. center (int64), radius, diameter and variance (float64) run
+    parallel to it, and center_set holds the center points; sizes are
+    np.diff(partition.member_start). removed holds the removal log as arrays
+    (u, v, w, criterion), in removal order. The constructor copies and
+    checks them once: lengths, values finite and >= 0, and radius <=
+    diameter <= 2 * radius exactly. clusters, centers and removed_edges give
+    the same as objects (Cluster, Point, (Edge, criterion)) on first access.
     """
 
     partition: Partition
-    reports: tuple[ClusterReport, ...]
+    center: np.ndarray
+    radius: np.ndarray
+    diameter: np.ndarray
+    variance: np.ndarray
     center_set: Dataset
-    removed: tuple[tuple[int, int, float, str], ...]
+    removed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        k = self.partition.count
+        shape = f"{k} clusters need {k} centers, radii, diameters, variances and {k - 1} removals"
+        u, v, w, fired = self.removed
+        center = _whole_ids(self.center, "center ids")
+        ends = _whole_ids(_as_array((u, v), None, shape), "removed edge endpoints")
+        values = _as_array((self.radius, self.diameter, self.variance), np.float64, shape)
+        w, fired = _as_array(w, np.float64, shape).copy(), _as_array(fired, str, shape).copy()
+        if not (center.shape == (k,) == (len(self.center_set),) and values.shape == (3, k)
+                and ends.shape == (2, k - 1) == (2, *w.shape) == (2, *fired.shape)):
+            raise InputError(shape)
+        if (center < 0).any() or (ends < 0).any() or not (np.isfinite(w) & (w >= 0.0)).all():
+            raise InputError("center ids, removed edge ends and weights must be finite and >= 0")
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            c, i = np.argwhere(bad.T)[0]
+            name, value = ("radius", "diameter", "variance")[i], values[i, c].item()
+            raise InputError(f"cluster {c}: {name} must be finite and >= 0, got {value!r}")
+        radius, diameter = values[0], values[1]
+        with np.errstate(over="ignore"):  # 2 * radius may be inf, which bounds nothing
+            fails = (radius > diameter) | (diameter > 2.0 * radius)
+        if fails.any():
+            c = int(np.argmax(fails))
+            r, d = radius[c].item(), diameter[c].item()
+            raise InputError(
+                f"cluster {c}: radius {r} exceeds diameter {d}" if r > d
+                else f"cluster {c}: diameter {d} exceeds twice the radius {r}"
+            )
+        for name, array in zip(("center", "radius", "diameter", "variance"), (center, *values)):
+            object.__setattr__(self, name, _read_only(array))
+        object.__setattr__(self, "removed", tuple(map(_read_only, (*ends, w, fired))))
 
     @property
     def cluster_count(self) -> int:
@@ -189,10 +227,7 @@ class ClusteringResult:
     @cached_property
     def clusters(self) -> tuple[Cluster, ...]:
         part = self.partition
-        return tuple(
-            Cluster(part.members_of(c), *part.edges_of(c))
-            for c in range(part.count)
-        )
+        return tuple(Cluster(part.members_of(c), *part.edges_of(c)) for c in range(part.count))
 
     @cached_property
     def centers(self) -> tuple[Point, ...]:
@@ -200,15 +235,7 @@ class ClusteringResult:
 
     @cached_property
     def removed_edges(self) -> tuple[tuple[Edge, str], ...]:
-        return tuple((Edge(u, v, w), fired) for u, v, w, fired in self.removed)
-
-
-def _report(coords: np.ndarray, part: Partition, c: int) -> ClusterReport:
-    """Cluster c's report: its tree center, radius and diameter (_center)
-    and the RMS spread of its coordinates."""
-    ids = part.members_of(c)
-    variance = _rms_spread(coords[ids])
-    return ClusterReport(*_center(ids, *part.edges_of(c)), variance, size=len(ids))
+        return tuple((Edge(u, v, w), fired) for u, v, w, fired in _values(*self.removed))
 
 
 def emstrd(
@@ -225,10 +252,10 @@ def emstrd(
     that order that the neighborhood test (zahn_inconsistent) flags in the
     remaining forest, tagged "zahn", and falls back to the first remaining
     edge, tagged "longest", when none is flagged. The clusters are the
-    components of the kept edges, found in one pass; the tree was checked
-    once when it was built, and nothing is validated again. Because each
-    removal depends only on the original statistics and the current
-    forest, the k + 1 clustering removes the same edges as the k
+    components of the kept edges, found in one pass. The tree was checked
+    once when it was built, and the result is checked once, by its constructor.
+    Because each removal depends only on the original statistics and the
+    current forest, the k + 1 clustering removes the same edges as the k
     clustering and one more, so it refines it.
     """
     if config is None:
@@ -240,15 +267,17 @@ def emstrd(
         raise InputError(f"k must be in [1, {n}], got {k}")
 
     u, v, w = _emst_arrays(coords)
-    cuts = _removals(u, v, w, k - 1, EdgeStats.of(w.tolist()), config)
-    cut = np.array([e for e, _ in cuts], dtype=np.int64)
+    cut, fired = _removals(u, v, w, k - 1, EdgeStats.of(w), config)
     keep = np.ones(len(w), dtype=bool)
     keep[cut] = False
-    removed = tuple(zip(u[cut].tolist(), v[cut].tolist(), w[cut].tolist(), (f for _, f in cuts)))
 
     part = Partition.of_forest(n, u[keep], v[keep], w[keep])
-    reports = tuple(_report(coords, part, c) for c in range(part.count))
-    center_set = Dataset._of_array(coords[[r.center_index for r in reports]])
-    return ClusteringResult(
-        partition=part, reports=reports, center_set=center_set, removed=removed
-    )
+    center = np.empty(part.count, dtype=np.int64)
+    radius, diameter, variance = np.empty((3, part.count))
+    for c in range(part.count):
+        ids = part.members_of(c)
+        center[c], radius[c], diameter[c] = _center(ids, *part.edges_of(c))
+        variance[c] = _rms_spread(coords[ids])
+    center_set = Dataset._of_array(coords[center])
+    removed = (u[cut], v[cut], w[cut], fired)
+    return ClusteringResult(part, center, radius, diameter, variance, center_set, removed)

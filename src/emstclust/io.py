@@ -233,24 +233,26 @@ def _array(items: Iterable[str], pad: str) -> Iterator[str]:
 
 def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
     """clusters.json: the header, one chunk per cluster, then the removed edges."""
-    compactness = _compactness([report.variance for report in result.reports], dataset)
+    compactness = _compactness(result.variance, dataset)
     yield (
         f'{{\n  "cluster_count": {result.cluster_count},\n'
         f'  "compactness": {compactness.value:.17g},\n'
         f'  "compactness_degenerate": {"true" if compactness.degenerate else "false"},\n'
         '  "clusters": ['
     )
-    for cid, report in enumerate(result.reports):
+    sizes = np.diff(result.partition.member_start)
+    rows = _values(sizes, result.center, result.radius, result.diameter, result.variance)
+    for cid, (size, center, radius, diameter, variance) in enumerate(rows):
         members = ",\n        ".join(map(str, result.partition.members_of(cid).tolist()))
         yield (
             f"{',' if cid else ''}\n    {{\n"
             f'      "id": {cid},\n'
-            f'      "size": {report.size},\n'
+            f'      "size": {size},\n'
             f'      "members": [\n        {members}\n      ],\n'
-            f'      "center_index": {report.center_index},\n'
-            f'      "radius": {report.radius:.17g},\n'
-            f'      "diameter": {report.diameter:.17g},\n'
-            f'      "variance": {report.variance:.17g}\n'
+            f'      "center_index": {center},\n'
+            f'      "radius": {radius:.17g},\n'
+            f'      "diameter": {diameter:.17g},\n'
+            f'      "variance": {variance:.17g}\n'
             "    }"
         )
     yield '\n  ],\n  "removed_edges": '
@@ -258,7 +260,7 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
         (
             f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
             f'      "criterion": "{fired}"\n    }}'
-            for u, v, weight, fired in result.removed
+            for u, v, weight, fired in _values(*result.removed)
         ),
         "  ",
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .emst import _SCALE_EXP
 from .errors import DegenerateInputError, InputError
-from .model import _CHUNK, Cluster, Dataset, Point, SpanningForest, _whole_ids
+from .model import _CHUNK, Cluster, Dataset, Point, SpanningForest, _read_only, _whole_ids
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -49,12 +49,15 @@ class EdgeStats:
     std: float
 
     @classmethod
-    def of(cls, weights: Sequence[float]) -> EdgeStats:
-        """_mean and _rms of |w - mean| of a weight list, which do not depend
-        on the order of the weights; both are 0 for an empty list."""
-        if not weights:
+    def of(cls, weights: Sequence[float] | np.ndarray) -> EdgeStats:
+        """_mean and _rms of |w - mean| of a weight list or float64 array,
+        which do not depend on the order of the weights; both are 0 for none."""
+        if not len(weights):
             return cls(0.0, 0.0)
         mean = _mean(weights)
+        if isinstance(weights, np.ndarray):
+            return cls(mean=mean, std=_rms(np.abs(weights - mean)))
+        # A zahn side's few weights: through numpy the call takes nearly twice as long.
         return cls(mean=mean, std=_rms([abs(w - mean) for w in weights]))
 
 
@@ -63,7 +66,7 @@ def edge_statistics(forest: SpanningForest) -> EdgeStats:
     forest with no edges."""
     if not len(forest.w):
         raise DegenerateInputError("edge statistics need at least one edge")
-    return EdgeStats.of(forest.w.tolist())
+    return EdgeStats.of(forest.w)
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def _farthest(dist: list[int]) -> int:
 
 def _eccentricities(
     ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+) -> list[float]:
     """Each member's largest path distance in the tree on members ids
     (ascending) with edges u, v, w, correctly rounded.
 
@@ -197,7 +200,7 @@ def _eccentricities(
     from_a = _sweep(adjacency, _farthest(_sweep(adjacency, 0)))
     from_b = _sweep(adjacency, _farthest(from_a))
     del adjacency  # before the floats are made, as it is the largest part
-    return np.array(_rounded(map(max, from_a, from_b), scale))
+    return _rounded(map(max, from_a, from_b), scale)
 
 
 def _center(
@@ -207,8 +210,8 @@ def _center(
     the lowest member at the smallest eccentricity, that eccentricity (the
     radius) and the largest (the diameter)."""
     ecc = _eccentricities(ids, u, v, w)
-    i = int(np.argmin(ecc))  # the first minimum
-    return int(ids[i]), float(ecc[i]), float(ecc.max())
+    radius = min(ecc)
+    return int(ids[ecc.index(radius)]), radius, max(ecc)
 
 
 def path_distance_table(cluster: Cluster) -> DistanceTable:
@@ -234,8 +237,7 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
     equals path_distance_table(cluster).eccentricities float for float.
     O(m) time and memory.
     """
-    ecc = _eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)
-    ecc.flags.writeable = False
+    ecc = _read_only(np.array(_eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)))
     return TreeEccentricities(vertices=tuple(cluster.ids.tolist()), eccentricities=ecc)
 
 
@@ -262,7 +264,7 @@ def diameter_and_set(
 def _rms_spread(coords: np.ndarray) -> float:
     """Root mean squared Euclidean distance from the rows of a float64
     (n, d) array to their mean: the one routine behind cluster_variance,
-    the cluster reports and compactness. The mean is _mean per column, each
+    emstrd's variances and compactness. The mean is _mean per column, each
     distance math.dist. Past one chunk, the distances are taken _CHUNK rows
     at a time into a float64 array, so the rows exist as Python lists for
     one chunk only; a single chunk stays in lists, which is faster for the
@@ -307,13 +309,13 @@ def cluster_compactness(clusters: Sequence[Cluster], dataset: Dataset) -> Compac
         raise InputError("clusters overlap")
     if len(counts) != len(dataset) or not counts.all():
         raise InputError("clusters must partition the dataset indices")
-    variances = [_rms_spread(dataset.coords[c.ids]) for c in clusters]
+    variances = np.array([_rms_spread(dataset.coords[c.ids]) for c in clusters])
     return _compactness(variances, dataset)
 
 
-def _compactness(variances: Sequence[float], dataset: Dataset) -> Compactness:
-    """cluster_compactness from the clusters' variances, in cluster order."""
+def _compactness(variances: np.ndarray, dataset: Dataset) -> Compactness:
+    """cluster_compactness from the clusters' variances, an array in cluster order."""
     whole = _rms_spread(dataset.coords)
     if whole == 0.0:
         return Compactness(0.0, True)
-    return Compactness(_mean([variance / whole for variance in variances]), False)
+    return Compactness(_mean(variances / whole), False)

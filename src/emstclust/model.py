@@ -2,12 +2,12 @@
 
 Vertices are always identified by their 0-based position in the dataset, so
 an edge or a cluster can be interpreted without carrying the coordinates
-around. Points, trees, partitions and dendrograms are held as read-only
-numpy arrays. Trees, clusters and dendrograms have one constructor each,
-which checks its arrays with a handful of numpy operations; a Dataset
-built by the library's own array routines (Dataset._of_array) was checked
-once where the data entered. Their object forms (Point, Edge, frozensets)
-are views built on first access.
+around. Points, trees, partitions, dendrograms and stage one's per-cluster
+values and removal log (divisive.ClusteringResult) are held as read-only
+numpy arrays, each behind one constructor that checks them with a handful
+of numpy operations; a Dataset built by the library's own array routines
+(Dataset._of_array) was checked once where the data entered. Their object
+forms (Point, Edge, frozensets) are views built on first access.
 """
 
 from __future__ import annotations
@@ -362,39 +362,6 @@ def _starts(labels: np.ndarray, count: int) -> np.ndarray:
     starts = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
     return starts
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Summary of one cluster: tree center and spread measures.
-
-    radius and diameter are weighted tree-path quantities, variance is the
-    RMS deviation of member coordinates from their mean. For weighted
-    trees radius <= diameter <= 2 * radius always holds, and it is checked
-    exactly: metrics computes both from exact path lengths.
-    """
-
-    center_index: int
-    radius: float
-    diameter: float
-    variance: float
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise InputError("cluster size must be >= 1")
-        for name in ("radius", "diameter", "variance"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise InputError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.radius > self.diameter:
-            raise InputError(
-                f"radius {self.radius} exceeds diameter {self.diameter}"
-            )
-        if self.diameter > 2.0 * self.radius:
-            raise InputError(
-                f"diameter {self.diameter} exceeds twice the radius {self.radius}"
-            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,10 +70,9 @@ def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]
         f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{_PALETTE[c % len(_PALETTE)]}"/>'
         for x, y, c in _values(cx[order], cy[order], result.partition.labels[order])
     )
-    centers = np.fromiter((r.center_index for r in result.reports), np.int64, result.cluster_count)
     rings = (
         f'<circle cx="{x:.3f}" cy="{y:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
-        for x, y in _values(cx[centers], cy[centers])
+        for x, y in _values(cx[result.center], cy[result.center])
     )
     return _joined(chain(_HEADER, points, rings, ("</svg>",)))
 

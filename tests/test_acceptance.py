@@ -165,7 +165,7 @@ def test_criterion_4_tightness_trend():
     )
     previous = math.inf
     for k in range(1, 21):
-        widest = max(r.diameter for r in emstrd(ds, k).reports)
+        widest = emstrd(ds, k).diameter.max()
         if widest > previous + 1e-12:
             problems.append(f"k={k}: max diameter {widest} grew from {previous}")
         previous = widest

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -180,11 +181,10 @@ class TestEmstrd:
         result = emstrd(ds, 3)
         assert result.cluster_count == 3
         assert len(result.removed_edges) == 2
-        for cluster, report in zip(result.clusters, result.reports):
-            assert cluster.size == 1
-            assert report.radius == 0.0
-            assert report.diameter == 0.0
-            assert report.variance == 0.0
+        assert [cluster.size for cluster in result.clusters] == [1, 1, 1]
+        assert result.center.tolist() == [0, 1, 2]
+        for values in (result.radius, result.diameter, result.variance):
+            assert values.tolist() == [0.0, 0.0, 0.0]
 
     def test_chain_k2_worked_example(self):
         ds = dataset_1d(0, 1, 3, 6, 10)
@@ -193,13 +193,61 @@ class TestEmstrd:
         ((edge, fired),) = result.removed_edges
         assert edge.weight == 4.0
         assert fired == CRITERION_THRESHOLD
-        first = result.reports[0]
-        assert first.center_index == 2
-        assert first.radius == 3.0
-        assert first.diameter == 6.0
-        assert first.variance == pytest.approx(math.sqrt(5.25), abs=1e-12)
+        assert result.center.tolist() == [2, 4]
+        assert result.radius.tolist() == [3.0, 0.0]
+        assert result.diameter.tolist() == [6.0, 0.0]
+        assert result.variance[0] == pytest.approx(math.sqrt(5.25), abs=1e-12)
         assert result.centers[0].coords == (3.0,)
         assert result.centers[1].coords == (10.0,)
+
+    @pytest.mark.parametrize("config", [STD, ZAHN])
+    def test_result_is_read_only_arrays(self, config):
+        ds = dataset_1d(0, 1, 3, 6, 10, 11, 20)
+        for k in (1, 3, len(ds)):
+            result = emstrd(ds, k, config)
+            per_cluster = (result.center, result.radius, result.diameter, result.variance)
+            for array, length in [*((a, k) for a in per_cluster), *((a, k - 1) for a in result.removed)]:
+                assert isinstance(array, np.ndarray) and array.shape == (length,)
+                assert not array.flags.writeable
+            assert [a.dtype.kind for a in per_cluster] == ["i", "f", "f", "f"]
+            assert [a.dtype.kind for a in result.removed] == ["i", "i", "f", "U"]
+
+    def test_length_mismatch_refused(self):
+        result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
+        message = "3 clusters need 3 centers, radii, diameters, variances and 2 removals"
+        for name in ("center", "radius", "diameter", "variance"):
+            with pytest.raises(InputError, match=message):
+                dataclasses.replace(result, **{name: getattr(result, name)[:-1]})
+        for i in range(4):
+            removed = list(result.removed)
+            removed[i] = removed[i][:-1]
+            with pytest.raises(InputError, match=message):
+                dataclasses.replace(result, removed=tuple(removed))
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(result, center_set=Dataset._of_array(np.zeros((2, 1))))
+
+    def test_negative_ids_and_weights_refused(self):
+        result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
+        u, v, w, fired = result.removed
+        message = "center ids, removed edge ends and weights must be finite and >= 0"
+        for changed in (
+            {"center": -result.center},
+            {"removed": (-u, v, w, fired)},
+            {"removed": (u, v, -w, fired)},
+            {"removed": (u, v, w * np.nan, fired)},
+        ):
+            with pytest.raises(InputError, match=message):
+                dataclasses.replace(result, **changed)
+
+    def test_constructor_copies_its_arrays(self):
+        result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
+        radius, weights = result.radius.copy(), result.removed[2].copy()
+        copy = dataclasses.replace(
+            result, radius=radius, removed=(*result.removed[:2], weights, result.removed[3])
+        )
+        radius[:], weights[:] = 0.0, 0.0
+        assert copy.radius.tolist() == result.radius.tolist()
+        assert copy.removed[2].tolist() == result.removed[2].tolist()
 
     def test_k_out_of_range(self):
         ds = dataset_1d(1, 2, 3)
@@ -223,7 +271,7 @@ class TestEmstrd:
     def test_single_point_k1(self):
         result = emstrd(dataset_1d(9), 1)
         assert result.cluster_count == 1
-        assert result.reports[0].size == 1
+        assert np.diff(result.partition.member_start).tolist() == [1]
 
     def test_partition_and_edge_conservation(self):
         rng = random.Random(613)
@@ -293,7 +341,7 @@ class TestEmstrd:
         previous = math.inf
         for k in range(1, 31):
             result = emstrd(ds, k)
-            widest = max(r.diameter for r in result.reports)
+            widest = result.diameter.max()
             assert widest <= previous + 1e-12
             previous = widest
 
@@ -310,14 +358,14 @@ class TestEmstrd:
                 )
             )
             result = emstrd(ds, k)
-            for cluster, report in zip(result.clusters, result.reports):
+            values = zip(result.center.tolist(), result.radius.tolist(), result.diameter.tolist())
+            for cluster, (center, radius, diameter) in zip(result.clusters, values):
                 ecc = eccentricities_oracle(len(ds), sorted(cluster.edges))
                 members = sorted(cluster.members)
-                radius = min(ecc[v] for v in members)
-                assert report.radius == radius
-                assert report.diameter == max(ecc[v] for v in members)
-                assert report.center_index == min(v for v in members if ecc[v] == radius)
-                assert report.radius <= report.diameter <= 2.0 * report.radius
+                assert radius == min(ecc[v] for v in members)
+                assert diameter == max(ecc[v] for v in members)
+                assert center == min(v for v in members if ecc[v] == radius)
+                assert radius <= diameter <= 2.0 * radius
 
     def test_two_blob_recovery_std(self):
         rng = random.Random(701)
@@ -419,14 +467,14 @@ class TestPowerOfTwoScaling:
             ]
             ds, big = scaled_dataset(coords, 0), scaled_dataset(coords, e)
             a, b = emstrd(ds, 5, config), emstrd(big, 5, config)
-            assert [(u, v, f) for u, v, _, f in b.removed] == [(u, v, f) for u, v, _, f in a.removed]
-            assert [w for *_, w, _ in b.removed] == [math.ldexp(w, e) for *_, w, _ in a.removed]
+            (ua, va, wa, fa), (ub, vb, wb, fb) = a.removed, b.removed
+            assert (ub.tolist(), vb.tolist(), fb.tolist()) == (ua.tolist(), va.tolist(), fa.tolist())
+            assert wb.tolist() == [math.ldexp(w, e) for w in wa.tolist()]
             assert np.array_equal(b.partition.labels, a.partition.labels)
-            for x, y in zip(a.reports, b.reports):
-                assert (y.center_index, y.size) == (x.center_index, x.size)
-                assert (y.radius, y.diameter, y.variance) == tuple(
-                    math.ldexp(z, e) for z in (x.radius, x.diameter, x.variance)
-                )
+            assert np.array_equal(b.center, a.center)
+            for name in ("radius", "diameter", "variance"):
+                x, y = getattr(a, name).tolist(), getattr(b, name).tolist()
+                assert y == [math.ldexp(z, e) for z in x]
             assert cluster_compactness(b.clusters, big) == cluster_compactness(a.clusters, ds)
             meta_a, meta_b = emstucc(a.center_set), emstucc(b.center_set)
             assert meta_b.central_cluster == meta_a.central_cluster
@@ -444,6 +492,7 @@ def test_one_more_cluster_is_one_more_cut(ds, data):
     k = data.draw(st.integers(1, len(ds) - 1), label="k")
     for config in (STD, ZAHN):
         coarse, fine = emstrd(ds, k, config), emstrd(ds, k + 1, config)
-        assert fine.removed[: k - 1] == coarse.removed
+        for x, y in zip(fine.removed, coarse.removed):
+            assert np.array_equal(x[: k - 1], y)
         pairs = set(zip(fine.partition.labels.tolist(), coarse.partition.labels.tolist()))
         assert len(pairs) == fine.cluster_count == k + 1

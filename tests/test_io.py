@@ -324,10 +324,8 @@ class TestWriteOutputs:
         dataset = read_points_csv(path)
         result = emstrd(dataset, 2)
         clusters = json.loads((config.output_dir / "clusters.json").read_text())
-        for entry, report in zip(clusters["clusters"], result.reports):
-            assert entry["radius"] == report.radius
-            assert entry["diameter"] == report.diameter
-            assert entry["variance"] == report.variance
+        for name in ("radius", "diameter", "variance"):
+            assert [entry[name] for entry in clusters["clusters"]] == getattr(result, name).tolist()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         config_a = chain_config(tmp_path, out="a", svg=True)
@@ -392,17 +390,23 @@ def test_json_files_read_back_exactly(ds, data):
                 name: json.loads((Path(out) / name).read_text(), object_pairs_hook=list)
                 for name in ("clusters.json", "dendrogram.json", "meta.json")
             }
+        values = zip(
+            result.center.tolist(), result.radius.tolist(), result.diameter.tolist(),
+            result.variance.tolist(),
+        )
         clusters = [
             [
                 ("id", cid),
-                ("size", report.size),
+                ("size", cluster.size),
                 ("members", sorted(cluster.members)),
-                ("center_index", report.center_index),
-                ("radius", report.radius),
-                ("diameter", report.diameter),
-                ("variance", report.variance),
+                ("center_index", center),
+                ("radius", radius),
+                ("diameter", diameter),
+                ("variance", variance),
             ]
-            for cid, (report, cluster) in enumerate(zip(result.reports, result.clusters))
+            for cid, (cluster, (center, radius, diameter, variance)) in enumerate(
+                zip(result.clusters, values)
+            )
         ]
         removed = [
             [("u", e.u), ("v", e.v), ("weight", e.weight), ("criterion", fired)]

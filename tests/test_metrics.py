@@ -357,6 +357,18 @@ class TestOneStatisticsRule:
             weights += rng.sample(weights, rng.randint(0, len(weights)))  # ties
             assert EdgeStats.of(weights) == EdgeStats(*mean_std(weights))
 
+    def test_edge_stats_of_an_array_equal_those_of_its_list(self):
+        # emstrd passes the EMST's weight array and the zahn sides pass
+        # lists; both go through one routine to the same floats, including
+        # where the sum overflows.
+        rng = random.Random(919)
+        for e in (-700, 0, 300, 1000):
+            for _ in range(200):
+                weights = [math.ldexp(rng.uniform(0.0, 10.0), e) for _ in range(rng.randint(1, 60))]
+                assert EdgeStats.of(np.array(weights)) == EdgeStats.of(weights)
+        for weights in ([1.7e308, 1.7e308, 0.0], [], [0.0]):
+            assert EdgeStats.of(np.array(weights)) == EdgeStats.of(weights)
+
     def test_edge_stats_scale_exactly(self):
         # Unscaled, the squares of the deviations would be subnormal from
         # about e = -510 down.

@@ -10,7 +10,7 @@ import pytest
 
 from emstclust import (
     Cluster,
-    ClusterReport,
+    ClusteringResult,
     ConfigError,
     CriterionConfig,
     Dataset,
@@ -264,31 +264,75 @@ class TestCluster:
             Cluster([[0], [1, 2]], [0, 1], [1, 2], [1.0, 1.0])
 
 
+def report(radius, diameter, variance=1.0, center=1):
+    """A ClusteringResult whose one cluster, the path 0 - 1 - 2, reports
+    the given center, radius, diameter and variance."""
+    part = Partition.of_forest(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]))
+    return ClusteringResult(
+        part, [center], [radius], [diameter], [variance], Dataset([p(0)]), ([], [], [], [])
+    )
+
+
 class TestClusterReport:
+    """The per-cluster arrays of a ClusteringResult, checked by its
+    constructor: radius <= diameter <= 2 * radius, exactly, and every value
+    finite and >= 0, with the first cluster that fails named."""
+
     def test_valid_report(self):
-        report = ClusterReport(0, 3.0, 6.0, 2.0, 4)
-        assert report.radius == 3.0
+        result = report(3.0, 6.0, 2.0)
+        assert result.radius.tolist() == [3.0]
+        assert (result.center.dtype, result.radius.dtype) == (np.int64, np.float64)
 
     def test_radius_cannot_exceed_diameter(self):
-        with pytest.raises(InputError):
-            ClusterReport(0, 5.0, 4.0, 1.0, 3)
+        with pytest.raises(InputError, match="cluster 0: radius 5.0 exceeds diameter 4.0"):
+            report(5.0, 4.0)
 
     def test_diameter_capped_by_twice_radius(self):
-        with pytest.raises(InputError):
-            ClusterReport(0, 1.0, 2.5, 1.0, 3)
+        with pytest.raises(InputError, match="cluster 0: diameter 2.5 exceeds twice the radius 1.0"):
+            report(1.0, 2.5)
 
     def test_singleton_zeros(self):
-        report = ClusterReport(9, 0.0, 0.0, 0.0, 1)
-        assert report.diameter == 0.0
+        part = Partition.of_forest(2, np.array([], int), np.array([], int), np.array([]))
+        result = ClusteringResult(
+            part, [0, 1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], Dataset([p(0), p(1)]),
+            ([0], [1], [1.0], ["longest"]),
+        )
+        assert result.diameter.tolist() == [0.0, 0.0]
+        assert result.removed_edges == ((Edge(0, 1, 1.0), "longest"),)
 
     @pytest.mark.parametrize("radius", [1.0, 0.1, 3e-300, 7.5e200])
     def test_one_ulp_over_either_bound_is_refused(self, radius):
-        ClusterReport(0, radius, radius, 1.0, 3)
-        ClusterReport(0, radius, 2.0 * radius, 1.0, 3)
+        report(radius, radius)
+        report(radius, 2.0 * radius)
         with pytest.raises(InputError, match="exceeds diameter"):
-            ClusterReport(0, math.nextafter(radius, math.inf), radius, 1.0, 3)
+            report(math.nextafter(radius, math.inf), radius)
         with pytest.raises(InputError, match="exceeds twice the radius"):
-            ClusterReport(0, radius, math.nextafter(2.0 * radius, math.inf), 1.0, 3)
+            report(radius, math.nextafter(2.0 * radius, math.inf))
+
+    def test_largest_radius_bounds_any_diameter(self):
+        big = 1.5e308  # 2 * big overflows, and the bound holds
+        assert report(big, big).diameter.tolist() == [big]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((-1.0, 1.0, 1.0), "radius must be finite and >= 0, got -1.0"),
+            ((1.0, math.inf, 1.0), "diameter must be finite and >= 0, got inf"),
+            ((1.0, 1.0, math.nan), "variance must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_non_finite_or_negative_refused(self, values, message):
+        with pytest.raises(InputError, match=re.escape(f"cluster 0: {message}")):
+            report(*values)
+
+    def test_first_failing_cluster_is_named(self):
+        part = Partition.of_forest(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
+        points = Dataset([p(0), p(2)])
+        removed = ([1], [2], [1.0], ["longest"])
+        with pytest.raises(InputError, match="cluster 1: radius 2.0 exceeds diameter 1.0"):
+            ClusteringResult(part, [0, 2], [1.0, 2.0], [1.0, 1.0], [0.5, 0.5], points, removed)
+        with pytest.raises(InputError, match="cluster 1: variance must be finite"):
+            ClusteringResult(part, [0, 2], [1.0, 1.0], [1.0, 1.0], [0.5, -0.5], points, removed)
 
 
 class TestDendrogram:
