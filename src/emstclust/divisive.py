@@ -47,6 +47,7 @@ from .model import (
 CRITERION_THRESHOLD = "threshold"
 CRITERION_LONGEST = "longest"
 CRITERION_ZAHN = "zahn"
+_CRITERIA = (CRITERION_THRESHOLD, CRITERION_LONGEST, CRITERION_ZAHN)
 
 _Adjacency = dict[int, dict[int, float]]
 
@@ -175,9 +176,10 @@ class ClusteringResult:
     parallel to it, and center_set holds the center points; sizes are
     np.diff(partition.member_start). removed holds the removal log as arrays
     (u, v, w, criterion), in removal order. The constructor copies and
-    checks them once: lengths, values finite and >= 0, and radius <=
-    diameter <= 2 * radius exactly. clusters, centers and removed_edges give
-    the same as objects (Cluster, Point, (Edge, criterion)) on first access.
+    checks them once: lengths, values finite and >= 0, criteria among the
+    three clauses, and radius <= diameter <= 2 * radius exactly. clusters,
+    centers and removed_edges give the same as objects (Cluster, Point,
+    (Edge, criterion)) on first access.
     """
 
     partition: Partition
@@ -201,6 +203,8 @@ class ClusteringResult:
             raise InputError(shape)
         if (center < 0).any() or (ends < 0).any() or not (np.isfinite(w) & (w >= 0.0)).all():
             raise InputError("center ids, removed edge ends and weights must be finite and >= 0")
+        if not (fired[:, None] == _CRITERIA).any(axis=1).all():  # np.isin would import numpy.ma
+            raise InputError(f"removal criteria must be among {_CRITERIA}")
         bad = ~(np.isfinite(values) & (values >= 0.0))
         if bad.any():
             c, i = np.argwhere(bad.T)[0]

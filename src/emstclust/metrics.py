@@ -55,10 +55,7 @@ class EdgeStats:
         if not len(weights):
             return cls(0.0, 0.0)
         mean = _mean(weights)
-        if isinstance(weights, np.ndarray):
-            return cls(mean=mean, std=_rms(np.abs(weights - mean)))
-        # A zahn side's few weights: through numpy the call takes nearly twice as long.
-        return cls(mean=mean, std=_rms([abs(w - mean) for w in weights]))
+        return cls(mean=mean, std=_rms(np.abs(np.asarray(weights, dtype=np.float64) - mean)))
 
 
 def edge_statistics(forest: SpanningForest) -> EdgeStats:

@@ -239,6 +239,15 @@ class TestEmstrd:
             with pytest.raises(InputError, match=message):
                 dataclasses.replace(result, **changed)
 
+    def test_unknown_criteria_refused(self):
+        result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
+        u, v, w, fired = result.removed
+        for criteria in ([None, "longest"], [1, "longest"], ["longest", "Zahn"], ["", ""]):
+            with pytest.raises(InputError, match="removal criteria must be among"):
+                dataclasses.replace(result, removed=(u, v, w, criteria))
+        ok = dataclasses.replace(result, removed=(u, v, w, ["zahn", "threshold"]))
+        assert ok.removed[3].tolist() == ["zahn", "threshold"]
+
     def test_constructor_copies_its_arrays(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
         radius, weights = result.radius.copy(), result.removed[2].copy()

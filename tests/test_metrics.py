@@ -359,8 +359,7 @@ class TestOneStatisticsRule:
 
     def test_edge_stats_of_an_array_equal_those_of_its_list(self):
         # emstrd passes the EMST's weight array and the zahn sides pass
-        # lists; both go through one routine to the same floats, including
-        # where the sum overflows.
+        # lists; both give the same floats, including where the sum overflows.
         rng = random.Random(919)
         for e in (-700, 0, 300, 1000):
             for _ in range(200):
