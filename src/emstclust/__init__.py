@@ -42,7 +42,6 @@ from .model import (
     Dataset,
     Dendrogram,
     Edge,
-    Partition,
     Point,
     SpanningForest,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "MODE_STD",
     "MODE_ZAHN",
     "MetaResult",
-    "Partition",
     "Point",
     "RunConfig",
     "SpanningForest",

@@ -13,11 +13,11 @@ from functools import cached_property
 
 import numpy as np
 
-# The benchmark's layer trace looks up build_emst, edge_statistics (in
-# metrics.py with every statistic), center_and_radius, diameter_and_set,
-# cluster_variance and path_distance_table here; this module uses none.
-from .emst import _emst_arrays, build_emst  # noqa: F401
+from .emst import build_emst
 from .errors import DegenerateInputError, InputError
+# The benchmark's layer trace looks up edge_statistics (in metrics.py with
+# every statistic), center_and_radius, diameter_and_set, cluster_variance
+# and path_distance_table here; this module uses none of them.
 from .metrics import (  # noqa: F401
     EdgeStats,
     _center,
@@ -34,7 +34,6 @@ from .model import (
     CriterionConfig,
     Dataset,
     Edge,
-    Partition,
     Point,
     SpanningForest,
     _as_array,
@@ -48,6 +47,8 @@ CRITERION_THRESHOLD = "threshold"
 CRITERION_LONGEST = "longest"
 CRITERION_ZAHN = "zahn"
 _CRITERIA = (CRITERION_THRESHOLD, CRITERION_LONGEST, CRITERION_ZAHN)
+# The removal log holds each clause as its index in _CRITERIA, one byte.
+_THRESHOLD, _LONGEST, _ZAHN = range(len(_CRITERIA))
 
 _Adjacency = dict[int, dict[int, float]]
 
@@ -132,14 +133,14 @@ def _removals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` edges to remove from the forest (u, v, w) by the
     rule emstrd documents, in removal order, as two arrays: each one's
-    position in u, v and w, and the clause that chose it."""
+    position in u, v and w, and the clause that chose it (uint8)."""
     if count > len(w):
         raise DegenerateInputError("no edges left to remove")
     order = np.lexsort((v, u, -w))
     if config.mode != MODE_ZAHN:
         cut = order[:count]
         above = w[cut] > stats.mean + stats.std
-        return cut, np.where(above, CRITERION_THRESHOLD, CRITERION_LONGEST)
+        return cut, np.where(above, _THRESHOLD, _LONGEST).astype(np.uint8)
     us, vs, ws = u.tolist(), v.tolist(), w.tolist()
     adj = _adjacency(us, vs, ws)
     live = order.tolist()
@@ -147,15 +148,15 @@ def _removals(
     for _ in range(count):
         for i, e in enumerate(live):
             if _zahn_test(adj, us[e], vs[e], ws[e], config):
-                fired = CRITERION_ZAHN
+                fired = _ZAHN
                 break
         else:
-            i, fired = 0, CRITERION_LONGEST
+            i, fired = 0, _LONGEST
         e = live.pop(i)
         del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
         cuts.append(e)
         clauses.append(fired)
-    return np.array(cuts, dtype=np.int64), np.array(clauses, dtype=str)
+    return np.array(cuts, dtype=np.int64), np.array(clauses, dtype=np.uint8)
 
 
 def select_edge_to_remove(
@@ -164,25 +165,26 @@ def select_edge_to_remove(
     """The edge emstrd would remove next from the forest, given the
     original tree's statistics, and the clause that chose it."""
     (e,), (fired,) = _removals(forest.u, forest.v, forest.w, 1, stats, config)
-    return Edge(forest.u[e], forest.v[e], forest.w[e]), str(fired)
+    return Edge(forest.u[e], forest.v[e], forest.w[e]), _CRITERIA[fired]
 
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Outcome of a divisive run, held as read-only arrays.
 
-    partition holds the clusters by lowest member, which defines the cluster
-    ids. center (int64), radius, diameter and variance (float64) run
-    parallel to it, and center_set holds the center points; sizes are
-    np.diff(partition.member_start). removed holds the removal log as arrays
-    (u, v, w, criterion), in removal order. The constructor copies and
-    checks them once: lengths, values finite and >= 0, criteria among the
-    three clauses, and radius <= diameter <= 2 * radius exactly. clusters,
-    centers and removed_edges give the same as objects (Cluster, Point,
-    (Edge, criterion)) on first access.
+    forest is the EMST less the removed edges; its components are the
+    clusters. center (int64), radius, diameter and variance (float64) run
+    parallel to them, and center_set holds the center points. removed holds
+    the removal log as arrays (u, v, w, criterion), in removal order, each
+    criterion a uint8 index in _CRITERIA. The constructor copies and checks
+    them once: lengths, ids in range, each center in its own cluster and
+    each removed edge between two, values finite and >= 0, and radius <=
+    diameter <= 2 * radius exactly. clusters, centers and removed_edges give
+    the same as objects (Cluster, Point, (Edge, criterion name)) on first
+    access.
     """
 
-    partition: Partition
+    forest: SpanningForest
     center: np.ndarray
     radius: np.ndarray
     diameter: np.ndarray
@@ -191,20 +193,32 @@ class ClusteringResult:
     removed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        k = self.partition.count
+        k, n, labels = self.forest.component_count, self.forest.vertex_count, self.forest.labels
         shape = f"{k} clusters need {k} centers, radii, diameters, variances and {k - 1} removals"
         u, v, w, fired = self.removed
         center = _whole_ids(self.center, "center ids")
         ends = _whole_ids(_as_array((u, v), None, shape), "removed edge endpoints")
+        fired = _whole_ids(fired, "removal criteria")
         values = _as_array((self.radius, self.diameter, self.variance), np.float64, shape)
-        w, fired = _as_array(w, np.float64, shape).copy(), _as_array(fired, str, shape).copy()
+        w = _as_array(w, np.float64, shape).copy()
         if not (center.shape == (k,) == (len(self.center_set),) and values.shape == (3, k)
                 and ends.shape == (2, k - 1) == (2, *w.shape) == (2, *fired.shape)):
             raise InputError(shape)
-        if (center < 0).any() or (ends < 0).any() or not (np.isfinite(w) & (w >= 0.0)).all():
-            raise InputError("center ids, removed edge ends and weights must be finite and >= 0")
-        if not (fired[:, None] == _CRITERIA).any(axis=1).all():  # np.isin would import numpy.ma
-            raise InputError(f"removal criteria must be among {_CRITERIA}")
+        ids = np.append(center, ends)
+        if ((ids < 0) | (ids >= n)).any():
+            raise InputError(f"center ids and removed edge ends must lie in 0..{n - 1}")
+        if not (np.isfinite(w) & (w >= 0.0)).all():
+            raise InputError("removed edge weights must be finite and >= 0")
+        if ((fired < 0) | (fired >= len(_CRITERIA))).any():
+            raise InputError(f"removal criteria must be among 0..{len(_CRITERIA) - 1}")
+        away = labels[center] != np.arange(k)
+        if away.any():
+            c = int(np.argmax(away))
+            raise InputError(f"cluster {c}'s center {center[c]} is in cluster {labels[center[c]]}")
+        inside = labels[ends[0]] == labels[ends[1]]
+        if inside.any():
+            a, b = ends[:, np.argmax(inside)].tolist()
+            raise InputError(f"removed edge ({a}, {b}) is inside cluster {labels[a]}")
         bad = ~(np.isfinite(values) & (values >= 0.0))
         if bad.any():
             c, i = np.argwhere(bad.T)[0]
@@ -222,16 +236,17 @@ class ClusteringResult:
             )
         for name, array in zip(("center", "radius", "diameter", "variance"), (center, *values)):
             object.__setattr__(self, name, _read_only(array))
-        object.__setattr__(self, "removed", tuple(map(_read_only, (*ends, w, fired))))
+        removed = (*ends, w, fired.astype(np.uint8))
+        object.__setattr__(self, "removed", tuple(map(_read_only, removed)))
 
     @property
     def cluster_count(self) -> int:
-        return self.partition.count
+        return self.forest.component_count
 
     @cached_property
     def clusters(self) -> tuple[Cluster, ...]:
-        part = self.partition
-        return tuple(Cluster(part.members_of(c), *part.edges_of(c)) for c in range(part.count))
+        f = self.forest
+        return tuple(Cluster(f.members_of(c), *f.edges_of(c)) for c in range(self.cluster_count))
 
     @cached_property
     def centers(self) -> tuple[Point, ...]:
@@ -239,7 +254,7 @@ class ClusteringResult:
 
     @cached_property
     def removed_edges(self) -> tuple[tuple[Edge, str], ...]:
-        return tuple((Edge(u, v, w), fired) for u, v, w, fired in _values(*self.removed))
+        return tuple((Edge(u, v, w), _CRITERIA[c]) for u, v, w, c in _values(*self.removed))
 
 
 def emstrd(
@@ -256,8 +271,9 @@ def emstrd(
     that order that the neighborhood test (zahn_inconsistent) flags in the
     remaining forest, tagged "zahn", and falls back to the first remaining
     edge, tagged "longest", when none is flagged. The clusters are the
-    components of the kept edges, found in one pass. The tree was checked
-    once when it was built, and the result is checked once, by its constructor.
+    components of the kept edges. Each forest, the EMST and the kept edges,
+    is checked once, by SpanningForest's constructor, and the result once,
+    by its own.
     Because each removal depends only on the original statistics and the
     current forest, the k + 1 clustering removes the same edges as the k
     clustering and one more, so it refines it.
@@ -270,18 +286,22 @@ def emstrd(
     if k < 1 or k > n:
         raise InputError(f"k must be in [1, {n}], got {k}")
 
-    u, v, w = _emst_arrays(coords)
+    tree = build_emst(dataset)
+    u, v, w = tree.u, tree.v, tree.w
     cut, fired = _removals(u, v, w, k - 1, EdgeStats.of(w), config)
-    keep = np.ones(len(w), dtype=bool)
-    keep[cut] = False
+    removed = (u[cut], v[cut], w[cut], fired)
+    kept = [np.delete(a, cut) for a in (u, v, w)]
+    # The EMST goes before the kept forest is built, which can then reuse
+    # its memory, and the kept arrays once the forest holds sorted copies.
+    del tree, u, v, w
+    forest = SpanningForest(n, *kept)
+    del kept
 
-    part = Partition.of_forest(n, u[keep], v[keep], w[keep])
-    center = np.empty(part.count, dtype=np.int64)
-    radius, diameter, variance = np.empty((3, part.count))
-    for c in range(part.count):
-        ids = part.members_of(c)
-        center[c], radius[c], diameter[c] = _center(ids, *part.edges_of(c))
+    center = np.empty(k, dtype=np.int64)
+    radius, diameter, variance = np.empty((3, k))
+    for c in range(k):
+        ids = forest.members_of(c)
+        center[c], radius[c], diameter[c] = _center(ids, *forest.edges_of(c))
         variance[c] = _rms_spread(coords[ids])
     center_set = Dataset._of_array(coords[center])
-    removed = (u[cut], v[cut], w[cut], fired)
-    return ClusteringResult(part, center, radius, diameter, variance, center_set, removed)
+    return ClusteringResult(forest, center, radius, diameter, variance, center_set, removed)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .model import _CHUNK, Dataset, SpanningForest, _lowest_members
+from .model import _CHUNK, Dataset, SpanningForest
 
 
 def _planes(rows: np.ndarray) -> np.ndarray:
@@ -73,16 +73,20 @@ _PRIM_BUFSIZE = 1 << 10  # numpy ufunc buffer size, in elements, during dense Pr
 def build_emst(dataset: Dataset) -> SpanningForest:
     """Build the Euclidean minimum spanning tree of a dataset.
 
-    The tree is _emst_arrays(dataset.coords), see there, handed to the one
-    SpanningForest constructor; no Edge is built. A single-point dataset
-    yields a forest with no edges.
+    The tree is _emst_arrays(dataset.coords), see there, checked once here:
+    the SpanningForest constructor refuses a self-loop, an endpoint out of
+    range or a cycle, and then a forest of more than one component is
+    refused. No Edge is built. A single-point dataset yields no edges.
     """
-    return SpanningForest(len(dataset), *_emst_arrays(dataset.coords))
+    tree = SpanningForest(len(dataset), *_emst_arrays(dataset.coords))
+    if tree.component_count != 1:
+        raise InputError("the EMST edges do not span the points")
+    return tree
 
 
 def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The EMST of the rows of coords as parallel arrays u < v and w, in
-    ascending (u, v) order.
+    the builder's order; build_emst checks and sorts them.
 
     The tree is the unique minimum spanning tree under the canonical edge
     order: squared distance, then min endpoint, then max endpoint. So the
@@ -129,11 +133,10 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
       time and O(m) memory.
 
     Both compute every d^2 with one function, _sq_dist, on coordinate
-    planes, so they agree on every tie. This is the one place the tree is
-    checked: exactly n - 1 edges, every endpoint in range, and together they
-    span the points. A builder that breaks that raises InputError here, so
-    nothing downstream checks again. The weights are math.dist on the
-    coordinate rows, the correctly rounded distance every output reports
+    planes, so they agree on every tie. The builder's endpoints are
+    range-checked before the distinct rows are renumbered, where -1 would
+    wrap; the rest of the check is build_emst's. The weights are math.dist
+    on the coordinate rows, the correctly rounded distance every output reports
     (np.sqrt of d^2 rounds differently on many pairs), taken one chunk of
     _CHUNK edges at a time into a float64 array: the endpoint rows exist
     as Python lists for one chunk only, not for the whole tree.
@@ -169,12 +172,6 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         lowest = order[np.maximum.accumulate(np.where(first, np.arange(n), 0))]
         u = np.concatenate((reps[u], lowest[~first]))
         v = np.concatenate((reps[v], order[~first]))
-    if len(u) != n - 1:
-        raise InputError(f"the EMST of {n} points has {len(u)} edges, not {n - 1}")
-    if _lowest_members(n, u, v).any():
-        raise InputError("the EMST edges do not span the points")
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
     w = np.empty(len(u))
     for start in range(0, len(u), _CHUNK):
         ends = slice(start, start + _CHUNK)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .divisive import ClusteringResult, emstrd
+from .divisive import _CRITERIA, ClusteringResult, emstrd
 from .errors import ConfigError, InputError
 from .meta import MetaResult, emstucc
 # cluster_compactness is not used here: the benchmark's layer trace looks it up.
@@ -213,7 +213,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 def _assignments_csv(result: ClusteringResult) -> Iterator[str]:
     """assignments.csv: the header, then _CHUNK rows to a chunk."""
-    labels = result.partition.labels
+    labels = result.forest.labels
     yield "point_index,cluster_id\n"
     for start in range(0, len(labels), _CHUNK):
         chunk = labels[start : start + _CHUNK].tolist()
@@ -240,10 +240,10 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
         f'  "compactness_degenerate": {"true" if compactness.degenerate else "false"},\n'
         '  "clusters": ['
     )
-    sizes = np.diff(result.partition.member_start)
+    sizes = np.diff(result.forest.member_start)
     rows = _values(sizes, result.center, result.radius, result.diameter, result.variance)
     for cid, (size, center, radius, diameter, variance) in enumerate(rows):
-        members = ",\n        ".join(map(str, result.partition.members_of(cid).tolist()))
+        members = ",\n        ".join(map(str, result.forest.members_of(cid).tolist()))
         yield (
             f"{',' if cid else ''}\n    {{\n"
             f'      "id": {cid},\n'
@@ -259,7 +259,7 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
     yield from _array(
         (
             f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
-            f'      "criterion": "{fired}"\n    }}'
+            f'      "criterion": "{_CRITERIA[fired]}"\n    }}'
             for u, v, weight, fired in _values(*result.removed)
         ),
         "  ",

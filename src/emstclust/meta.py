@@ -1,22 +1,20 @@
 """Agglomerative meta clustering over cluster centers.
 
 A second EMST is built on the center points (meta vertex i corresponds to
-cluster i), by the same array routine as the first. Merging its edges in
-ascending weight order yields a dendrogram, and the center of the meta
-tree, the vertex whose farthest path distance is smallest, designates the
-central cluster.
+cluster i) by build_emst, like the first. Merging its edges in ascending
+weight order yields a dendrogram, and the center of the meta tree, the
+vertex whose farthest path distance is smallest, designates the central
+cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-# build_emst is not used here: the benchmark's layer trace looks it up.
-from .emst import _OVERFLOW, _emst_arrays, build_emst  # noqa: F401
+from .emst import _OVERFLOW, build_emst
 from .errors import InputError
 from .metrics import _center
 from .model import Dataset, Dendrogram, Point, SpanningForest
@@ -43,20 +41,13 @@ def _find(parent: list[int], x: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MetaResult:
-    """Outcome of the meta stage over k centers.
+    """Outcome of the meta stage over k centers: the meta EMST, its
+    dendrogram, and the central cluster with the meta tree's radius."""
 
-    tree holds the meta EMST as arrays (u, v, w); meta_tree, the same tree
-    as a SpanningForest, is built on first access.
-    """
-
-    tree: tuple[np.ndarray, np.ndarray, np.ndarray]
+    meta_tree: SpanningForest
     dendrogram: Dendrogram
     central_cluster: int
     meta_radius: float
-
-    @cached_property
-    def meta_tree(self) -> SpanningForest:
-        return SpanningForest(self.dendrogram.leaf_count, *self.tree)
 
 
 def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
@@ -79,7 +70,7 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
         centers = Dataset(centers)
     k = len(centers)
     try:
-        u, v, w = _emst_arrays(centers.coords)
+        meta_tree = build_emst(centers)
     except InputError as exc:
         if str(exc) != _OVERFLOW:
             raise
@@ -88,6 +79,7 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
             " their differences in float64, so the meta EMST over them cannot be built"
         ) from None
 
+    u, v, w = meta_tree.u, meta_tree.v, meta_tree.w
     # Union-find over the nodes: a group's root is the last node formed from it.
     group = list(range(k))
     left, right = [], []
@@ -99,9 +91,9 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
         group[ra] = group[rb] = len(group)
         group.append(len(group))
 
-    index, radius, _ = _center(np.arange(k), u, v, w)
+    index, radius = central_cluster(meta_tree)
     return MetaResult(
-        tree=(u, v, w),
+        meta_tree=meta_tree,
         dendrogram=Dendrogram(k, left, right, w[ordered]),
         central_cluster=index,
         meta_radius=radius,

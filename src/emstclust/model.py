@@ -2,12 +2,12 @@
 
 Vertices are always identified by their 0-based position in the dataset, so
 an edge or a cluster can be interpreted without carrying the coordinates
-around. Points, trees, partitions, dendrograms and stage one's per-cluster
-values and removal log (divisive.ClusteringResult) are held as read-only
-numpy arrays, each behind one constructor that checks them with a handful
-of numpy operations; a Dataset built by the library's own array routines
-(Dataset._of_array) was checked once where the data entered. Their object
-forms (Point, Edge, frozensets) are views built on first access.
+around. Points, forests with their components, dendrograms and stage one's
+per-cluster values and removal log (divisive.ClusteringResult) are held as
+read-only numpy arrays, each behind one constructor that checks them with a
+handful of numpy operations; a Dataset built by the library's own array
+routines (Dataset._of_array) was checked once where the data entered. Their
+object forms (Point, Edge, frozensets) are views built on first access.
 """
 
 from __future__ import annotations
@@ -217,8 +217,9 @@ def _tree_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = _as_array(w, np.float64, weights)
     if not (u.ndim == 1 and u.shape == v.shape == w.shape):
         raise InputError(shape)
-    ends = _whole_ids(np.array((u, v)), "edge endpoints")
-    lo, hi = np.minimum(ends[0], ends[1]), np.maximum(ends[0], ends[1])
+    lo, hi = _whole_ids(u, "edge endpoints"), _whole_ids(v, "edge endpoints")
+    # Both new arrays: hi takes the larger ends in place once lo is made.
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
     if (lo == hi).any():
         raise InputError(f"self-loop at vertex {lo[lo == hi][0]}")
     if not (np.isfinite(w) & (w >= 0.0)).all():
@@ -231,9 +232,12 @@ class SpanningForest:
     """An acyclic edge set over vertices 0 .. vertex_count - 1.
 
     The edges (u[i], v[i], w[i]), in any order and orientation, are held as
-    read-only arrays u < v and w in ascending (u, v) order. edges, the same
-    edges as a frozenset of Edge objects, is built on first access. With
-    acyclicity enforced, the number of components is vertex_count - len(u).
+    read-only arrays u < v and w in ascending (u, v) order, and labels[p] is
+    vertex p's component, numbered by lowest vertex. members_of(c) and
+    edges_of(c) give component c's vertices and edges in the same orders,
+    from CSR layouts (members, member_start) built on first access, as is
+    edges, a frozenset of Edge objects. With acyclicity enforced, the number
+    of components is vertex_count - len(u).
     """
 
     def __init__(self, vertex_count: int, u, v, w) -> None:
@@ -243,10 +247,13 @@ class SpanningForest:
         u, v, w = _tree_edges(u, v, w)
         if len(u) and (u[0] < 0 or v.max() >= n):
             raise InputError(f"edge endpoints must lie in 0..{n - 1}")
-        if np.count_nonzero(_lowest_members(n, u, v) == np.arange(n)) != n - len(u):
+        root = _lowest_members(n, u, v)
+        is_root = root == np.arange(n)
+        if np.count_nonzero(is_root) != n - len(u):
             raise InputError("the edges close a cycle")
         self.vertex_count = n
         self.u, self.v, self.w = u, v, w
+        self.labels = _read_only((np.cumsum(is_root) - 1)[root])
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -261,6 +268,38 @@ class SpanningForest:
         """Sum of the edge weights; math.fsum rounds correctly, so the
         order of the weights cannot change it."""
         return math.fsum(self.w.tolist())
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        return _read_only(np.argsort(self.labels, kind="stable"))
+
+    @cached_property
+    def member_start(self) -> np.ndarray:
+        return _read_only(_starts(self.labels, self.component_count))
+
+    @cached_property
+    def _edges_by_component(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """u, v and w grouped by component, each group in ascending (u, v)
+        order, and each group's offset."""
+        edge_labels = self.labels[self.u]
+        order = np.argsort(edge_labels, kind="stable")
+        start = _starts(edge_labels, self.component_count)
+        return (*map(_read_only, (self.u[order], self.v[order], self.w[order])), start)
+
+    def members_of(self, c: int) -> np.ndarray:
+        return self.members[self.member_start[c] : self.member_start[c + 1]]
+
+    def edges_of(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u, v, w, start = self._edges_by_component
+        lo, hi = start[c], start[c + 1]
+        return u[lo:hi], v[lo:hi], w[lo:hi]
+
+
+def _starts(labels: np.ndarray, count: int) -> np.ndarray:
+    """Offsets of each label's run once the labels are sorted."""
+    starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
+    return starts
 
 
 class Cluster:
@@ -303,65 +342,6 @@ class Cluster:
     @property
     def size(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """The connected components of a forest over points 0 .. n - 1, as one
-    label array plus a CSR layout.
-
-    Cluster ids follow the lowest member. labels[p] is point p's cluster.
-    Cluster c's members are members[member_start[c] : member_start[c + 1]],
-    in ascending order, and its edges are u, v and w over
-    edge_start[c] : edge_start[c + 1], in ascending (u, v) order.
-    """
-
-    labels: np.ndarray
-    members: np.ndarray
-    member_start: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    edge_start: np.ndarray
-
-    @classmethod
-    def of_forest(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Partition:
-        """The components of the forest with edges (u, v, w) in ascending
-        (u, v) order, which the caller has checked, in one pass of array
-        operations."""
-        root = _lowest_members(n, u, v)
-        is_root = root == np.arange(n)
-        labels = (np.cumsum(is_root) - 1)[root]
-        count = int(np.count_nonzero(is_root))
-        edge_labels = labels[u]
-        by_cluster = np.argsort(edge_labels, kind="stable")
-        return cls(
-            labels=_read_only(labels),
-            members=_read_only(np.argsort(labels, kind="stable")),
-            member_start=_read_only(_starts(labels, count)),
-            u=_read_only(u[by_cluster]),
-            v=_read_only(v[by_cluster]),
-            w=_read_only(w[by_cluster]),
-            edge_start=_read_only(_starts(edge_labels, count)),
-        )
-
-    @property
-    def count(self) -> int:
-        return len(self.member_start) - 1
-
-    def members_of(self, c: int) -> np.ndarray:
-        return self.members[self.member_start[c] : self.member_start[c + 1]]
-
-    def edges_of(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lo, hi = self.edge_start[c], self.edge_start[c + 1]
-        return self.u[lo:hi], self.v[lo:hi], self.w[lo:hi]
-
-
-def _starts(labels: np.ndarray, count: int) -> np.ndarray:
-    """Offsets of each label's run once the labels are sorted."""
-    starts = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
-    return starts
 
 
 @dataclass(frozen=True, eq=False)

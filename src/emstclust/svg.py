@@ -65,10 +65,10 @@ def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]
     # order. SVG y grows downward, data y grows upward.
     cx, cy = sx(xs), _HEIGHT - sy(ys)
     # The points cluster by cluster, each cluster's in ascending order.
-    order = result.partition.members
+    order = result.forest.members
     points = (
         f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{_PALETTE[c % len(_PALETTE)]}"/>'
-        for x, y, c in _values(cx[order], cy[order], result.partition.labels[order])
+        for x, y, c in _values(cx[order], cy[order], result.forest.labels[order])
     )
     rings = (
         f'<circle cx="{x:.3f}" cy="{y:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
@@ -85,42 +85,48 @@ def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
 def _dendrogram_chunks(dendrogram: Dendrogram) -> Iterator[str]:
     """dendrogram_svg's text, _CHUNK lines to a chunk."""
     k = dendrogram.leaf_count
-    left, right = dendrogram.left.tolist(), dendrogram.right.tolist()
+    left, right = dendrogram.left, dendrogram.right
     first, step = (_MARGIN, (_WIDTH - 2 * _MARGIN) / (k - 1)) if k > 1 else (_WIDTH / 2, 0.0)
-    # Indexed by node: the k leaves, then node k - 1 + m for merge m.
-    xs = [0.0] * k
-    leaf_order: list[int] = []
-    stack = [2 * k - 2]  # the root, leaf 0 when k = 1
-    while stack:
-        node = stack.pop()
+    # The leaves in drawing order, walking down from the root right child
+    # first; the stack holds disjoint subtrees, so at most k nodes.
+    leaf_order, stack = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    stack[0], pending, placed = 2 * k - 2, 1, 0  # the root, leaf 0 when k = 1
+    while pending:
+        pending -= 1
+        node = stack.item(pending)
         if node < k:
-            xs[node] = first + len(leaf_order) * step
-            leaf_order.append(node)
+            leaf_order[placed] = node
+            placed += 1
         else:
-            stack += (left[node - k], right[node - k])
+            stack[pending], stack[pending + 1] = left.item(node - k), right.item(node - k)
+            pending += 2
 
-    # Each node's height in the figure. The merges' come from the level
-    # array, by the operations in the order used on the leaves' level 0.0.
+    # Each node's place in the figure, indexed by node: the k leaves, then
+    # node k - 1 + m for merge m. The heights of the merges come from the
+    # level array, by the operations in the order used on the leaves' level
+    # 0.0; their xs are filled in as the merges are drawn.
+    xs = np.empty(2 * k - 1)
+    xs[leaf_order] = first + np.arange(k) * step
     usable_h = _HEIGHT - 2 * _MARGIN
     top = dendrogram.final_level if dendrogram.final_level > 0.0 else 1.0
-    ys = [_HEIGHT - _MARGIN - 0.0 / top * usable_h] * k
-    bars = _HEIGHT - _MARGIN - dendrogram.level / top * usable_h
+    ys = np.append(np.full(k, _HEIGHT - _MARGIN - 0.0 / top * usable_h),
+                   _HEIGHT - _MARGIN - dendrogram.level / top * usable_h)
 
     def merges() -> Iterator[str]:
         # A merge's children are earlier nodes, so their xs are already there.
-        for a, b, y, level in _values(dendrogram.left, dendrogram.right, bars, dendrogram.level):
-            x = (xs[a] + xs[b]) / 2.0
-            xs.append(x)
-            ys.append(y)
-            for child in (a, b):
+        rows = _values(left, right, ys[k:], dendrogram.level)
+        for node, (a, b, y, level) in enumerate(rows, start=k):
+            xa, xb = xs.item(a), xs.item(b)
+            x = (xa + xb) / 2.0
+            xs[node] = x
+            fa, fb, fy = _fmt(xa), _fmt(xb), _fmt(y)
+            for fx, child in ((fa, a), (fb, b)):
                 yield (
-                    f'<line x1="{_fmt(xs[child])}" y1="{_fmt(ys[child])}"'
-                    f' x2="{_fmt(xs[child])}" y2="{_fmt(y)}"'
+                    f'<line x1="{fx}" y1="{_fmt(ys.item(child))}" x2="{fx}" y2="{fy}"'
                     ' stroke="black" stroke-width="1.5"/>'
                 )
             yield (
-                f'<line x1="{_fmt(xs[a])}" y1="{_fmt(y)}"'
-                f' x2="{_fmt(xs[b])}" y2="{_fmt(y)}"'
+                f'<line x1="{fa}" y1="{fy}" x2="{fb}" y2="{fy}"'
                 ' stroke="black" stroke-width="1.5"/>'
             )
             yield (
@@ -129,9 +135,9 @@ def _dendrogram_chunks(dendrogram: Dendrogram) -> Iterator[str]:
             )
 
     leaves = (
-        f'<text x="{_fmt(xs[leaf])}" y="{_fmt(_HEIGHT - _MARGIN + 16)}"'
+        f'<text x="{_fmt(xs.item(leaf))}" y="{_fmt(_HEIGHT - _MARGIN + 16)}"'
         f' font-size="12" font-family="sans-serif" text-anchor="middle">C{leaf}</text>'
-        for leaf in leaf_order
+        for (leaf,) in _values(leaf_order)
     )
     return _joined(chain(_HEADER, merges(), leaves, ("</svg>",)))
 

@@ -218,7 +218,7 @@ def test_criterion_6_blob_recovery():
             rng, [(0.0, 0.0), (20.0, 0.0)], per_blob=100, spread=1.0
         )
         result = emstrd(Dataset(tuple(points)), 2)
-        assignment = result.partition.labels.tolist()
+        assignment = result.forest.labels.tolist()
         blob_a = {assignment[i] for i, lab in enumerate(labels) if lab == 0}
         blob_b = {assignment[i] for i, lab in enumerate(labels) if lab == 1}
         if not (len(blob_a) == 1 and len(blob_b) == 1 and blob_a != blob_b):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -210,7 +211,7 @@ class TestEmstrd:
                 assert isinstance(array, np.ndarray) and array.shape == (length,)
                 assert not array.flags.writeable
             assert [a.dtype.kind for a in per_cluster] == ["i", "f", "f", "f"]
-            assert [a.dtype.kind for a in result.removed] == ["i", "i", "f", "U"]
+            assert [a.dtype for a in result.removed] == [np.int64, np.int64, np.float64, np.uint8]
 
     def test_length_mismatch_refused(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
@@ -229,24 +230,47 @@ class TestEmstrd:
     def test_negative_ids_and_weights_refused(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
         u, v, w, fired = result.removed
-        message = "center ids, removed edge ends and weights must be finite and >= 0"
-        for changed in (
-            {"center": -result.center},
-            {"removed": (-u, v, w, fired)},
-            {"removed": (u, v, -w, fired)},
-            {"removed": (u, v, w * np.nan, fired)},
+        ids = re.escape("center ids and removed edge ends must lie in 0..4")
+        weights = "removed edge weights must be finite and >= 0"
+        for changed, message in (
+            ({"center": -result.center}, ids),
+            ({"center": [0, 1, 7]}, ids),
+            ({"removed": (-u, v, w, fired)}, ids),
+            ({"removed": ([0, 2], [99, 3], w, fired)}, ids),
+            ({"removed": (u, v, -w, fired)}, weights),
+            ({"removed": (u, v, w * np.nan, fired)}, weights),
         ):
             with pytest.raises(InputError, match=message):
                 dataclasses.replace(result, **changed)
 
+    def test_centers_and_removed_edges_must_fit_the_forest(self):
+        # Points 0, 1 and 5 at k = 2: clusters {0, 1} and {2}, and the
+        # removed edge (1, 2).
+        result = emstrd(dataset_1d(0, 1, 5), 2)
+        assert (result.center.tolist(), result.forest.labels.tolist()) == ([0, 2], [0, 0, 1])
+        _, _, w, fired = result.removed
+        for center, message in (
+            ([1, 0], "cluster 1's center 0 is in cluster 0"),
+            ([2, 2], "cluster 0's center 2 is in cluster 1"),
+        ):
+            with pytest.raises(InputError, match=message):
+                dataclasses.replace(result, center=center)
+        with pytest.raises(InputError, match=re.escape("removed edge (0, 1) is inside cluster 0")):
+            dataclasses.replace(result, removed=([0], [1], w, fired))
+        assert dataclasses.replace(result, center=[1, 2]).center.tolist() == [1, 2]
+
     def test_unknown_criteria_refused(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
         u, v, w, fired = result.removed
-        for criteria in ([None, "longest"], [1, "longest"], ["longest", "Zahn"], ["", ""]):
-            with pytest.raises(InputError, match="removal criteria must be among"):
+        for criteria in ([3, 0], [-1, 1], [255, 2]):
+            with pytest.raises(InputError, match="removal criteria must be among 0..2"):
                 dataclasses.replace(result, removed=(u, v, w, criteria))
-        ok = dataclasses.replace(result, removed=(u, v, w, ["zahn", "threshold"]))
-        assert ok.removed[3].tolist() == ["zahn", "threshold"]
+        for criteria in ([None, 1], [0.5, 1], ["longest", "zahn"]):
+            with pytest.raises(InputError, match="removal criteria must be whole numbers"):
+                dataclasses.replace(result, removed=(u, v, w, criteria))
+        ok = dataclasses.replace(result, removed=(u, v, w, [2, 0]))
+        assert ok.removed[3].tolist() == [2, 0]
+        assert [fired for _, fired in ok.removed_edges] == ["zahn", "threshold"]
 
     def test_constructor_copies_its_arrays(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
@@ -280,7 +304,7 @@ class TestEmstrd:
     def test_single_point_k1(self):
         result = emstrd(dataset_1d(9), 1)
         assert result.cluster_count == 1
-        assert np.diff(result.partition.member_start).tolist() == [1]
+        assert np.diff(result.forest.member_start).tolist() == [1]
 
     def test_partition_and_edge_conservation(self):
         rng = random.Random(613)
@@ -382,7 +406,7 @@ class TestEmstrd:
             rng, [(0.0, 0.0), (20.0, 0.0)], per_blob=30
         )
         result = emstrd(Dataset(tuple(points)), 2)
-        got = result.partition.labels.tolist()
+        got = result.forest.labels.tolist()
         split = {label: set() for label in (0, 1)}
         for idx, cid in enumerate(got):
             split[labels[idx]].add(cid)
@@ -397,7 +421,7 @@ class TestEmstrd:
         result = emstrd(Dataset(tuple(points)), 2, ZAHN)
         ((edge, fired),) = result.removed_edges
         assert fired == CRITERION_ZAHN
-        got = result.partition.labels.tolist()
+        got = result.forest.labels.tolist()
         first = {i for i, lab in enumerate(labels) if lab == 0}
         one_side = {i for i, cid in enumerate(got) if cid == got[0]}
         assert one_side in (first, set(range(len(points))) - first)
@@ -479,7 +503,7 @@ class TestPowerOfTwoScaling:
             (ua, va, wa, fa), (ub, vb, wb, fb) = a.removed, b.removed
             assert (ub.tolist(), vb.tolist(), fb.tolist()) == (ua.tolist(), va.tolist(), fa.tolist())
             assert wb.tolist() == [math.ldexp(w, e) for w in wa.tolist()]
-            assert np.array_equal(b.partition.labels, a.partition.labels)
+            assert np.array_equal(b.forest.labels, a.forest.labels)
             assert np.array_equal(b.center, a.center)
             for name in ("radius", "diameter", "variance"):
                 x, y = getattr(a, name).tolist(), getattr(b, name).tolist()
@@ -503,5 +527,5 @@ def test_one_more_cluster_is_one_more_cut(ds, data):
         coarse, fine = emstrd(ds, k, config), emstrd(ds, k + 1, config)
         for x, y in zip(fine.removed, coarse.removed):
             assert np.array_equal(x[: k - 1], y)
-        pairs = set(zip(fine.partition.labels.tolist(), coarse.partition.labels.tolist()))
+        pairs = set(zip(fine.forest.labels.tolist(), coarse.forest.labels.tolist()))
         assert len(pairs) == fine.cluster_count == k + 1

@@ -135,22 +135,20 @@ class TestBuildEmst:
             tree = build_emst(ds)
             heaviest = min(tree.edges, key=lambda e: (-e.weight, e.u, e.v))
             rest = [e for e in tree.edges if e != heaviest]
-            from emstclust import Partition
-
             forest = tree_as_forest(n, rest)
-            parts = Partition.of_forest(n, forest.u, forest.v, forest.w)
-            assert parts.count == 2
+            assert forest.component_count == 2
             achieved = min(
                 math.dist(ds.points[i].coords, ds.points[j].coords)
-                for i in parts.members_of(0).tolist()
-                for j in parts.members_of(1).tolist()
+                for i in forest.members_of(0).tolist()
+                for j in forest.members_of(1).tolist()
             )
             assert achieved == pytest.approx(max_min_separation(list(ds.points)), abs=1e-9)
 
 
 # Edge lists a builder might return for the four points of TREE_CHECK_POINTS,
-# each wrong in one way. The count, range and spanning checks each catch at
-# least one case that the other two let through.
+# each wrong in one way. The range check before the distinct rows are
+# renumbered, SpanningForest's constructor and build_emst's one-component
+# check must refuse every one between them.
 BAD_TREES = {
     "repeated edge": ([0, 0, 1], [1, 1, 2]),
     "cycle": ([0, 1, 0], [1, 2, 2]),
@@ -164,8 +162,8 @@ TREE_CHECK_POINTS = (0.0, 1.0, 3.0, 6.0)
 
 
 class TestTreeCheck:
-    """The EMST is checked once, where the builders hand it over; nothing
-    downstream checks it again, so a broken builder must be refused there."""
+    """The EMST is checked once, by build_emst; nothing downstream checks it
+    again, so a broken builder must be refused there."""
 
     @pytest.fixture(params=["_prim_emst", "_kdtree_emst"])
     def broken_builder(self, request, monkeypatch):

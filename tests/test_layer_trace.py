@@ -38,6 +38,9 @@ def test_traced_cli_run(tmp_path, monkeypatch, capsys, n, criterion):
     attributed = sum(summary[name] for name in layers.SELF_TIMES)
     assert attributed == pytest.approx(root.end - root.start, abs=1e-6)
     assert summary["io.rows"] == n
+    # Three trees, each built once: the EMST, the kept forest and the meta tree.
+    assert summary["model.forest_builds"] == 3
+    assert summary["emst.points"] == n
 
     # The shims change no output byte.
     assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == 0

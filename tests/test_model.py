@@ -20,7 +20,6 @@ from emstclust import (
     MODE_STD,
     MODE_ZAHN,
     Point,
-    Partition,
     SpanningForest,
 )
 
@@ -135,13 +134,26 @@ class TestSpanningForest:
 
     def test_components_sorted_by_lowest_member(self):
         forest = SpanningForest(5, [3, 0], [4, 2], [1.0, 1.0])
-        part = Partition.of_forest(5, forest.u, forest.v, forest.w)
-        assert [part.members_of(c).tolist() for c in range(part.count)] == [
+        assert [forest.members_of(c).tolist() for c in range(forest.component_count)] == [
             [0, 2],
             [1],
             [3, 4],
         ]
-        assert part.labels.tolist() == [0, 1, 0, 2, 2]
+        assert forest.labels.tolist() == [0, 1, 0, 2, 2]
+        assert forest.member_start.tolist() == [0, 2, 3, 5]
+        for view in (forest.labels, forest.members, forest.member_start, *forest.edges_of(0)):
+            assert not view.flags.writeable
+
+    def test_component_edges_in_ascending_order(self):
+        # Components {0, 2, 4, 5} and {1, 3}, their edges given out of order.
+        forest = SpanningForest(6, [4, 1, 2, 0], [5, 3, 4, 2], [4.0, 2.0, 3.0, 1.0])
+        assert [tuple(a.tolist() for a in forest.edges_of(c)) for c in range(2)] == [
+            ([0, 2, 4], [2, 4, 5], [1.0, 3.0, 4.0]),
+            ([1], [3], [2.0]),
+        ]
+        single = SpanningForest(1, [], [], [])
+        assert single.labels.tolist() == [0] and single.members_of(0).tolist() == [0]
+        assert [a.tolist() for a in single.edges_of(0)] == [[], [], []]
 
     def test_rejects_cycle(self):
         with pytest.raises(InputError, match="the edges close a cycle"):
@@ -267,9 +279,9 @@ class TestCluster:
 def report(radius, diameter, variance=1.0, center=1):
     """A ClusteringResult whose one cluster, the path 0 - 1 - 2, reports
     the given center, radius, diameter and variance."""
-    part = Partition.of_forest(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]))
+    forest = SpanningForest(3, [0, 1], [1, 2], [1.0, 1.0])
     return ClusteringResult(
-        part, [center], [radius], [diameter], [variance], Dataset([p(0)]), ([], [], [], [])
+        forest, [center], [radius], [diameter], [variance], Dataset([p(0)]), ([], [], [], [])
     )
 
 
@@ -292,10 +304,10 @@ class TestClusterReport:
             report(1.0, 2.5)
 
     def test_singleton_zeros(self):
-        part = Partition.of_forest(2, np.array([], int), np.array([], int), np.array([]))
+        forest = SpanningForest(2, [], [], [])
         result = ClusteringResult(
-            part, [0, 1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], Dataset([p(0), p(1)]),
-            ([0], [1], [1.0], ["longest"]),
+            forest, [0, 1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], Dataset([p(0), p(1)]),
+            ([0], [1], [1.0], [1]),
         )
         assert result.diameter.tolist() == [0.0, 0.0]
         assert result.removed_edges == ((Edge(0, 1, 1.0), "longest"),)
@@ -326,13 +338,13 @@ class TestClusterReport:
             report(*values)
 
     def test_first_failing_cluster_is_named(self):
-        part = Partition.of_forest(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
+        forest = SpanningForest(4, [0, 2], [1, 3], [1.0, 1.0])
         points = Dataset([p(0), p(2)])
-        removed = ([1], [2], [1.0], ["longest"])
+        removed = ([1], [2], [1.0], [1])
         with pytest.raises(InputError, match="cluster 1: radius 2.0 exceeds diameter 1.0"):
-            ClusteringResult(part, [0, 2], [1.0, 2.0], [1.0, 1.0], [0.5, 0.5], points, removed)
+            ClusteringResult(forest, [0, 2], [1.0, 2.0], [1.0, 1.0], [0.5, 0.5], points, removed)
         with pytest.raises(InputError, match="cluster 1: variance must be finite"):
-            ClusteringResult(part, [0, 2], [1.0, 1.0], [1.0, 1.0], [0.5, -0.5], points, removed)
+            ClusteringResult(forest, [0, 2], [1.0, 1.0], [1.0, 1.0], [0.5, -0.5], points, removed)
 
 
 class TestDendrogram:
