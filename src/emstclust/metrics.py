@@ -15,7 +15,16 @@ import numpy as np
 
 from .emst import _SCALE_EXP
 from .errors import DegenerateInputError, InputError
-from .model import _CHUNK, Cluster, Dataset, Point, SpanningForest, _read_only, _whole_ids
+from .model import (
+    _CHUNK,
+    Cluster,
+    Dataset,
+    Point,
+    SpanningForest,
+    _lowest_members,
+    _read_only,
+    _whole_ids,
+)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -205,7 +214,23 @@ def _center(
 ) -> tuple[int, float, float]:
     """The center of the tree on members ids (ascending) with edges u, v, w:
     the lowest member at the smallest eccentricity, that eccentricity (the
-    radius) and the largest (the diameter)."""
+    radius) and the largest (the diameter).
+
+    Zero-weight edges (between duplicate points) are contracted first, each
+    group of members they join to its lowest member. A zero adds nothing to
+    an exact integer path length, so every member has its group's
+    eccentricity, and the lowest member at the smallest is the lowest
+    member of a group. The result is bit for bit that of the whole tree,
+    and the sweeps visit one vertex per group instead of one per member.
+    A tree with no zero weight is swept as it is.
+    """
+    zero = w == 0
+    if zero.any():
+        a, b = np.searchsorted(ids, u), np.searchsorted(ids, v)
+        lowest = _lowest_members(len(ids), a[zero], b[zero])
+        group, kept = ids[lowest], ~zero
+        u, v, w = group[a[kept]], group[b[kept]], w[kept]
+        ids = ids[lowest == np.arange(len(ids))]
     ecc = _eccentricities(ids, u, v, w)
     radius = min(ecc)
     return int(ids[ecc.index(radius)]), radius, max(ecc)
@@ -219,7 +244,8 @@ def path_distance_table(cluster: Cluster) -> DistanceTable:
     uses. Every entry is then the correctly rounded path length, and the
     table is exactly symmetric with a zero diagonal. O(m^2) time and
     memory: tree_eccentricities gives the same eccentricities without the
-    matrix.
+    matrix. Like it, this measures every member with no zero-weight edge
+    contracted: the uncontracted reference for _center.
     """
     adjacency, scale = _exact_tree(cluster.ids, cluster.u, cluster.v, cluster.w)
     dist = [_rounded(_sweep(adjacency, i), scale) for i in range(len(adjacency))]
@@ -232,7 +258,8 @@ def tree_eccentricities(cluster: Cluster) -> TreeEccentricities:
     Each value is the correctly rounded length of the member's longest
     path, found by three sweeps over the tree (_eccentricities), so it
     equals path_distance_table(cluster).eccentricities float for float.
-    O(m) time and memory.
+    O(m) time and memory. Every member is swept, with no zero-weight edge
+    contracted: this is the uncontracted reference for _center.
     """
     ecc = _read_only(np.array(_eccentricities(cluster.ids, cluster.u, cluster.v, cluster.w)))
     return TreeEccentricities(vertices=tuple(cluster.ids.tolist()), eccentricities=ecc)

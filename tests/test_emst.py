@@ -426,12 +426,13 @@ class TestDistinctRows:
     def test_distinct_points_with_zero_d2_are_not_merged(self):
         # Unscaled, 1e-200 squares to 0, all three pairs tie at d^2 = 0 and
         # the index tie-break takes (0, 2). Scaled, only the two zeros tie.
+        # The edges come in the builder's order, so they are compared sorted.
         u, v, w = emst._emst_arrays(np.array([[1e-200], [0.0], [0.0]]))
-        assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 1], [1, 2], [1e-200, 0.0])
+        assert sorted(zip(u.tolist(), v.tolist(), w.tolist())) == [(0, 1, 1e-200), (1, 2, 0.0)]
         # 1e-250 is too small for any scaling beside 1, so the builder runs
         # on every row and the zeros stay tied with it.
-        u, v, w = emst._emst_arrays(np.array([[1.0], [1e-250], [0.0], [0.0]]))
-        assert (u.tolist(), v.tolist()) == ([0, 1, 1], [1, 2, 3])
+        u, v, _ = emst._emst_arrays(np.array([[1.0], [1e-250], [0.0], [0.0]]))
+        assert sorted(zip(u.tolist(), v.tolist())) == [(0, 1), (1, 2), (1, 3)]
 
     def test_builder_sees_only_distinct_rows(self, monkeypatch):
         seen = []

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emstclust import (
     Cluster,
@@ -23,10 +25,12 @@ from emstclust import (
     cluster_variance,
     diameter_and_set,
     emstrd,
+    emstucc,
     path_distance_table,
     tree_eccentricities,
 )
-from emstclust.metrics import _CHUNK, _mean, _rms, _rms_spread
+from emstclust.emst import _emst_arrays
+from emstclust.metrics import _CHUNK, _center, _mean, _rms, _rms_spread
 from oracles import (
     edge_lists,
     eccentricities_oracle,
@@ -285,6 +289,85 @@ class TestTreeEccentricities:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * 8 * m * m
+
+
+@st.composite
+def zero_heavy_clusters(draw):
+    """A tree on 1-40 members with gaps between their ids, its shape and
+    labelling drawn so that the lowest member can sit anywhere. One tree in
+    four has only zero weights; in the rest about two weights in three are
+    0 and the others are spread over 2^-300 .. 2^300."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-300, 300))
+    zero = st.just(True) if draw(st.integers(0, 3)) == 0 else st.sampled_from([True, True, False])
+    weights = [0.0 if draw(zero) else draw(positive) for _ in parents]
+    return Cluster(ids, ids[1:], [ids[j] for j in parents], weights)
+
+
+def expected_center(cluster):
+    """_center's result taken from tree_eccentricities of the whole tree."""
+    ecc = tree_eccentricities(cluster)
+    centers, radius = center_and_radius(ecc)
+    return min(centers), radius, diameter_and_set(ecc)[0]
+
+
+def grid_rows(seed, n, side, dim):
+    return np.random.default_rng(seed).integers(0, side, (n, dim)).astype(float)
+
+
+class TestZeroWeightContraction:
+    """_center contracts each group of members joined by zero-weight edges
+    to its lowest member before the sweeps; the result must be the one of
+    the whole tree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_heavy_clusters())
+    @example(Cluster([4], [], [], []))
+    @example(Cluster([0, 1, 2], [0, 1], [1, 2], [0.0, 0.0]))
+    # The lowest member hangs off its group by a zero edge.
+    @example(Cluster([3, 5, 9], [3, 5], [9, 9], [0.0, 2.0]))
+    # Groups {1, 7} and {2, 8} tie at the smallest eccentricity.
+    @example(Cluster([1, 2, 7, 8], [2, 1, 2], [7, 7, 8], [1.0, 0.0, 0.0]))
+    @example(Cluster(range(5), [0, 1, 1, 2], [4, 4, 2, 3], [0.0, 3.0, 0.0, 3.0]))
+    def test_equals_the_uncontracted_eccentricities(self, cluster):
+        got = _center(cluster.ids, cluster.u, cluster.v, cluster.w)
+        assert got == expected_center(cluster)
+
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_emstrd_on_duplicate_grid_rows(self, k):
+        rows = grid_rows(k, 300, 4, 3)
+        result = emstrd(Dataset._of_array(rows), k)
+        assert (result.forest.w == 0.0).any() or k == len(rows)
+        for c, cluster in enumerate(result.clusters):
+            table = path_distance_table(cluster)
+            centers, radius = center_and_radius(table)
+            got = (int(result.center[c]), float(result.radius[c]), float(result.diameter[c]))
+            assert got == (min(centers), radius, diameter_and_set(table)[0])
+
+    def test_emstucc_on_duplicate_centers(self):
+        # Like a run at k close to n on duplicate-heavy rows: many clusters
+        # share a center point, so the meta tree has zero-weight edges.
+        result = emstucc(Dataset._of_array(grid_rows(7, 600, 5, 3)))
+        meta = result.meta_tree
+        assert (meta.w == 0.0).sum() > len(meta.w) // 2
+        whole = Cluster(range(meta.vertex_count), meta.u, meta.v, meta.w)
+        assert (result.central_cluster, result.meta_radius) == expected_center(whole)[:2]
+
+    def test_peak_memory_follows_the_distinct_points(self):
+        # 4000 rows on the 8^3 grid, 512 distinct: 3488 of the 3999 EMST
+        # edges have weight 0. Measured at 0.29 MB with the contraction and
+        # 1.17 MB without it; the bound is the first plus a quarter.
+        u, v, w = _emst_arrays(grid_rows(1, 4000, 8, 3))
+        ids = np.arange(4000)
+        tracemalloc.start()
+        try:
+            _center(ids, u, v, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 0.29 * 2**20
 
 
 class TestCentroidMeasures:
