@@ -33,11 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of clusters to produce")
     parser.add_argument("--criterion", choices=sorted(_CLI_MODES), default="std",
                         help="edge removal criterion (default: std)")
-    parser.add_argument("--zahn-c", type=float, default=2.0,
+    parser.add_argument("--zahn-c", type=float, default=CriterionConfig.zahn_c,
                         help="deviation multiplier for the zahn criterion")
-    parser.add_argument("--zahn-f", type=float, default=2.0,
+    parser.add_argument("--zahn-f", type=float, default=CriterionConfig.zahn_f,
                         help="ratio threshold for the zahn criterion")
-    parser.add_argument("--zahn-depth", type=int, default=2,
+    parser.add_argument("--zahn-depth", type=int, default=CriterionConfig.zahn_depth,
                         help="neighborhood depth in hops for the zahn criterion")
     parser.add_argument("--out", required=True, type=Path,
                         help="output directory (created if missing)")

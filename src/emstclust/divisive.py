@@ -3,7 +3,8 @@
 Each removal raises the component count by exactly one, so reaching k
 clusters takes exactly k - 1 removals, all chosen by one routine
 (_removals). Edge weight statistics are computed once on the original tree
-and reused unchanged for every removal decision.
+and reused unchanged for every removal decision. The zahn scan deletes each
+removed edge from the one adjacency (model._neighbors) that it builds.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     Point,
     SpanningForest,
     _as_array,
+    _neighbors,
     _read_only,
     _values,
     _whole,
@@ -50,22 +52,9 @@ _CRITERIA = (CRITERION_THRESHOLD, CRITERION_LONGEST, CRITERION_ZAHN)
 # The removal log holds each clause as its index in _CRITERIA, one byte.
 _THRESHOLD, _LONGEST, _ZAHN = range(len(_CRITERIA))
 
-_Adjacency = dict[int, dict[int, float]]
-
-
-def _adjacency(us: list[int], vs: list[int], ws: list[float]) -> _Adjacency:
-    adj: _Adjacency = {}
-    for a, b, w in zip(us, vs, ws):
-        adj.setdefault(a, {})[b] = w
-        adj.setdefault(b, {})[a] = w
-    return adj
-
-
-def _neighborhood_weights(
-    adj: _Adjacency, start: int, other: int, depth: int
-) -> list[float]:
+def _neighborhood_weights(adj: list, start: int, other: int, depth: int) -> list[float]:
     """Weights of all edges within `depth` hops of `start`, never crossing
-    the edge (start, other).
+    the edge (start, other), in the adjacency lists adj (model._neighbors).
 
     In a forest `other` is reachable from `start` only through that edge, so
     marking both visited up front excludes exactly the edge itself.
@@ -76,19 +65,17 @@ def _neighborhood_weights(
     for _ in range(depth):
         nxt: list[int] = []
         for v in frontier:
-            for nb, w in adj[v].items():
+            for nb, w in adj[v]:
                 if nb in visited:
                     continue
                 visited.add(nb)
                 weights.append(w)
                 nxt.append(nb)
-        if not nxt:
-            break
         frontier = nxt
     return weights
 
 
-def _zahn_test(adj: _Adjacency, u: int, v: int, w: float, config: CriterionConfig) -> bool:
+def _zahn_test(adj: list, u: int, v: int, w: float, config: CriterionConfig) -> bool:
     c = config.zahn_c
     deviations = []
     for a, b in ((u, v), (v, u)):
@@ -121,19 +108,20 @@ def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) ->
     an empty side's bound is 0 and a non-empty side's is >= 0, so some
     non-empty side attains the maximum, and condition 1 holds on it.
     """
-    adj = _adjacency(tree.u.tolist(), tree.v.tolist(), tree.w.tolist())
-    # The same test as Edge equality, without building the tree's edge views.
-    if adj.get(e.u, {}).get(e.v) != e.weight:
+    adj = _neighbors(tree.vertex_count, tree.u.tolist(), tree.v.tolist(), tree.w.tolist())
+    # The same test as Edge equality, without the tree's edge views (e.u < e.v).
+    if e.u >= tree.vertex_count or (e.v, e.weight) not in adj[e.u]:
         raise InputError(f"edge {e.endpoints} is not in the tree")
     return _zahn_test(adj, e.u, e.v, e.weight, config)
 
 
 def _removals(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, count: int, stats: EdgeStats, config: CriterionConfig
+    forest: SpanningForest, count: int, stats: EdgeStats, config: CriterionConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The first `count` edges to remove from the forest (u, v, w) by the
-    rule emstrd documents, in removal order, as two arrays: each one's
-    position in u, v and w, and the clause that chose it (uint8)."""
+    """The first `count` edges to remove from the forest by the rule emstrd
+    documents, in removal order, as two arrays: each one's position in the
+    forest's u, v and w, and the clause that chose it (uint8)."""
+    u, v, w = forest.u, forest.v, forest.w
     if count > len(w):
         raise DegenerateInputError("no edges left to remove")
     order = np.lexsort((v, u, -w))
@@ -142,7 +130,7 @@ def _removals(
         above = w[cut] > stats.mean + stats.std
         return cut, np.where(above, _THRESHOLD, _LONGEST).astype(np.uint8)
     us, vs, ws = u.tolist(), v.tolist(), w.tolist()
-    adj = _adjacency(us, vs, ws)
+    adj = _neighbors(forest.vertex_count, us, vs, ws)
     live = order.tolist()
     cuts, clauses = [], []
     for _ in range(count):
@@ -153,7 +141,9 @@ def _removals(
         else:
             i, fired = 0, _LONGEST
         e = live.pop(i)
-        del adj[us[e]][vs[e]], adj[vs[e]][us[e]]
+        # Each (neighbour, weight) entry is unique in a forest.
+        adj[us[e]].remove((vs[e], ws[e]))
+        adj[vs[e]].remove((us[e], ws[e]))
         cuts.append(e)
         clauses.append(fired)
     return np.array(cuts, dtype=np.int64), np.array(clauses, dtype=np.uint8)
@@ -164,7 +154,7 @@ def select_edge_to_remove(
 ) -> tuple[Edge, str]:
     """The edge emstrd would remove next from the forest, given the
     original tree's statistics, and the clause that chose it."""
-    (e,), (fired,) = _removals(forest.u, forest.v, forest.w, 1, stats, config)
+    (e,), (fired,) = _removals(forest, 1, stats, config)
     return Edge(forest.u[e], forest.v[e], forest.w[e]), _CRITERIA[fired]
 
 
@@ -196,7 +186,7 @@ class ClusteringResult:
         k, n, labels = self.forest.component_count, self.forest.vertex_count, self.forest.labels
         shape = f"{k} clusters need {k} centers, radii, diameters, variances and {k - 1} removals"
         u, v, w, fired = self.removed
-        center = _whole_ids(self.center, "center ids")
+        center = _whole_ids(self.center, "center ids").copy()
         ends = _whole_ids(_as_array((u, v), None, shape), "removed edge endpoints")
         fired = _whole_ids(fired, "removal criteria")
         values = _as_array((self.radius, self.diameter, self.variance), np.float64, shape)
@@ -287,8 +277,8 @@ def emstrd(
         raise InputError(f"k must be in [1, {n}], got {k}")
 
     tree = build_emst(dataset)
+    cut, fired = _removals(tree, k - 1, EdgeStats.of(tree.w), config)
     u, v, w = tree.u, tree.v, tree.w
-    cut, fired = _removals(u, v, w, k - 1, EdgeStats.of(w), config)
     removed = (u[cut], v[cut], w[cut], fired)
     kept = [np.delete(a, cut) for a in (u, v, w)]
     # The EMST goes before the kept forest is built, which can then reuse

@@ -1,7 +1,8 @@
 """Every statistic of the package: edge weight mean and deviation, tree
 path metrics (eccentricities, center, radius, diameter, on the weighted
-path distances of a cluster's subtree) and coordinate spread. Means and
-spreads come from one mean (_mean) and one root mean square (_rms).
+path distances of a cluster's subtree, swept on model._neighbors' lists)
+and coordinate spread. Means come from one mean (_mean), spreads from one
+root mean square of deviations about a center (_rms).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import (
     Point,
     SpanningForest,
     _lowest_members,
+    _neighbors,
     _read_only,
     _whole_ids,
 )
@@ -39,15 +41,17 @@ def _mean(values: Sequence[float]) -> float:
         return math.ldexp(math.fsum(math.ldexp(x, -b) for x in values) / n, b)
 
 
-def _rms(values: Sequence[float]) -> float:
-    """Root mean square of nonnegative values. Each is scaled by the power
-    of two that brings the largest just below 2^250, so that no square
-    overflows, and squared as y * y, not by libm's pow; x * 2^e scales to
-    the same y, so the result scales exactly by 2^e. values may be a
-    float64 array; no list of the scaled values is made."""
-    s = _SCALE_EXP - math.frexp(max(values))[1]
-    scaled = map(math.ldexp, values, repeat(s))
-    return math.ldexp(math.sqrt(math.fsum(y * y for y in scaled) / len(values)), -s)
+def _rms(values: Sequence[float], center: float = 0.0) -> float:
+    """Root mean square of the deviations |x - center| of values, a list or
+    float64 array. x - center rounds monotonically in x, so the largest is
+    that of max(values) or min(values), and the power of two that brings it
+    just below 2^250 scales each, so that no square overflows. Squares are
+    y * y, not libm's pow, and stream through math.fsum; x * 2^e about
+    center * 2^e scales to the same y, so the result scales exactly by 2^e."""
+    top = max(max(values) - center, center - min(values))
+    s = _SCALE_EXP - math.frexp(top)[1]
+    squares = ((y := math.ldexp(x - center, s)) * y for x in values)
+    return math.ldexp(math.sqrt(math.fsum(squares) / len(values)), -s)
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,12 @@ class EdgeStats:
 
     @classmethod
     def of(cls, weights: Sequence[float] | np.ndarray) -> EdgeStats:
-        """_mean and _rms of |w - mean| of a weight list or float64 array,
-        which do not depend on the order of the weights; both are 0 for none."""
+        """_mean of a weight list or float64 array and _rms about it, which
+        do not depend on the order of the weights; both are 0 for none."""
         if not len(weights):
             return cls(0.0, 0.0)
         mean = _mean(weights)
-        return cls(mean=mean, std=_rms(np.abs(np.asarray(weights, dtype=np.float64) - mean)))
+        return cls(mean=mean, std=_rms(weights, mean))
 
 
 def edge_statistics(forest: SpanningForest) -> EdgeStats:
@@ -138,8 +142,8 @@ def _exact_tree(
     ids: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> tuple[list[list[tuple[int, int]]], int]:
     """The tree on members ids (ascending) with edges u, v, w, as adjacency
-    lists over local indices (member ids[i] is i) of exact integer weights,
-    and their common denominator Q.
+    lists (model._neighbors) over local indices (member ids[i] is i) of
+    exact integer weights, and their common denominator Q.
 
     Every float is p / q with q a power of two, so with Q the largest q each
     weight is exactly the integer p * (Q // q) over Q. Sums of these
@@ -147,17 +151,12 @@ def _exact_tree(
     length correctly.
     """
     weights = w.tolist()
-    # Q first, so that no list of (p, q) pairs is held next to the lists.
+    # Q first, so that the exact weights can stream into the lists.
     scale = max((x.as_integer_ratio()[1] for x in weights), default=1)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(len(ids))]
+    exact = (p * (scale // q) for p, q in map(float.as_integer_ratio, weights))
     local_u = np.searchsorted(ids, u).tolist()
     local_v = np.searchsorted(ids, v).tolist()
-    for a, b, weight in zip(local_u, local_v, weights):
-        p, q = weight.as_integer_ratio()
-        x = p * (scale // q)
-        adjacency[a].append((b, x))
-        adjacency[b].append((a, x))
-    return adjacency, scale
+    return _neighbors(len(ids), local_u, local_v, exact), scale
 
 
 def _sweep(adjacency: list[list[tuple[int, int]]], source: int) -> list[int]:

@@ -75,12 +75,12 @@ def _whole(value, name: str, error: type[Exception]) -> int:
 
 
 def _whole_ids(values, name: str) -> np.ndarray:
-    """values as a new int64 array, or InputError when one is not a whole
-    number (2.9, nan, "a"): the one rule for every id, which each caller
-    range-checks; ids are refused, never truncated."""
+    """values as an int64 array, itself if it is one, or InputError when one
+    is not a whole number (2.9, nan, "a"): the one rule for every id, which
+    each caller range-checks and copies before it keeps it; never truncated."""
     values = _as_array(values, None, f"{name} must be whole numbers")
     with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
-        ids = values.astype(np.int64) if values.dtype.kind in "biuf" else None
+        ids = values.astype(np.int64, copy=False) if values.dtype.kind in "biuf" else None
     if ids is None or not (ids == values).all():
         raise InputError(f"{name} must be whole numbers")
     return ids
@@ -202,6 +202,17 @@ def _lowest_members(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = up
 
 
+def _neighbors(count: int, a: Iterable, b: Iterable, values: Iterable) -> list[list[tuple]]:
+    """The package's one tree adjacency: over vertices 0 .. count - 1, entry
+    p lists (q, x) for each edge (p, q) of a, b with value x, in edge order.
+    All three may be iterators, so values can stream in."""
+    adjacency: list[list[tuple]] = [[] for _ in range(count)]
+    for p, q, x in zip(a, b, values):
+        adjacency[p].append((q, x))
+        adjacency[q].append((p, x))
+    return adjacency
+
+
 def _edge_views(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> frozenset[Edge]:
     return frozenset(map(Edge, u.tolist(), v.tolist(), w.tolist()))
 
@@ -218,8 +229,7 @@ def _tree_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (u.ndim == 1 and u.shape == v.shape == w.shape):
         raise InputError(shape)
     lo, hi = _whole_ids(u, "edge endpoints"), _whole_ids(v, "edge endpoints")
-    # Both new arrays: hi takes the larger ends in place once lo is made.
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     if (lo == hi).any():
         raise InputError(f"self-loop at vertex {lo[lo == hi][0]}")
     if not (np.isfinite(w) & (w >= 0.0)).all():

@@ -120,6 +120,12 @@ class TestZahnInconsistent:
         with pytest.raises(InputError):
             zahn_inconsistent(forest, Edge(0, 1, 2.0), ZAHN)
 
+    @pytest.mark.parametrize("edge", [Edge(3, 4, 1.0), Edge(1, 5, 1.0)])
+    def test_endpoint_past_the_vertex_count_rejected(self, edge):
+        forest = chain_forest([1.0, 1.0])
+        with pytest.raises(InputError, match=re.escape(f"edge {edge.endpoints} is not in the tree")):
+            zahn_inconsistent(forest, edge, ZAHN)
+
     def test_builds_no_edge_views(self):
         tree = build_emst(dataset_1d(0, 1, 3, 6, 10))
         edge = Edge(tree.u[2], tree.v[2], tree.w[2])
@@ -149,6 +155,13 @@ class TestSelectEdgeZahn:
         edge, fired = select_edge_to_remove(forest, None, ZAHN)
         assert edge.weight == 10.0
         assert fired == CRITERION_ZAHN
+
+    def test_vertex_ids_beyond_the_edge_count(self):
+        # Six vertices, three edges: the adjacency has a list per vertex.
+        forest = SpanningForest(6, [0, 3, 4], [1, 4, 5], [1.0, 2.0, 9.0])
+        edge, fired = select_edge_to_remove(forest, edge_statistics(forest), ZAHN)
+        assert (edge, fired) == (Edge(4, 5, 9.0), CRITERION_ZAHN)
+        assert zahn_inconsistent(forest, edge, ZAHN)
 
     def test_falls_back_to_longest_when_consistent(self):
         forest = chain_forest([2.0] * 6)

@@ -451,6 +451,31 @@ class TestOneStatisticsRule:
         for weights in ([1.7e308, 1.7e308, 0.0], [], [0.0]):
             assert EdgeStats.of(np.array(weights)) == EdgeStats.of(weights)
 
+    @pytest.mark.parametrize(
+        "weights", [[0.0, 10.0, 10.0, 10.0], [1e300, 1e300, 1e300, math.nextafter(1e300, 0.0)]]
+    )
+    def test_largest_deviation_at_the_smallest_value(self, weights):
+        # The mean of the second list rounds to 1e300 itself, so the largest
+        # value deviates by 0 and only the smallest one's deviation (one ulp,
+        # about 2^944) gives a scale under which no scaled deviation overflows.
+        # The oracle squares unscaled, so it sees the weights below 1.
+        e = math.frexp(max(weights))[1]
+        mean, std = (math.ldexp(x, e) for x in mean_std([math.ldexp(w, -e) for w in weights]))
+        assert _rms(weights, mean) == std
+        assert EdgeStats.of(weights) == EdgeStats(mean, std)
+
+    def test_edge_stats_of_an_array_makes_no_copy(self):
+        # The deviations stream through math.fsum; as a numpy array they
+        # traced 1.6 MB here.
+        weights = np.random.default_rng(12).random(100_000)
+        tracemalloc.start()
+        try:
+            EdgeStats.of(weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_edge_stats_scale_exactly(self):
         # Unscaled, the squares of the deviations would be subnormal from
         # about e = -510 down.

@@ -347,6 +347,28 @@ class TestClusterReport:
             ClusteringResult(forest, [0, 2], [1.0, 1.0], [1.0, 1.0], [0.5, -0.5], points, removed)
 
 
+class TestCallerArrays:
+    def test_constructors_leave_int64_arrays_unchanged_and_writeable(self):
+        # An int64 array passes the id check as it is, so each constructor
+        # must copy before it orders, swaps or freezes what it keeps.
+        u, v = np.array([2, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64)
+        ids, center = np.array([2, 0, 1], dtype=np.int64), np.array([1, 3], dtype=np.int64)
+        cut_u, cut_v, fired = (np.array([x], dtype=np.int64) for x in (2, 3, 0))
+        arrays = (u, v, ids, center, cut_u, cut_v, fired)
+        before = [a.copy() for a in arrays]
+        w = np.array([1.0, 1.0])
+        forest = SpanningForest(4, u, v, w)
+        Cluster(ids, u, v, w)
+        result = ClusteringResult(
+            forest, center, [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], Dataset([p(0), p(1)]),
+            (cut_u, cut_v, [5.0], fired),
+        )
+        for array, copy in zip(arrays, before):
+            assert array.flags.writeable
+            assert np.array_equal(array, copy)
+        assert not result.center.flags.writeable
+
+
 class TestDendrogram:
     def test_single_leaf(self):
         d = Dendrogram(1, [], [], [])
