@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .model import _CHUNK, Dataset, SpanningForest
+from .model import _CHUNK, Dataset, SpanningForest, _lowest_members
 
 
 def _planes(rows: np.ndarray) -> np.ndarray:
@@ -332,39 +332,41 @@ class _Boruvka:
     canonical order and merges along all of them; with a strict total order
     these edges form a forest, and every one is in the unique tree. Per
     position of tree.perm it keeps the component, the best outgoing d^2
-    found so far (inf where none is known) and that pair's target position.
-    Each round searches by one dual-tree traversal (_search).
+    found so far (inf where none is known) and that pair's target position;
+    per component, for one round, comp_best and comp_low (_note). Each
+    round searches by one dual-tree traversal (_search) and merges with the
+    package's one component routine (_merge).
     """
 
     def __init__(self, coords: np.ndarray) -> None:
         n = len(coords)
-        self.edges = np.empty((2, n - 1), dtype=np.int64)
         self.tree = tree = _KdLeaves(coords)
         self.comp = np.arange(n)
         self.best_d2 = np.full(n, np.inf)
         self.best_to = np.zeros(n, dtype=np.int64)
-        self.comp_best_buf = np.empty(n)
-        self.comp_low_buf = np.empty(n, dtype=np.int64)
         self.node_comp = np.empty(2 * tree.leaves - 1, dtype=np.int64)
         self.leaf_comp = self.node_comp[tree.leaves - 1 :]
         self.tau = np.empty(2 * tree.leaves - 1)
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tree's edges (u, v), u < v, round by round: each round's
+        edges are keys u * n + v in ascending order, decoded once here."""
         comp, best_d2 = self.comp, self.best_d2
-        n, done = len(comp), 0
-        while done < n - 1:
+        n = count = len(comp)
+        rounds = []
+        while count > 1:
             # A best target from the last round that is still outside its
             # component is a real outgoing pair, so it seeds this round.
             best_d2[comp[self.best_to] == comp] = np.inf
-            self.comp_best = self.comp_best_buf[: n - done]
-            self.comp_best.fill(np.inf)
-            self.comp_low = self.comp_low_buf[: n - done]
-            self.comp_low.fill(n)
+            self.comp_best = np.full(count, np.inf)
+            self.comp_low = np.full(count, n)
             self._note(np.flatnonzero(best_d2 < np.inf))
             self._mark_nodes()
             self._search()
-            done = self._merge(done)
-        return self.edges[0], self.edges[1]
+            rounds.append(self._merge())
+            count -= len(rounds[-1])
+        key = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
+        return key // n, key % n
 
     def _mark_nodes(self) -> None:
         """Per node, bottom-up: node_comp, the component all its points lie
@@ -452,13 +454,15 @@ class _Boruvka:
         low = np.minimum(perm[a], perm[self.best_to[a]])
         np.minimum.at(self.comp_low, comp[at_best], low[at_best])
 
-    def _merge(self, done: int) -> int:
-        """Merge every component along its minimum outgoing pair.
+    def _merge(self) -> np.ndarray:
+        """Merge every component along its minimum outgoing pair and return
+        those pairs' keys min endpoint * n + max endpoint, ascending.
 
         Among the points attaining their component's least best d^2, the
-        pair with the least (min endpoint, max endpoint) is the canonical
-        minimum. Writes the new tree edges to `edges` from column `done` on,
-        relabels `comp` in place and returns the new number of edges.
+        pair with the least key is the canonical minimum. Two components
+        may choose the same pair; its key is returned once. comp is
+        relabelled in place: _lowest_members over the chosen pairs, and the
+        new labels numbered in the order of those lowest old labels.
         """
         comp, comp_best, best_to, perm = self.comp, self.comp_best, self.best_to, self.tree.perm
         count, n = len(comp_best), len(comp)
@@ -473,47 +477,31 @@ class _Boruvka:
         np.minimum.at(least, comp[pos], key)
         pos = pos[key == least[comp[pos]]]  # one per component
         del key
-        parent = np.empty(count, dtype=np.int64)
-        parent[comp[pos]] = comp[best_to[pos]]
-        # With a strict order the chosen edges form a forest, except that
-        # two components may choose the same edge: the smaller one roots it.
-        root = (parent[parent] == np.arange(count)) & (np.arange(count) < parent)
-        parent[root] = np.flatnonzero(root)
-        least = least[~root]
-        self.edges[0, done : done + len(least)] = least // n
-        self.edges[1, done : done + len(least)] = least % n
-        while np.count_nonzero(parent[parent] != parent):
-            parent = parent[parent]
-        roots = np.flatnonzero(parent == np.arange(count))
-        label = np.empty(count, dtype=np.int64)
-        label[roots] = np.arange(len(roots))
-        comp[:] = label[parent[comp]]
-        return done + len(least)
+        root = _lowest_members(count, comp[pos], comp[best_to[pos]])
+        comp[:] = (np.cumsum(root == np.arange(count)) - 1)[root][comp]
+        # lexsort, not np.unique, which pages in code of its own: it raised
+        # the CLI's peak RSS on the benchmark's tinyblobs_k200_std points
+        # from 31.8 to 33.2 MB, and on blobs2d_k10_svg's from 31.8 to 33.0.
+        least = least[np.lexsort((least,))]
+        return least[np.append(True, least[1:] != least[:-1])]
 
     def _blocks(self, rows: np.ndarray, cols: np.ndarray, pair_lb: np.ndarray) -> None:
         """Update the points of leaves `rows` with their best pair in `cols`.
 
         Leaf i of `rows` meets leaf i of `cols`, in that order; pair_lb is
         the pair's box lower bound. The pairs are screened a batch at a
-        time (_screen) and the point-by-leaf rows that pass are computed
-        in batches of at most _BLOCK_ELEMS differences (_rows), so the
-        component bests they find screen the pairs that follow.
+        time (_screen), and each batch's point-by-leaf rows that pass go
+        to _rows in slices of `per` rows, at most _BLOCK_ELEMS differences
+        each, so the component bests they find screen the pairs that
+        follow. A batch's last slice may be short.
         """
         dim, _, width = self.tree.pts.shape
         per = max(width, _BLOCK_ELEMS // (width * dim))  # rows per batch
         step = 16 * per // width  # row leaves screened at a time
-        held, count = [], 0
         for i in range(0, len(rows), step):
-            held.append(self._screen(rows[i : i + step], cols[i : i + step], pair_lb[i : i + step]))
-            count += len(held[-1][0])
-            last = i + step >= len(rows)
-            if count >= per or last:
-                slot, leaf = (np.concatenate(part) for part in zip(*held))
-                end = len(slot) if last else len(slot) - len(slot) % per
-                held, count = [(slot[end:], leaf[end:])], len(slot) - end
-                for j in range(0, end, per):
-                    self._rows(slot[j : j + per], leaf[j : j + per])
-                del slot, leaf
+            slot, leaf = self._screen(rows[i : i + step], cols[i : i + step], pair_lb[i : i + step])
+            for j in range(0, len(slot), per):
+                self._rows(slot[j : j + per], leaf[j : j + per])
 
     def _screen(self, q: np.ndarray, r: np.ndarray, pair_lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows (slot, leaf) of the points of leaves q that can have a

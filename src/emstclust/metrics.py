@@ -47,10 +47,16 @@ def _rms(values: Sequence[float], center: float = 0.0) -> float:
     that of max(values) or min(values), and the power of two that brings it
     just below 2^250 scales each, so that no square overflows. Squares are
     y * y, not libm's pow, and stream through math.fsum; x * 2^e about
-    center * 2^e scales to the same y, so the result scales exactly by 2^e."""
-    top = max(max(values) - center, center - min(values))
+    center * 2^e scales to the same y, so the result scales exactly by 2^e.
+    An array streams as Python floats, _CHUNK values at a time."""
+    if isinstance(values, np.ndarray):
+        top = max(float(values.max()) - center, center - float(values.min()))
+        xs = (x for i in range(0, len(values), _CHUNK) for x in values[i : i + _CHUNK].tolist())
+    else:
+        top = max(max(values) - center, center - min(values))
+        xs = values
     s = _SCALE_EXP - math.frexp(top)[1]
-    squares = ((y := math.ldexp(x - center, s)) * y for x in values)
+    squares = ((y := math.ldexp(x - center, s)) * y for x in xs)
     return math.ldexp(math.sqrt(math.fsum(squares) / len(values)), -s)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,53 @@ class TestKdTreeKernel:
     def test_random_ties_duplicates_and_lines(self):
         for coords in random_canonical_cases():
             assert builder_tree(emst._kdtree_emst, coords) == canonical_kruskal([Point(c) for c in coords])
+
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+
+def bench_inputs():
+    """bench/inputs.py by path; it imports only numpy and pathlib."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestKdTreeKernelWork:
+    """The k-d tree kernel's work on the seed-1 points of the benchmark's two
+    k-d tree workloads (bench/run.py), as counts, which do not depend on the
+    host: a batching regression fails here instead of hiding in timing noise."""
+
+    # _Boruvka._rows calls measured on these points; the test allows 1.5x.
+    ROWS_CALLS = {"blobs2d_k10_svg": 195, "tinyblobs_k200_std": 232}
+
+    @pytest.mark.parametrize("workload", sorted(ROWS_CALLS))
+    def test_rounds_and_rows_calls(self, workload, monkeypatch):
+        inputs = bench_inputs()
+        rng = np.random.default_rng(1)
+        if workload == "blobs2d_k10_svg":
+            points, _ = inputs.blobs(rng, 10, 800, 2, 30.0, 1.0)
+        else:
+            points, _ = inputs.lattice_blobs(rng, 200, 20, 7, 0.08)
+        calls = {"_rows": 0, "_merge": 0}
+
+        def counted(name):
+            method = getattr(emst._Boruvka, name)
+
+            def count(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(emst._Boruvka, name, counted(name))
+        u, _, _ = emst._emst_arrays(points)
+        assert len(u) == len(points) - 1
+        # Each round at least halves the components.
+        assert 0 < calls["_merge"] <= math.ceil(math.log2(len(points)))
+        assert calls["_rows"] < 1.5 * self.ROWS_CALLS[workload]
 
 
 class TestPrimKernel:
