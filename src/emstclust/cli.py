@@ -75,9 +75,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         written = run_pipeline(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

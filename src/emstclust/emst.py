@@ -386,7 +386,7 @@ class _Boruvka:
         """Find every component's minimum outgoing pair among the bests.
 
         One traversal descends query and reference nodes together, level
-        by level from the pair (root, root), each pair into the four pairs
+        by level below the pair (root, root), each pair into the four pairs
         of their children. A pair is dropped when both nodes lie wholly in
         one component, or when its lower bound exceeds tau of the query
         node: a bound on the least outgoing d^2 of every component among
@@ -397,12 +397,14 @@ class _Boruvka:
         """
         tree, tau = self.tree, self.tau
         per = max(1, _BLOCK_ELEMS // (16 * len(tree.box)))  # pairs split at a time
+        # No visit of (root, root): its upper bound, the squared span of all
+        # the points, is at least every child pair's, which _descend applies.
         q = r = np.zeros(1, dtype=np.int64)
-        for level in range(tree.depth + 1):
-            if level:
-                a = (1 << level) - 1
-                np.minimum(tau[a : 2 * a + 1], np.repeat(tau[(a - 1) // 2 : a], 2), out=tau[a : 2 * a + 1])
-            parts = [self._descend(q[i : i + per], r[i : i + per], level > 0) for i in range(0, len(q), per)]
+        lb = np.zeros(1)
+        for level in range(1, tree.depth + 1):
+            a = (1 << level) - 1
+            np.minimum(tau[a : 2 * a + 1], np.repeat(tau[(a - 1) // 2 : a], 2), out=tau[a : 2 * a + 1])
+            parts = [self._descend(q[i : i + per], r[i : i + per]) for i in range(0, len(q), per)]
             q, r, lb = (np.concatenate(part) for part in zip(*parts))
             del parts
         keep = lb <= tau[q]
@@ -412,9 +414,9 @@ class _Boruvka:
         del order, keep
         self._blocks(q, r, lb)
 
-    def _descend(self, q: np.ndarray, r: np.ndarray, split: bool) -> tuple[np.ndarray, ...]:
-        """The pairs of nodes q[i], r[i] (of their children if split) that
-        can hold a minimum outgoing pair, with their lower bounds.
+    def _descend(self, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The pairs of children of nodes q[i], r[i] that can hold a minimum
+        outgoing pair, with their lower bounds.
 
         tau of a node starts as the largest component best among its points
         (_mark_nodes) and is at most its parent's. It is also at most the
@@ -426,9 +428,8 @@ class _Boruvka:
         leaves p's component, so its least outgoing d^2 is within the bound.
         """
         tree, node_comp, tau = self.tree, self.node_comp, self.tau
-        if split:
-            q = (2 * q[:, None] + np.array([1, 1, 2, 2])).ravel()
-            r = (2 * r[:, None] + np.array([1, 2, 1, 2])).ravel()
+        q = (2 * q[:, None] + np.array([1, 1, 2, 2])).ravel()
+        r = (2 * r[:, None] + np.array([1, 2, 1, 2])).ravel()
         own = node_comp[q]
         keep = (own < 0) | (own != node_comp[r])
         lb, ub = tree.bounds(q, r)

@@ -220,15 +220,15 @@ def _assignments_csv(result: ClusteringResult) -> Iterator[str]:
         yield "".join(map("{},{}\n".format, range(start, start + len(chunk)), chunk))
 
 
-def _array(items: Iterable[str], pad: str) -> Iterator[str]:
-    """A JSON array of rendered items, closed at indent pad, _CHUNK items
-    to a chunk; [] when empty."""
+def _array(items: Iterable[str]) -> Iterator[str]:
+    """A JSON array of rendered items, closed at an indent of two spaces,
+    _CHUNK items to a chunk; [] when empty."""
     items = iter(items)
     opening = "[\n"
     while batch := list(islice(items, _CHUNK)):
         yield opening + ",\n".join(batch)
         opening = ",\n"
-    yield "[]" if opening == "[\n" else f"\n{pad}]"
+    yield "[]" if opening == "[\n" else "\n  ]"
 
 
 def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
@@ -257,12 +257,9 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
         )
     yield '\n  ],\n  "removed_edges": '
     yield from _array(
-        (
-            f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
-            f'      "criterion": "{_CRITERIA[fired]}"\n    }}'
-            for u, v, weight, fired in _values(*result.removed)
-        ),
-        "  ",
+        f'    {{\n      "u": {u},\n      "v": {v},\n      "weight": {weight:.17g},\n'
+        f'      "criterion": "{_CRITERIA[fired]}"\n    }}'
+        for u, v, weight, fired in _values(*result.removed)
     )
     yield "\n}\n"
 
@@ -272,12 +269,9 @@ def _dendrogram_json(dendrogram: Dendrogram) -> Iterator[str]:
     yield f'{{\n  "leaf_count": {dendrogram.leaf_count},\n  "merges": '
     rows = _values(dendrogram.level, dendrogram.left, dendrogram.right)
     yield from _array(
-        (
-            f'    {{\n      "m": {m},\n      "level": {level:.17g},\n'
-            f'      "left": {left},\n      "right": {right}\n    }}'
-            for m, (level, left, right) in enumerate(rows, start=1)
-        ),
-        "  ",
+        f'    {{\n      "m": {m},\n      "level": {level:.17g},\n'
+        f'      "left": {left},\n      "right": {right}\n    }}'
+        for m, (level, left, right) in enumerate(rows, start=1)
     )
     yield "\n}\n"
 

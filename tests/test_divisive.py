@@ -148,6 +148,17 @@ class TestZahnInconsistent:
         assert zahn_inconsistent(forest, target, tight)
         assert not zahn_inconsistent(forest, target, loose)
 
+    def test_ratio_exactly_f_is_consistent(self):
+        # Both sides of (0, 1) are {1, 3}: mean 2 and std 1, so at c = 1
+        # clause 1 fails (2 <= 3) and the ratio 2 / 1 is exactly 2. Clause 3
+        # asks for a ratio above f.
+        forest = SpanningForest(6, [0, 0, 0, 1, 1], [1, 2, 3, 4, 5], [2.0, 1.0, 3.0, 1.0, 3.0])
+        edge = Edge(0, 1, 2.0)
+        at_f = CriterionConfig(mode=MODE_ZAHN, zahn_c=1.0, zahn_f=2.0, zahn_depth=1)
+        below_f = CriterionConfig(mode=MODE_ZAHN, zahn_c=1.0, zahn_f=1.999, zahn_depth=1)
+        assert not zahn_inconsistent(forest, edge, at_f)
+        assert zahn_inconsistent(forest, edge, below_f)
+
 
 class TestSelectEdgeZahn:
     def test_picks_heaviest_inconsistent_edge(self):

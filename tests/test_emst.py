@@ -338,40 +338,67 @@ def bench_inputs():
     return module
 
 
+def kernel_work_points(name):
+    """The inputs TestKdTreeKernelWork counts on: the seed-1 points of the
+    benchmark's two k-d tree workloads (bench/run.py), the 100 x 100 unit
+    lattice, 5,000 copies of one point plus one point 1e-300 away (too
+    close for the duplicates to be collapsed, so the kernel meets them
+    all), and 20k uniform 3-D points."""
+    rng = np.random.default_rng(1)
+    if name == "blobs2d_k10_svg":
+        return bench_inputs().blobs(rng, 10, 800, 2, 30.0, 1.0)[0]
+    if name == "tinyblobs_k200_std":
+        return bench_inputs().lattice_blobs(rng, 200, 20, 7, 0.08)[0]
+    if name == "lattice_100x100":
+        return np.indices((100, 100)).reshape(2, -1).T.astype(float)
+    if name == "duplicates_5000":
+        return np.array([[1.0, 1.0]] * 5000 + [[0.0, 1e-300]])
+    return np.random.default_rng(5).random((20000, 3))
+
+
 class TestKdTreeKernelWork:
-    """The k-d tree kernel's work on the seed-1 points of the benchmark's two
-    k-d tree workloads (bench/run.py), as counts, which do not depend on the
-    host: a batching regression fails here instead of hiding in timing noise."""
+    """The k-d tree kernel's work as counts, which do not depend on the host:
+    a pruning or batching regression fails here instead of hiding in timing
+    noise. Each pruning step whose removal shows in a count is a mutant in
+    tests/mutants.py that this test kills."""
 
-    # _Boruvka._rows calls measured on these points; the test allows 1.5x.
-    ROWS_CALLS = {"blobs2d_k10_svg": 195, "tinyblobs_k200_std": 232}
+    # Measured on kernel_work_points: _rows calls, the rows they take, the
+    # leaf pairs that reach _blocks and the node pairs _descend returns.
+    # The test allows 1.02x each.
+    COUNTS = {
+        "blobs2d_k10_svg": (195, 88171, 19350, 33983),
+        "tinyblobs_k200_std": (232, 69369, 20489, 39842),
+        "lattice_100x100": (29, 21383, 8567, 17607),
+        "duplicates_5000": (163, 117635, 65536, 87380),
+        "uniform3d_20k": (837, 369729, 266245, 572975),
+    }
 
-    @pytest.mark.parametrize("workload", sorted(ROWS_CALLS))
+    @pytest.mark.parametrize("workload", sorted(COUNTS))
     def test_rounds_and_rows_calls(self, workload, monkeypatch):
-        inputs = bench_inputs()
-        rng = np.random.default_rng(1)
-        if workload == "blobs2d_k10_svg":
-            points, _ = inputs.blobs(rng, 10, 800, 2, 30.0, 1.0)
-        else:
-            points, _ = inputs.lattice_blobs(rng, 200, 20, 7, 0.08)
-        calls = {"_rows": 0, "_merge": 0}
+        points = kernel_work_points(workload)
+        # One size per call: the pairs _descend returns, else the length of
+        # the first argument (0 for _merge, which takes none).
+        sizes = {"_merge": [], "_rows": [], "_blocks": [], "_descend": []}
 
-        def counted(name):
+        def recorded(name):
             method = getattr(emst._Boruvka, name)
 
-            def count(self, *args):
-                calls[name] += 1
-                return method(self, *args)
+            def record(self, *args):
+                result = method(self, *args)
+                sizes[name].append(len(result[0] if name == "_descend" else args[0]) if args else 0)
+                return result
 
-            return count
+            return record
 
-        for name in calls:
-            monkeypatch.setattr(emst._Boruvka, name, counted(name))
+        for name in sizes:
+            monkeypatch.setattr(emst._Boruvka, name, recorded(name))
         u, _, _ = emst._emst_arrays(points)
         assert len(u) == len(points) - 1
         # Each round at least halves the components.
-        assert 0 < calls["_merge"] <= math.ceil(math.log2(len(points)))
-        assert calls["_rows"] < 1.5 * self.ROWS_CALLS[workload]
+        assert 0 < len(sizes["_merge"]) <= math.ceil(math.log2(len(points)))
+        counts = (len(sizes["_rows"]), sum(sizes["_rows"]), sum(sizes["_blocks"]), sum(sizes["_descend"]))
+        for count, measured in zip(counts, self.COUNTS[workload]):
+            assert count <= 1.02 * measured, (counts, self.COUNTS[workload])
 
 
 class TestPrimKernel:
@@ -482,6 +509,19 @@ class TestDistinctRows:
         # on every row and the zeros stay tied with it.
         u, v, _ = emst._emst_arrays(np.array([[1.0], [1e-250], [0.0], [0.0]]))
         assert sorted(zip(u.tolist(), v.tolist())) == [(0, 1), (1, 2), (1, 3)]
+
+    def test_no_collapse_below_the_collapse_minimum(self):
+        # Scaled by 2^249, a = 2^-740 becomes 2^-491, nonzero and below
+        # _COLLAPSE_MIN, so the builder runs on every row. a and the next
+        # float b differ by 2^-543 scaled, whose square underflows: rows
+        # 0-2 all lie at d^2 = 0, where the index order takes (0, 1) and
+        # (0, 2). Collapsing the two copies of b would join row 2 to row 1.
+        a = 2.0**-740
+        b = math.nextafter(a, 1.0)
+        coords = np.array([[0.0, a], [0.0, b], [0.0, b], [1.0, 0.0]])
+        tree = arrays_tree(coords)
+        assert {(u, v) for u, v, _ in tree} == {(0, 1), (0, 2), (0, 3)}
+        assert tree == canonical_kruskal([Point(tuple(c)) for c in coords.tolist()])
 
     def test_builder_sees_only_distinct_rows(self, monkeypatch):
         seen = []

@@ -358,6 +358,19 @@ class TestWriteOutputs:
         assert scatter.startswith("<svg")
         assert "circle" in scatter
 
+    @pytest.mark.parametrize(
+        "rows, position", [("3,0\n3,1\n3,5\n", 'cx="320.000"'), ("0,-2\n1,-2\n5,-2\n", 'cy="240.000"')]
+    )
+    def test_svg_of_points_on_one_axis_parallel_line(self, tmp_path, rows, position):
+        # A zero extent on one axis is widened to one unit about the line,
+        # which puts every point in the middle of the plot on that axis.
+        path = write_csv(tmp_path, rows)
+        assert main(["--input", str(path), "--k", "2", "--out", str(tmp_path / "out"), "--svg"]) == 0
+        scatter = (tmp_path / "out" / "scatter.svg").read_text().splitlines()
+        points = [line for line in scatter if 'r="3"' in line]
+        assert len(points) == 3
+        assert all(position in line for line in points)
+
     def test_no_scatter_for_1d_data(self, tmp_path):
         config = chain_config(tmp_path, svg=True)
         names = {p.name for p in run_pipeline(config)}

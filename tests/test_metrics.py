@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,27 @@ class TestPathDistanceTable:
         # (0.5, 1.5) used to be truncated to (0, 1).
         with pytest.raises(InputError, match="vertices must be whole numbers"):
             DistanceTable(vertices, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "vertices, distances, message",
+        [
+            ((), np.zeros((0, 0)), "a distance table needs at least one vertex"),
+            ((0, 0), [[0.0, 1.0], [1.0, 0.0]], "distance table vertices must be distinct"),
+            ((0, 1), [[0.0]], re.escape("distance matrix must be 2x2, got (1, 1)")),
+            ((0, 1), [[0.0, -1.0], [-1.0, 0.0]], "distances must be finite and >= 0"),
+            ((0, 1), [[0.0, math.inf], [math.inf, 0.0]], "distances must be finite and >= 0"),
+            ((0, 1), [[0.5, 1.0], [1.0, 0.0]], "self distances must be exactly zero"),
+            ((0, 1), [[0.0, 1.0], [2.0, 0.0]], "distance matrix must be exactly symmetric"),
+        ],
+    )
+    def test_malformed_table_refused(self, vertices, distances, message):
+        with pytest.raises(InputError, match=message):
+            DistanceTable(vertices, distances)
+
+    def test_unknown_vertex_refused(self):
+        table = path_distance_table(CHAIN)
+        with pytest.raises(InputError, match="vertex 7 is not in this table"):
+            table.distance(0, 7)
 
     def test_two_hop_chain(self):
         table = path_distance_table(chain_cluster([1.0, 2.0]))
@@ -458,11 +480,13 @@ class TestOneStatisticsRule:
         # The mean of the second list rounds to 1e300 itself, so the largest
         # value deviates by 0 and only the smallest one's deviation (one ulp,
         # about 2^944) gives a scale under which no scaled deviation overflows.
-        # The oracle squares unscaled, so it sees the weights below 1.
+        # The oracle squares unscaled, so it sees the weights below 1. A list
+        # and a float64 array take separate branches of _rms.
         e = math.frexp(max(weights))[1]
         mean, std = (math.ldexp(x, e) for x in mean_std([math.ldexp(w, -e) for w in weights]))
-        assert _rms(weights, mean) == std
-        assert EdgeStats.of(weights) == EdgeStats(mean, std)
+        for values in (weights, np.array(weights)):
+            assert _rms(values, mean) == std
+            assert EdgeStats.of(values) == EdgeStats(mean, std)
 
     def test_edge_stats_of_an_array_makes_no_copy(self):
         # The deviations stream through math.fsum; as a numpy array they
@@ -546,6 +570,10 @@ class TestCompactness:
         value, degenerate = cluster_compactness(clusters, ds)
         assert value == 0.0
         assert degenerate is True
+
+    def test_no_cluster_refused(self):
+        with pytest.raises(InputError, match="at least one cluster is required"):
+            cluster_compactness([], Dataset((p(0), p(1))))
 
     def test_partition_enforced(self):
         ds = Dataset((p(0), p(1), p(2)))
