@@ -13,9 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InputError
 from .io import RunConfig, run_pipeline
-from .model import MODE_STD, MODE_ZAHN, CriterionConfig
-
-_CLI_MODES = {"std": MODE_STD, "zahn": MODE_ZAHN}
+from .model import _VALID_MODES, CriterionConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CSV file of coordinates, one point per row")
     parser.add_argument("--k", required=True, type=int,
                         help="number of clusters to produce")
-    parser.add_argument("--criterion", choices=sorted(_CLI_MODES), default="std",
+    parser.add_argument("--criterion", choices=_VALID_MODES, default="std",
                         help="edge removal criterion (default: std)")
     parser.add_argument("--zahn-c", type=float, default=CriterionConfig.zahn_c,
                         help="deviation multiplier for the zahn criterion")
@@ -57,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         criterion = CriterionConfig(
-            mode=_CLI_MODES[args.criterion],
+            mode=args.criterion,
             zahn_c=args.zahn_c,
             zahn_f=args.zahn_f,
             zahn_depth=args.zahn_depth,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -52,35 +53,25 @@ class RunConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
-def _parse_row(row: list[str], lineno: int, path: Path) -> tuple[float, ...]:
-    values = []
-    for cell in row:
-        text = cell.strip()
-        try:
-            value = float(text)
-        except ValueError:
-            raise InputError(f"{path}: line {lineno}: non-numeric value {cell!r}") from None
-        if not math.isfinite(value):
-            raise InputError(f"{path}: line {lineno}: non-finite value {cell!r}")
-        values.append(value)
-    return tuple(values)
-
-
-def _looks_numeric(row: list[str]) -> bool:
+def _cells(row: list[str]) -> list[float | None]:
+    """Each stripped cell as a float, or None where float() refuses it."""
+    cells = []
     for cell in row:
         try:
-            float(cell.strip())
+            cells.append(float(cell.strip()))
         except ValueError:
-            return False
-    return True
+            cells.append(None)
+    return cells
 
 
-def _csv_rows(handle: Iterable[str], path: Path) -> Iterator[list[str]]:
-    """csv.reader's rows, with its errors (a field over the size limit) as
-    InputError naming the file and line."""
+def _csv_rows(handle: Iterable[str], path: Path) -> Iterator[tuple[int, list[str]]]:
+    """csv.reader's rows, each with the line its record ends on, and its
+    errors (a field over the size limit) as InputError naming the file and
+    line."""
     reader = csv.reader(handle)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -92,9 +83,9 @@ def read_points_csv(path: Path | str) -> Dataset:
     treated as a header and skipped. Ragged rows, non-finite or
     non-numeric cells, bytes that are not UTF-8 and fields over the csv
     module's size limit raise an input error naming the file and the
-    1-based line number. The rows are folded into float64 blocks _CHUNK
-    rows at a time and the blocks into the dataset's coordinate array; no
-    Point is built.
+    1-based line on which the record ends. Each data row's floats are
+    appended to one growing float64 buffer, which becomes the dataset's
+    coordinate array without a copy; no Point is built.
     """
     path = Path(path)
     try:
@@ -104,12 +95,11 @@ def read_points_csv(path: Path | str) -> Dataset:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
-    blocks: list[np.ndarray] = []
-    rows: list[tuple[float, ...]] = []
+    buf = array("d")
     width: int | None = None  # set by the first data row
     header_seen = False
     with handle:
-        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
+        for lineno, row in _csv_rows(handle, path):
             # A row whose cells all parse to finite floats is data: float()
             # accepts a cell only if it accepts the stripped cell, with the
             # same value, and never a surrogate. Other rows are blank, the
@@ -117,7 +107,7 @@ def read_points_csv(path: Path | str) -> Dataset:
             # float() does not), or refused naming the first bad cell.
             try:
                 values = tuple(map(float, row))
-                clean = all(map(math.isfinite, values))
+                clean = values and all(map(math.isfinite, values))
             except ValueError:
                 clean = False
             if not clean:
@@ -125,29 +115,26 @@ def read_points_csv(path: Path | str) -> Dataset:
                     "".join(row).encode("utf-8")
                 except UnicodeEncodeError:
                     raise InputError(f"{path}: line {lineno}: not UTF-8 text") from None
-                if not row or all(not cell.strip() for cell in row):
+                if all(not cell.strip() for cell in row):
                     continue
-                if width is None and not header_seen and not _looks_numeric(row):
+                values = _cells(row)
+                if None in values and width is None and not header_seen:
                     header_seen = True
                     continue
-                values = _parse_row(row, lineno, path)
-            elif not values:
-                continue
+                for cell, value in zip(row, values):
+                    if value is None or not math.isfinite(value):
+                        kind = "non-numeric" if value is None else "non-finite"
+                        raise InputError(f"{path}: line {lineno}: {kind} value {cell!r}")
             if width is None:
                 width = len(values)
             elif len(values) != width:
                 raise InputError(
                     f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
                 )
-            rows.append(values)
-            if len(rows) == _CHUNK:
-                blocks.append(np.array(rows, dtype=np.float64))
-                rows.clear()
-    if rows:
-        blocks.append(np.array(rows, dtype=np.float64))
-    if not blocks:
+            buf.extend(values)
+    if width is None:
         raise InputError(f"no data rows in {path}")
-    return Dataset._of_array(np.concatenate(blocks))
+    return Dataset._of_array(np.frombuffer(buf).reshape(-1, width))
 
 
 def _newick_chunks(dendrogram: Dendrogram) -> Iterator[str]:

@@ -21,14 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
-MODE_STD = "std_threshold_or_longest"
+MODE_STD = "std"
 MODE_ZAHN = "zahn"
 
 _VALID_MODES = (MODE_STD, MODE_ZAHN)
 
 # Rows per step wherever whole arrays become Python objects or text: the
-# EMST weights, the RMS spread, CSV ingest and every writer. No per-row
-# Python object outlives its chunk, so peak memory follows the arrays.
+# EMST weights, the RMS spread and every writer. No per-row Python object
+# outlives its chunk, so peak memory follows the arrays.
 _CHUNK = 1024
 
 

@@ -43,7 +43,9 @@ class Mutant(NamedTuple):
     reason: str
 
 
-EMST, METRICS, DIVISIVE, MODEL = (f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model"))
+EMST, METRICS, DIVISIVE, MODEL, IO = (
+    f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model", "io")
+)
 KERNEL_WORK = ("tests/test_emst.py::TestKdTreeKernelWork",)
 
 KILLED = [
@@ -205,6 +207,35 @@ KILLED = [
         'center = _whole_ids(self.center, "center ids")',
         ("tests/test_model.py::TestCallerArrays",),
         "ClusteringResult freezes its own copy of the caller's center array",
+    ),
+    Mutant(
+        "empty_record_is_data", IO,
+        "clean = values and all(map(math.isfinite, values))",
+        "clean = all(map(math.isfinite, values))",
+        ("tests/test_io.py::TestReadPointsCsv::test_header_after_leading_blank_lines",),
+        "an empty record is a blank row, not a data row of width 0",
+    ),
+    Mutant(
+        "header_only_when_all_cells_refused", IO,
+        "if None in values and width is None and not header_seen:",
+        "if all(x is None for x in values) and width is None and not header_seen:",
+        ("tests/test_io.py::TestReadPointsCsv::test_header_with_a_numeric_cell_skipped",),
+        "the first non-blank row is the header when any one of its cells is not a number",
+    ),
+    Mutant(
+        "refusal_kinds_swapped", IO,
+        'kind = "non-numeric" if value is None else "non-finite"',
+        'kind = "non-finite" if value is None else "non-numeric"',
+        ("tests/test_io.py::TestCli::test_bad_row_names_file_and_line_exit_two",),
+        "a cell float() refuses is non-numeric, and nan or inf is non-finite",
+    ),
+    Mutant(
+        "coordinates_copied_from_the_buffer", IO,
+        ".reshape(-1, width)",
+        ".reshape(-1, width).copy()",
+        ("tests/test_io.py::TestBoundedMemory::test_reader_peak_is_a_small_multiple_of_the_array",),
+        "the reader's buffer becomes the coordinate array without a copy, so the read peaks near"
+        " one array",
     ),
 ]
 

@@ -120,6 +120,16 @@ class TestReadPointsCsv:
         with pytest.raises(InputError, match=f"{line}: non-numeric value"):
             read_points_csv(write_csv(tmp_path, text))
 
+    def test_header_with_a_numeric_cell_skipped(self, tmp_path):
+        ds = read_points_csv(write_csv(tmp_path, "id,2024\n1,2\n"))
+        assert ds.coords.tolist() == [[1.0, 2.0]]
+
+    def test_line_is_where_the_record_ends(self, tmp_path):
+        # A quoted newline makes the first record span lines 1 and 2.
+        path = write_csv(tmp_path, '"1\n",2\n3,4\nx,y\n')
+        with pytest.raises(InputError, match="line 4: non-numeric value 'x'"):
+            read_points_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             read_points_csv(write_csv(tmp_path, ""))
@@ -172,8 +182,9 @@ def grid_rows(count: int) -> list[str]:
 
 
 class TestReadAcrossChunks:
-    """read_points_csv folds rows into float64 blocks of CHUNK rows; line
-    numbers, messages and the header rule do not see the blocks."""
+    """Files of over two CHUNKs of rows, the step of the writers: the
+    reader's one growing buffer holds them all, and line numbers, messages
+    and the header rule hold past each CHUNK."""
 
     def test_rows_across_two_flushes_equal_loadtxt(self, tmp_path):
         path = write_csv(tmp_path, "\n".join(grid_rows(2 * CHUNK + 1)) + "\n")
@@ -195,8 +206,7 @@ class TestReadAcrossChunks:
         ids=["ragged", "non-numeric"],
     )
     def test_bad_row_at_a_boundary_names_its_line(self, tmp_path, line, bad, message):
-        # At line CHUNK + 1 the rows read so far have just been flushed to a
-        # block: a non-numeric row there is still data, not a header.
+        # At line CHUNK + 1, too, a non-numeric row is data, not a header.
         rows = grid_rows(2 * CHUNK + 2)
         rows[line - 1] = bad
         path = write_csv(tmp_path, "\n".join(rows) + "\n", "bad.csv")
@@ -377,6 +387,11 @@ class TestWriteOutputs:
         assert "dendrogram.svg" in names
         assert "scatter.svg" not in names
 
+    def test_scatter_refuses_3d_data(self):
+        dataset = Dataset._of_array(np.eye(3))
+        with pytest.raises(ValueError, match="scatter rendering needs 2-D data"):
+            scatter_svg(dataset, emstrd(dataset, 1))
+
     def test_k1_outputs(self, tmp_path):
         config = chain_config(tmp_path, k=1)
         run_pipeline(config)
@@ -520,9 +535,11 @@ class TestBoundedMemory:
         path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
         dataset, peak = traced_peak(read_points_csv, path)
         assert np.array_equal(dataset.coords, rows)
-        # The blocks and their concatenation, two copies of the 1.6 MB
-        # array, and one chunk of row tuples; a tuple per row took 16 MB.
-        assert peak < 3 * rows.nbytes
+        # One growing buffer that becomes the 1.6 MB array, with the slack
+        # of its last growth: 1.17 times the array. A tuple per row took
+        # 16 MB, and float64 blocks of 1024 rows and their concatenation,
+        # two copies, over twice the array.
+        assert peak < 1.25 * rows.nbytes
 
     @pytest.mark.parametrize("name", ["scatter.svg", "dendrogram.svg", "assignments.csv"])
     def test_writer_peak_is_a_fraction_of_its_file(self, every_point_a_cluster, name):

@@ -16,6 +16,7 @@ from emstclust import (
     central_cluster,
     emstucc,
 )
+from emstclust import meta as emst_meta
 from oracles import eccentricities_oracle, random_tree, tree_as_forest
 
 
@@ -119,6 +120,18 @@ class TestEmstucc:
             ecc = eccentricities_oracle(k, edges)
             assert result.meta_radius == min(ecc)
             assert result.central_cluster == ecc.index(result.meta_radius)
+
+    def test_other_input_errors_pass_unchanged(self, monkeypatch):
+        # Only the overflow message is reworded to name the cluster centers.
+        error = InputError("not an overflow")
+
+        def refuse(centers):
+            raise error
+
+        monkeypatch.setattr(emst_meta, "build_emst", refuse)
+        with pytest.raises(InputError) as caught:
+            emstucc([p(0), p(1)])
+        assert caught.value is error
 
     def test_every_leaf_eventually_joins(self):
         rng = random.Random(911)
