@@ -56,22 +56,20 @@ def _neighborhood_weights(adj: list, start: int, other: int, depth: int) -> list
     """Weights of all edges within `depth` hops of `start`, never crossing
     the edge (start, other), in the adjacency lists adj (model._neighbors).
 
-    In a forest `other` is reachable from `start` only through that edge, so
-    marking both visited up front excludes exactly the edge itself.
+    Each frontier vertex is held with the way back, the one vertex it was
+    reached from; in a forest every other neighbour is new. The walk stops
+    where the side ends, so any depth past it costs no more than the side.
     """
     weights: list[float] = []
-    visited = {start, other}
-    frontier = [start]
-    for _ in range(depth):
-        nxt: list[int] = []
-        for v in frontier:
+    frontier = [(start, other)]
+    while frontier and depth:
+        nxt = []
+        for v, back in frontier:
             for nb, w in adj[v]:
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                weights.append(w)
-                nxt.append(nb)
-        frontier = nxt
+                if nb != back:
+                    weights.append(w)
+                    nxt.append((nb, v))
+        frontier, depth = nxt, depth - 1
     return weights
 
 
@@ -92,11 +90,11 @@ def _zahn_test(adj: list, u: int, v: int, w: float, config: CriterionConfig) -> 
 def zahn_inconsistent(tree: SpanningForest, e: Edge, config: CriterionConfig) -> bool:
     """Neighborhood inconsistency test for one tree edge.
 
-    Let N1 and N2 be the edge sets reachable within `zahn_depth` hops of the
-    edge's two endpoints, excluding the edge itself, and let mean_i and std_i
-    be the mean and population standard deviation of their weights. The edge
-    with weight w is inconsistent when any of the following holds, checked
-    in order:
+    Let N1 and N2 be the edge sets within `zahn_depth` hops of the edge's
+    two endpoints, excluding the edge itself (a side that ends sooner is all
+    of that side, whatever the depth), and let mean_i and std_i be the mean
+    and population standard deviation of their weights. The edge with
+    weight w is inconsistent when any of the following holds, in order:
 
       1. w > mean_i + c * std_i for a non-empty side i,
       2. w > max(mean_1 + c * std_1, mean_2 + c * std_2),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import reprlib
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -65,10 +66,10 @@ def _cells(row: list[str]) -> list[float | None]:
 
 
 def _csv_rows(handle: Iterable[str], path: Path) -> Iterator[tuple[int, list[str]]]:
-    """csv.reader's rows, each with the line its record ends on, and its
-    errors (a field over the size limit) as InputError naming the file and
-    line."""
-    reader = csv.reader(handle)
+    """csv.reader's rows in strict mode, each with the line its record ends
+    on, and its errors (bad quoting, a field over the size limit) as
+    InputError naming the file and line."""
+    reader = csv.reader(handle, strict=True)
     try:
         for row in reader:
             yield reader.line_num, row
@@ -79,13 +80,13 @@ def _csv_rows(handle: Iterable[str], path: Path) -> Iterator[tuple[int, list[str
 def read_points_csv(path: Path | str) -> Dataset:
     """Read a UTF-8 CSV of coordinates, one point per row.
 
-    Blank rows are ignored, and a non-numeric first non-blank row is
-    treated as a header and skipped. Ragged rows, non-finite or
-    non-numeric cells, bytes that are not UTF-8 and fields over the csv
-    module's size limit raise an input error naming the file and the
-    1-based line on which the record ends. Each data row's floats are
-    appended to one growing float64 buffer, which becomes the dataset's
-    coordinate array without a copy; no Point is built.
+    Blank rows are ignored, and a non-numeric first non-blank row is a
+    header and skipped. Ragged rows, non-finite or non-numeric cells
+    (shortened by reprlib), bytes that are not UTF-8, quoting that strict
+    csv refuses and fields over the csv module's size limit raise an input
+    error naming the file and the 1-based line where the record ends. Each
+    data row's floats go into one growing float64 buffer, which becomes the
+    dataset's coordinate array without a copy; no Point is built.
     """
     path = Path(path)
     try:
@@ -124,7 +125,7 @@ def read_points_csv(path: Path | str) -> Dataset:
                 for cell, value in zip(row, values):
                     if value is None or not math.isfinite(value):
                         kind = "non-numeric" if value is None else "non-finite"
-                        raise InputError(f"{path}: line {lineno}: {kind} value {cell!r}")
+                        raise InputError(f"{path}: line {lineno}: {kind} value {reprlib.repr(cell)}")
             if width is None:
                 width = len(values)
             elif len(values) != width:

@@ -181,6 +181,21 @@ KILLED = [
         "a forest may have more vertices than edges plus one",
     ),
     Mutant(
+        "side_walk_runs_to_depth", DIVISIVE,
+        "while frontier and depth:",
+        "while depth:",
+        ("tests/test_divisive.py::TestZahnWork::test_depth_past_the_tree_is_the_whole_side",),
+        "the side walk ends where the side does; turning once per unit of depth took 8.1 s per"
+        " side at depth 10**8 (one 2-vCPU host)",
+    ),
+    Mutant(
+        "zahn_scan_tests_each_edge_twice", DIVISIVE,
+        "for i, e in enumerate(live):",
+        "for i, e in enumerate(live * 2):",
+        ("tests/test_divisive.py::TestZahnWork::test_scan_tests_each_live_edge_at_most_once_per_removal",),
+        "each removal tests every live edge at most once; a rescan changes no cut, only the count",
+    ),
+    Mutant(
         "zahn_no_range_check", DIVISIVE,
         "if e.u >= tree.vertex_count or (e.v, e.weight) not in adj[e.u]:",
         "if (e.v, e.weight) not in adj[e.u]:",
@@ -228,6 +243,24 @@ KILLED = [
         'kind = "non-finite" if value is None else "non-numeric"',
         ("tests/test_io.py::TestCli::test_bad_row_names_file_and_line_exit_two",),
         "a cell float() refuses is non-numeric, and nan or inf is non-finite",
+    ),
+    Mutant(
+        "csv_not_strict", IO,
+        "csv.reader(handle, strict=True)",
+        "csv.reader(handle, strict=False)",
+        (
+            "tests/test_io.py::TestReadPointsCsv::test_text_after_a_closing_quote_refused",
+            "tests/test_io.py::TestReadPointsCsv::test_unterminated_quote_refused_in_one_short_line",
+        ),
+        "outside strict mode csv reads \"1\"2 as 12, and an open quote takes the rest of the file"
+        " as one cell",
+    ),
+    Mutant(
+        "refused_cell_in_full", IO,
+        "reprlib.repr(cell)",
+        "repr(cell)",
+        ("tests/test_io.py::TestReadPointsCsv::test_refused_cell_shortened",),
+        "a refused cell is shown shortened, so a long one gives a short message",
     ),
     Mutant(
         "coordinates_copied_from_the_buffer", IO,

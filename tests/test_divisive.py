@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from emstclust import (
     select_edge_to_remove,
     zahn_inconsistent,
 )
+from emstclust import divisive
 from oracles import (
     eccentricities_oracle,
     gaussian_blobs,
@@ -500,6 +502,51 @@ class TestRemovalReplay:
         # Condition 2 implies condition 1 on the side with the larger
         # threshold (an empty side's threshold is 0), so it never decides.
         assert 2 not in first_clause
+
+
+class TestZahnWork:
+    """The zahn criterion's work, bounded by the tree and the forest rather
+    than by its parameters or the host."""
+
+    def test_depth_past_the_tree_is_the_whole_side(self):
+        # Eight vertices, branches of one to four hops: every side ends
+        # within 7 hops, so depth 10**8 must walk each side to its end and
+        # stop there. A walk that turned once per unit of depth took 8.1 s
+        # per side at 10**8 on a 2-vCPU host.
+        forest = SpanningForest(
+            8, [0, 1, 1, 3, 3, 5, 6], [1, 2, 3, 4, 5, 6, 7], [1.0, 4.0, 2.0, 9.0, 3.0, 1.5, 7.0]
+        )
+        whole = CriterionConfig(mode=MODE_ZAHN, zahn_depth=8)
+        past = CriterionConfig(mode=MODE_ZAHN, zahn_depth=10**8)
+        flags = []
+        for e in forest.edges:
+            start = time.perf_counter()
+            flags.append(zahn_inconsistent(forest, e, past))
+            assert time.perf_counter() - start < 0.25
+            assert flags[-1] == zahn_inconsistent(forest, e, whole)
+        assert True in flags and False in flags
+        for ds in replay_datasets(5):
+            for k in (2, 7):
+                got = emstrd(ds, k, past).removed_edges
+                assert got == emstrd(ds, k, dataclasses.replace(past, zahn_depth=len(ds))).removed_edges
+
+    def test_scan_tests_each_live_edge_at_most_once_per_removal(self, monkeypatch):
+        # No edge of the unit lattice is flagged, so each of the 20 removals
+        # at k = 21 tests every live edge once and falls back to the
+        # longest: sum of 399 - r for r in 0..19, 7,790 tests in all.
+        calls = 0
+        test = divisive._zahn_test
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return test(*args)
+
+        monkeypatch.setattr(divisive, "_zahn_test", counted)
+        lattice = Dataset(tuple(Point((float(x), float(y))) for x in range(20) for y in range(20)))
+        result = emstrd(lattice, 21, ZAHN)
+        assert {fired for _, fired in result.removed_edges} == {CRITERION_LONGEST}
+        assert calls <= sum(399 - r for r in range(20)) == 7790
 
 
 class TestPowerOfTwoScaling:

@@ -172,6 +172,32 @@ class TestReadPointsCsv:
         with pytest.raises(InputError, match=r"long.csv: line 2: field larger than field limit"):
             read_points_csv(path)
 
+    @pytest.mark.parametrize("text", ['"1"2,3\n4,5\n', '"1" ,2\n4,5\n'])
+    def test_text_after_a_closing_quote_refused(self, tmp_path, text):
+        # Outside strict mode csv.reader reads "1"2 as 12 and "1" ,2 as (1, 2).
+        path = write_csv(tmp_path, text)
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 1: ',' expected after '\"'")):
+            read_points_csv(path)
+
+    def test_unterminated_quote_refused_in_one_short_line(self, tmp_path):
+        # Outside strict mode the open quote takes the rest of the file as
+        # one cell, and a message quoting that cell runs to 100 kB.
+        path = write_csv(tmp_path, 'x,y\n"3,4\n' + "5,6\n" * 20000)
+        with pytest.raises(InputError) as refused:
+            read_points_csv(path)
+        assert str(refused.value) == f"{path}: line 20002: unexpected end of data"
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [("a" * 28, repr("a" * 28)), ("a" * 5000, "'aaaaaaaaaaaa...aaaaaaaaaaaaa'")],
+        ids=["28_characters", "5000_characters"],
+    )
+    def test_refused_cell_shortened(self, tmp_path, cell, shown):
+        path = write_csv(tmp_path, f'x,y\n1,2\n"{cell}",3\n')
+        with pytest.raises(InputError) as refused:
+            read_points_csv(path)
+        assert str(refused.value) == f"{path}: line 3: non-numeric value {shown}"
+
 
 CHUNK = emst_io._CHUNK
 
