@@ -6,9 +6,10 @@ digits so a reader parsing the file recovers bit-identical values. Identical
 input and configuration therefore produce byte-identical files across runs.
 Each output file has its own formatter for its one fixed layout, and every
 one is streamed into the atomic write in chunks, with no document in
-between: clusters.json one cluster at a time, dendrogram.newick from a walk
-over the dendrogram's arrays, and assignments.csv, the merge array of
-dendrogram.json, the removed edges and both SVGs _CHUNK rows at a time.
+between. One joiner, svg._joined, makes the chunks from _CHUNK pieces: the
+rows of assignments.csv, the lines of both SVGs, the tokens of a walk over
+the dendrogram's arrays, and the pieces of both JSON files, with one piece
+per member id, so that even the member list of one cluster streams.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-import reprlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,9 +30,9 @@ from .errors import ConfigError, InputError
 from .meta import MetaResult, emstucc
 # cluster_compactness is not used here: the benchmark's layer trace looks it up.
 from .metrics import _compactness, cluster_compactness  # noqa: F401
-from .model import _CHUNK, CriterionConfig, Dataset, Dendrogram, _values, _whole
+from .model import CriterionConfig, Dataset, Dendrogram, _values, _whole
 # The str renderers are not used here: the benchmark's layer trace looks them up.
-from .svg import _dendrogram_chunks, _scatter_chunks, dendrogram_svg, scatter_svg  # noqa: F401
+from .svg import _dendrogram_chunks, _joined, _scatter_chunks, dendrogram_svg, scatter_svg  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def read_points_csv(path: Path | str) -> Dataset:
     """Read a UTF-8 CSV of coordinates, one point per row.
 
     Blank rows are ignored, and a non-numeric first non-blank row is a
-    header and skipped. Ragged rows, non-finite or non-numeric cells
-    (shortened by reprlib), bytes that are not UTF-8, quoting that strict
+    header and skipped. Ragged rows, non-finite or non-numeric cells (cut
+    short past 28 characters), bytes that are not UTF-8, quoting that strict
     csv refuses and fields over the csv module's size limit raise an input
     error naming the file and the 1-based line where the record ends. Each
     data row's floats go into one growing float64 buffer, which becomes the
@@ -125,7 +125,8 @@ def read_points_csv(path: Path | str) -> Dataset:
                 for cell, value in zip(row, values):
                     if value is None or not math.isfinite(value):
                         kind = "non-numeric" if value is None else "non-finite"
-                        raise InputError(f"{path}: line {lineno}: {kind} value {reprlib.repr(cell)}")
+                        shown = cell if len(cell) <= 28 else f"{cell[:12]}...{cell[-13:]}"
+                        raise InputError(f"{path}: line {lineno}: {kind} value {shown!r}")
             if width is None:
                 width = len(values)
             elif len(values) != width:
@@ -175,11 +176,7 @@ def newick_string(dendrogram: Dendrogram) -> str:
     length is the parent's merge level minus the child's own level, so the
     tree is ultrametric with every leaf at depth equal to the final level.
     """
-    # "".join would hold every piece at once: over ten times the text.
-    text = bytearray()
-    for chunk in _newick_chunks(dendrogram):
-        text += chunk.encode()
-    return text.decode()
+    return "".join(_joined(_newick_chunks(dendrogram)))
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -200,27 +197,24 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _assignments_csv(result: ClusteringResult) -> Iterator[str]:
-    """assignments.csv: the header, then _CHUNK rows to a chunk."""
-    labels = result.forest.labels
+    """assignments.csv in pieces: the header, then one piece per row."""
     yield "point_index,cluster_id\n"
-    for start in range(0, len(labels), _CHUNK):
-        chunk = labels[start : start + _CHUNK].tolist()
-        yield "".join(map("{},{}\n".format, range(start, start + len(chunk)), chunk))
+    yield from map("{},{}\n".format, count(), chain.from_iterable(_values(result.forest.labels)))
 
 
 def _array(items: Iterable[str]) -> Iterator[str]:
-    """A JSON array of rendered items, closed at an indent of two spaces,
-    _CHUNK items to a chunk; [] when empty."""
-    items = iter(items)
+    """A JSON array of rendered items in pieces, closed at an indent of two
+    spaces; [] when empty."""
     opening = "[\n"
-    while batch := list(islice(items, _CHUNK)):
-        yield opening + ",\n".join(batch)
+    for item in items:
+        yield opening + item
         opening = ",\n"
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
 def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
-    """clusters.json: the header, one chunk per cluster, then the removed edges."""
+    """clusters.json in pieces: the header, each cluster's fields with one
+    piece per member id among them, then the removed edges."""
     compactness = _compactness(result.variance, dataset)
     yield (
         f'{{\n  "cluster_count": {result.cluster_count},\n'
@@ -230,14 +224,18 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
     )
     sizes = np.diff(result.forest.member_start)
     rows = _values(sizes, result.center, result.radius, result.diameter, result.variance)
+    ids = map(str, chain.from_iterable(_values(result.forest.members)))
     for cid, (size, center, radius, diameter, variance) in enumerate(rows):
-        members = ",\n        ".join(map(str, result.forest.members_of(cid).tolist()))
         yield (
             f"{',' if cid else ''}\n    {{\n"
             f'      "id": {cid},\n'
             f'      "size": {size},\n'
-            f'      "members": [\n        {members}\n      ],\n'
-            f'      "center_index": {center},\n'
+            f'      "members": [\n        {next(ids)}'
+        )
+        for _ in range(1, size):
+            yield ",\n        " + next(ids)
+        yield (
+            f'\n      ],\n      "center_index": {center},\n'
             f'      "radius": {radius:.17g},\n'
             f'      "diameter": {diameter:.17g},\n'
             f'      "variance": {variance:.17g}\n'
@@ -253,7 +251,7 @@ def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
 
 
 def _dendrogram_json(dendrogram: Dendrogram) -> Iterator[str]:
-    """dendrogram.json: the leaf count, then the merges _CHUNK at a time."""
+    """dendrogram.json in pieces: the leaf count, then one piece per merge."""
     yield f'{{\n  "leaf_count": {dendrogram.leaf_count},\n  "merges": '
     rows = _values(dendrogram.level, dendrogram.left, dendrogram.right)
     yield from _array(
@@ -287,10 +285,10 @@ def write_outputs(
         _atomic_write(path, chunks)
         written.append(path)
 
-    emit("assignments.csv", _assignments_csv(result))
-    emit("clusters.json", _clusters_json(result, dataset))
-    emit("dendrogram.json", _dendrogram_json(meta.dendrogram))
-    emit("dendrogram.newick", chain(_newick_chunks(meta.dendrogram), "\n"))
+    emit("assignments.csv", _joined(_assignments_csv(result)))
+    emit("clusters.json", _joined(_clusters_json(result, dataset)))
+    emit("dendrogram.json", _joined(_dendrogram_json(meta.dendrogram)))
+    emit("dendrogram.newick", _joined(chain(_newick_chunks(meta.dendrogram), "\n")))
     emit(
         "meta.json",
         [

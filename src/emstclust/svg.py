@@ -39,11 +39,13 @@ def _scale(lo: float, hi: float, span: float):
     return lambda x: _MARGIN + (x - lo) / extent * span
 
 
-def _joined(lines: Iterable[str]) -> Iterator[str]:
-    """The lines, each ended by a newline, joined _CHUNK lines at a time."""
-    lines = iter(lines)
-    while batch := list(islice(lines, _CHUNK)):
-        yield "\n".join(batch) + "\n"
+def _joined(pieces: Iterable[str], sep: str = "") -> Iterator[str]:
+    """The pieces joined by sep, _CHUNK to a chunk, with sep between chunks."""
+    pieces, lead = iter(pieces), ""
+    for first in pieces:
+        # join drops each batch before the next is taken, so one is held.
+        yield lead + sep.join(chain((first,), islice(pieces, _CHUNK - 1)))
+        lead = sep
 
 
 _HEADER = (
@@ -74,7 +76,7 @@ def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]
         f'<circle cx="{x:.3f}" cy="{y:.3f}" r="6.5" fill="none" stroke="black" stroke-width="1.5"/>'
         for x, y in _values(cx[result.center], cy[result.center])
     )
-    return _joined(chain(_HEADER, points, rings, ("</svg>",)))
+    return _joined(chain(_HEADER, points, rings, ("</svg>", "")), "\n")
 
 
 def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
@@ -139,7 +141,7 @@ def _dendrogram_chunks(dendrogram: Dendrogram) -> Iterator[str]:
         f' font-size="12" font-family="sans-serif" text-anchor="middle">C{leaf}</text>'
         for (leaf,) in _values(leaf_order)
     )
-    return _joined(chain(_HEADER, merges(), leaves, ("</svg>",)))
+    return _joined(chain(_HEADER, merges(), leaves, ("</svg>", "")), "\n")
 
 
 def dendrogram_svg(dendrogram: Dendrogram) -> str:

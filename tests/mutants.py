@@ -43,8 +43,8 @@ class Mutant(NamedTuple):
     reason: str
 
 
-EMST, METRICS, DIVISIVE, MODEL, IO = (
-    f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model", "io")
+EMST, METRICS, DIVISIVE, MODEL, IO, SVG = (
+    f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model", "io", "svg")
 )
 KERNEL_WORK = ("tests/test_emst.py::TestKdTreeKernelWork",)
 
@@ -257,10 +257,34 @@ KILLED = [
     ),
     Mutant(
         "refused_cell_in_full", IO,
-        "reprlib.repr(cell)",
-        "repr(cell)",
+        "{shown!r}",
+        "{cell!r}",
         ("tests/test_io.py::TestReadPointsCsv::test_refused_cell_shortened",),
         "a refused cell is shown shortened, so a long one gives a short message",
+    ),
+    Mutant(
+        "refused_cell_repr_cut", IO,
+        "{shown!r}",
+        "{__import__('reprlib').repr(cell)}",
+        ("tests/test_io.py::TestReadPointsCsv::test_refused_cell_shortened",),
+        "the cell is cut before its repr is taken; cutting the repr splits escapes and cuts a"
+        " cell of twenty \\x01",
+    ),
+    Mutant(
+        "member_list_in_one_piece", IO,
+        "        for _ in range(1, size):\n            yield \",\\n        \" + next(ids)\n",
+        "        yield \"\".join(\",\\n        \" + next(ids) for _ in range(1, size))\n",
+        ("tests/test_io.py::TestBoundedMemory::test_writer_peak_is_a_fraction_of_its_file",),
+        "clusters.json takes a piece per member id; one cluster's member list joined in one"
+        " piece held 7 times the file at k = 1",
+    ),
+    Mutant(
+        "joiner_holds_a_batch_across_yield", SVG,
+        "        yield lead + sep.join(chain((first,), islice(pieces, _CHUNK - 1)))\n",
+        "        batch = [first, *islice(pieces, _CHUNK - 1)]\n        yield lead + sep.join(batch)\n",
+        ("tests/test_io.py::TestBoundedMemory::test_writer_peak_is_a_fraction_of_its_file",),
+        "_joined lets join drop each batch; a batch held across the yield is still there while"
+        " the next is taken, and assignments.csv peaked at 0.85 of its file",
     ),
     Mutant(
         "coordinates_copied_from_the_buffer", IO,

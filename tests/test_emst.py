@@ -83,6 +83,16 @@ class TestBuildEmst:
         assert (tree.u.tolist(), tree.v.tolist()) == ([0, 0, 1], [1, 3, 2])
         assert tree.w.tolist() == pytest.approx([1e-200, 1.0, 2e-200], rel=1e-12, abs=0)
 
+    def test_large_rows_whose_squares_would_turn_subnormal_scaled_down(self):
+        # Rows above 2^251 are built unscaled, and every d^2 here is a
+        # normal float, so (0, 2) comes before (0, 1). Scaled down by 2^-51,
+        # both squares would be subnormal and round to one tie, which the
+        # index tie-break gives to (0, 1): a tree that is not minimal.
+        x, y = 2.0**300, 2.0**-480
+        tree = build_emst(Dataset._of_array(np.array([[x, 0.0], [x, y * (1 + 2.0**-20)], [x, y]])))
+        assert (tree.u.tolist(), tree.v.tolist()) == ([0, 1], [2, 2])
+        assert tree.w.tolist() == [y, 2.0**-500]
+
     def test_squared_distance_overflow_rejected(self):
         # d^2 overflows to inf here; Prim used to re-pick a tree vertex and
         # return a one-edge "tree" over four points.

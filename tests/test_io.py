@@ -43,6 +43,7 @@ from emstclust import (
 )
 import emstclust
 from emstclust import io as emst_io
+from emstclust import model
 from emstclust.cli import main
 from emstclust.svg import dendrogram_svg, scatter_svg
 from oracles import count_internal, leaf_depths, parse_newick, scaled_datasets
@@ -189,8 +190,14 @@ class TestReadPointsCsv:
 
     @pytest.mark.parametrize(
         "cell, shown",
-        [("a" * 28, repr("a" * 28)), ("a" * 5000, "'aaaaaaaaaaaa...aaaaaaaaaaaaa'")],
-        ids=["28_characters", "5000_characters"],
+        [
+            ("a" * 28, repr("a" * 28)),
+            ("a" * 5000, "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
+            # The cell is cut, not its repr, so no escape is split.
+            ("\x01" * 20, repr("\x01" * 20)),
+            ("\x01" * 40, repr("\x01" * 12 + "..." + "\x01" * 13)),
+        ],
+        ids=["28_characters", "5000_characters", "20_escapes", "40_escapes"],
     )
     def test_refused_cell_shortened(self, tmp_path, cell, shown):
         path = write_csv(tmp_path, f'x,y\n1,2\n"{cell}",3\n')
@@ -199,7 +206,7 @@ class TestReadPointsCsv:
         assert str(refused.value) == f"{path}: line 3: non-numeric value {shown}"
 
 
-CHUNK = emst_io._CHUNK
+CHUNK = model._CHUNK
 
 
 def grid_rows(count: int) -> list[str]:
@@ -554,6 +561,15 @@ def every_point_a_cluster():
     return dataset, result, emstucc(result.center_set)
 
 
+@pytest.fixture(scope="module")
+def one_cluster():
+    """k = 1 on 50000 points: the longest member list per point. The member
+    ids are the bulk of clusters.json only past 20000 points or so; below,
+    compactness's arrays outweigh the file."""
+    dataset = Dataset._of_array(np.random.default_rng(3).random((50_000, 2)))
+    return emstrd(dataset, 1), dataset
+
+
 class TestBoundedMemory:
     def test_reader_peak_is_a_small_multiple_of_the_array(self, tmp_path):
         rows = np.random.default_rng(6).random((100_000, 2))
@@ -567,13 +583,17 @@ class TestBoundedMemory:
         # two copies, over twice the array.
         assert peak < 1.25 * rows.nbytes
 
-    @pytest.mark.parametrize("name", ["scatter.svg", "dendrogram.svg", "assignments.csv"])
-    def test_writer_peak_is_a_fraction_of_its_file(self, every_point_a_cluster, name):
+    @pytest.mark.parametrize(
+        "name", ["scatter.svg", "dendrogram.svg", "assignments.csv", "clusters.json"]
+    )
+    def test_writer_peak_is_a_fraction_of_its_file(self, every_point_a_cluster, one_cluster, name):
         dataset, result, meta = every_point_a_cluster
+        # The chunks write_outputs streams into each file.
         chunks = {
             "scatter.svg": lambda: emst_io._scatter_chunks(dataset, result),
             "dendrogram.svg": lambda: emst_io._dendrogram_chunks(meta.dendrogram),
-            "assignments.csv": lambda: emst_io._assignments_csv(result),
+            "assignments.csv": lambda: emst_io._joined(emst_io._assignments_csv(result)),
+            "clusters.json": lambda: emst_io._joined(emst_io._clusters_json(*one_cluster)),
         }[name]
         size, peak = traced_peak(lambda: sum(map(len, chunks())))
         # Whole-file lists of lines and the joined text took 4 to 12 times
@@ -582,9 +602,20 @@ class TestBoundedMemory:
         # labels as ints and lines is 0.13 MB, over half of the 0.22 MB
         # assignments.csv. The dendrogram peaks at 1.29 MB of its 9.5 MB
         # (3.5 MB with its node values in Python lists); its bound is that
-        # peak plus a quarter.
-        fraction = {"assignments.csv": 3 / 4, "dendrogram.svg": 0.171}.get(name, 1 / 2)
-        assert peak < fraction * size
+        # peak plus a quarter. clusters.json at k = 1 took 7 times the file
+        # with its one member list joined in one piece; with a piece per
+        # member id the peak is compactness's float64 distance array and
+        # one chunk of rows as lists, 0.77 of the 0.74 MB file.
+        fraction = {"assignments.csv": 3 / 4, "dendrogram.svg": 0.171, "clusters.json": 0.9}
+        assert peak < fraction.get(name, 1 / 2) * size
+
+    def test_newick_string_peak_is_its_chunks_and_their_join(self, every_point_a_cluster):
+        _, _, meta = every_point_a_cluster
+        text, peak = traced_peak(emst_io.newick_string, meta.dendrogram)
+        # The chunks of the text and their join: 2.01 times the 1.06 MB
+        # text (2.07 with a bytearray grown a token at a time, over ten
+        # times with every token held); the bound is that plus a quarter.
+        assert peak < 2.5 * len(text)
 
     def test_string_renderers_equal_the_streamed_files(self, every_point_a_cluster, tmp_path):
         dataset, result, meta = every_point_a_cluster
