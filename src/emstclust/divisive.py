@@ -160,16 +160,16 @@ def select_edge_to_remove(
 class ClusteringResult:
     """Outcome of a divisive run, held as read-only arrays.
 
-    forest is the EMST less the removed edges; its components are the
-    clusters. center (int64), radius, diameter and variance (float64) run
-    parallel to them, and center_set holds the center points. removed holds
-    the removal log as arrays (u, v, w, criterion), in removal order, each
-    criterion a uint8 index in _CRITERIA. The constructor copies and checks
-    them once: lengths, ids in range, each center in its own cluster and
-    each removed edge between two, values finite and >= 0, and radius <=
-    diameter <= 2 * radius exactly. clusters, centers and removed_edges give
-    the same as objects (Cluster, Point, (Edge, criterion name)) on first
-    access.
+    forest is the EMST of dataset, the clustered points, less the removed
+    edges; its components are the clusters. center (int64), radius, diameter
+    and variance (float64) run parallel to them. removed holds the removal
+    log as arrays (u, v, w, criterion), in removal order, each criterion a
+    uint8 index in _CRITERIA. The constructor copies and checks them once:
+    one point per vertex, lengths, ids in range, each center in its own
+    cluster and each removed edge between two, values finite and >= 0, and
+    radius <= diameter <= 2 * radius exactly. center_set, clusters, centers
+    and removed_edges give the center points as a Dataset and the same as
+    objects (Cluster, Point, (Edge, criterion name)) on first access.
     """
 
     forest: SpanningForest
@@ -177,11 +177,13 @@ class ClusteringResult:
     radius: np.ndarray
     diameter: np.ndarray
     variance: np.ndarray
-    center_set: Dataset
+    dataset: Dataset
     removed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
         k, n, labels = self.forest.component_count, self.forest.vertex_count, self.forest.labels
+        if len(self.dataset) != n:
+            raise InputError(f"a forest of {n} vertices needs {n} points, got {len(self.dataset)}")
         shape = f"{k} clusters need {k} centers, radii, diameters, variances and {k - 1} removals"
         u, v, w, fired = self.removed
         center = _whole_ids(self.center, "center ids").copy()
@@ -189,7 +191,7 @@ class ClusteringResult:
         fired = _whole_ids(fired, "removal criteria")
         values = _as_array((self.radius, self.diameter, self.variance), np.float64, shape)
         w = _as_array(w, np.float64, shape).copy()
-        if not (center.shape == (k,) == (len(self.center_set),) and values.shape == (3, k)
+        if not (center.shape == (k,) and values.shape == (3, k)
                 and ends.shape == (2, k - 1) == (2, *w.shape) == (2, *fired.shape)):
             raise InputError(shape)
         ids = np.append(center, ends)
@@ -235,6 +237,10 @@ class ClusteringResult:
     def clusters(self) -> tuple[Cluster, ...]:
         f = self.forest
         return tuple(Cluster(f.members_of(c), *f.edges_of(c)) for c in range(self.cluster_count))
+
+    @cached_property
+    def center_set(self) -> Dataset:
+        return Dataset._of_array(self.dataset.coords[self.center])
 
     @cached_property
     def centers(self) -> tuple[Point, ...]:
@@ -291,5 +297,4 @@ def emstrd(
         ids = forest.members_of(c)
         center[c], radius[c], diameter[c] = _center(ids, *forest.edges_of(c))
         variance[c] = _rms_spread(coords[ids])
-    center_set = Dataset._of_array(coords[center])
-    return ClusteringResult(forest, center, radius, diameter, variance, center_set, removed)
+    return ClusteringResult(forest, center, radius, diameter, variance, dataset, removed)

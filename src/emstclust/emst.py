@@ -48,10 +48,11 @@ def _sq_dist(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(lanes[0], lanes[1], out=out)
 
 
-_OVERFLOW = (
-    "squared-distance overflow: some coordinate differences are too large to"
-    " square in float64, so the EMST cannot be built"
-)
+class _Overflow(InputError):  # both builders' refusal of an infinite d^2; emstucc rewords it
+    def __init__(self) -> None:
+        super().__init__("squared-distance overflow: some coordinate differences are too large"
+                         " to square in float64, so the EMST cannot be built")
+
 
 # The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension:
 # where it was faster on uniform points in sweeps over n = 500 .. 32000 and
@@ -179,7 +180,7 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return u, v, w
 
 
-# Both builders refuse an infinite d^2 themselves (_OVERFLOW); numpy need not warn.
+# Both builders refuse an infinite d^2 themselves (_Overflow); numpy need not warn.
 @np.errstate(over="ignore")
 def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical EMST edges as arrays (source, target) by dense Prim.
@@ -229,7 +230,7 @@ def _prim_emst(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if not math.isfinite(bd[s]):
                 # Every outside point is at d2 = inf, so Prim can no longer
                 # order the candidates.
-                raise InputError(_OVERFLOW)
+                raise _Overflow()
             np.equal(bd, bd[s], out=tie)
             if np.count_nonzero(tie) > 1:
                 cand = np.flatnonzero(tie)
@@ -469,7 +470,7 @@ class _Boruvka:
         count, n = len(comp_best), len(comp)
         if comp_best.max() == np.inf:
             # Some component has no finite squared distance to the rest.
-            raise InputError(_OVERFLOW)
+            raise _Overflow()
         pos = np.flatnonzero(self.best_d2 == comp_best[comp])
         a, b = perm[pos], perm[best_to[pos]]
         key = np.minimum(a, b) * n + np.maximum(a, b)

@@ -1,9 +1,11 @@
 """Batch input and output: CSV ingestion, result serialization, pipeline.
 
-All output files are written atomically (write to a uniquely named temporary
-sibling, then rename) and every real number is serialized with 17 significant
-digits so a reader parsing the file recovers bit-identical values. Identical
-input and configuration therefore produce byte-identical files across runs.
+write_outputs works out every output file from one ClusteringResult, the meta
+stage included, so all of them describe one run. Each is written atomically
+(write to a uniquely named temporary sibling, then rename) and every real
+number is serialized with 17 significant digits so a reader parsing the file
+recovers bit-identical values. Identical input and configuration therefore
+produce byte-identical files across runs.
 Each output file has its own formatter for its one fixed layout, and every
 one is streamed into the atomic write in chunks, with no document in
 between. One joiner, svg._joined, makes the chunks from _CHUNK pieces: the
@@ -27,7 +29,7 @@ import numpy as np
 
 from .divisive import _CRITERIA, ClusteringResult, emstrd
 from .errors import ConfigError, InputError
-from .meta import MetaResult, emstucc
+from .meta import emstucc
 # cluster_compactness is not used here: the benchmark's layer trace looks it up.
 from .metrics import _compactness, cluster_compactness  # noqa: F401
 from .model import CriterionConfig, Dataset, Dendrogram, _values, _whole
@@ -212,10 +214,10 @@ def _array(items: Iterable[str]) -> Iterator[str]:
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
-def _clusters_json(result: ClusteringResult, dataset: Dataset) -> Iterator[str]:
+def _clusters_json(result: ClusteringResult) -> Iterator[str]:
     """clusters.json in pieces: the header, each cluster's fields with one
     piece per member id among them, then the removed edges."""
-    compactness = _compactness(result.variance, dataset)
+    compactness = _compactness(result.variance, result.dataset)
     yield (
         f'{{\n  "cluster_count": {result.cluster_count},\n'
         f'  "compactness": {compactness.value:.17g},\n'
@@ -262,20 +264,16 @@ def _dendrogram_json(dendrogram: Dendrogram) -> Iterator[str]:
     yield "\n}\n"
 
 
-def write_outputs(
-    result: ClusteringResult,
-    meta: MetaResult,
-    config: RunConfig,
-    dataset: Dataset,
-) -> list[Path]:
-    """Write every output file for a finished run, returning their paths.
+def write_outputs(result: ClusteringResult, out: Path | str, emit_svg: bool = False) -> list[Path]:
+    """Write every output file of a result into out, returning their paths.
 
     Always writes assignments.csv, clusters.json, dendrogram.json,
-    dendrogram.newick, and meta.json. With emit_svg set, dendrogram.svg is
-    added, plus scatter.svg when the data is 2-D. dataset is the clustered
-    input; compactness and the scatter are computed from it.
+    dendrogram.newick, and meta.json, plus dendrogram.svg with emit_svg, and
+    scatter.svg too for 2-D points. The meta stage (emstucc over the
+    result's centers) runs first, so that its errors leave no directory.
     """
-    out = config.output_dir
+    meta = emstucc(result.center_set)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     written: list[Path] = []
@@ -286,7 +284,7 @@ def write_outputs(
         written.append(path)
 
     emit("assignments.csv", _joined(_assignments_csv(result)))
-    emit("clusters.json", _joined(_clusters_json(result, dataset)))
+    emit("clusters.json", _joined(_clusters_json(result)))
     emit("dendrogram.json", _joined(_dendrogram_json(meta.dendrogram)))
     emit("dendrogram.newick", _joined(chain(_newick_chunks(meta.dendrogram), "\n")))
     emit(
@@ -296,16 +294,14 @@ def write_outputs(
             f'  "meta_radius": {meta.meta_radius:.17g}\n}}\n'
         ],
     )
-    if config.emit_svg:
+    if emit_svg:
         emit("dendrogram.svg", _dendrogram_chunks(meta.dendrogram))
-        if dataset.dimension == 2:
-            emit("scatter.svg", _scatter_chunks(dataset, result))
+        if result.dataset.dimension == 2:
+            emit("scatter.svg", _scatter_chunks(result))
     return written
 
 
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Read, cluster both stages, and write all outputs for one run."""
-    dataset = read_points_csv(config.input_path)
-    result = emstrd(dataset, config.k, config.criterion)
-    meta = emstucc(result.center_set)
-    return write_outputs(result, meta, config, dataset=dataset)
+    result = emstrd(read_points_csv(config.input_path), config.k, config.criterion)
+    return write_outputs(result, config.output_dir, config.emit_svg)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .emst import _OVERFLOW, build_emst
+from .emst import _Overflow, build_emst
 from .errors import InputError
 from .metrics import _center
 from .model import Dataset, Dendrogram, Point, SpanningForest
@@ -71,9 +71,7 @@ def emstucc(centers: Dataset | Sequence[Point]) -> MetaResult:
     k = len(centers)
     try:
         meta_tree = build_emst(centers)
-    except InputError as exc:
-        if str(exc) != _OVERFLOW:
-            raise
+    except _Overflow:
         raise InputError(
             "squared-distance overflow: the cluster centers are too far apart to square"
             " their differences in float64, so the meta EMST over them cannot be built"

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .divisive import ClusteringResult
-from .model import _CHUNK, Dataset, Dendrogram, _values
+from .errors import InputError
+from .model import _CHUNK, Dendrogram, _values
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
@@ -55,12 +56,11 @@ _HEADER = (
 )
 
 
-def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]:
+def _scatter_chunks(result: ClusteringResult) -> Iterator[str]:
     """scatter_svg's text, _CHUNK lines to a chunk."""
-    if dataset.dimension != 2:
-        raise ValueError("scatter rendering needs 2-D data")
-    coords = dataset.coords
-    xs, ys = coords[:, 0], coords[:, 1]
+    if result.dataset.dimension != 2:
+        raise InputError("scatter rendering needs 2-D data")
+    xs, ys = result.dataset.coords.T
     sx = _scale(float(xs.min()), float(xs.max()), _WIDTH - 2 * _MARGIN)
     sy = _scale(float(ys.min()), float(ys.max()), _HEIGHT - 2 * _MARGIN)
     # The lambdas take arrays too, with the same operations in the same
@@ -79,9 +79,9 @@ def _scatter_chunks(dataset: Dataset, result: ClusteringResult) -> Iterator[str]
     return _joined(chain(_HEADER, points, rings, ("</svg>", "")), "\n")
 
 
-def scatter_svg(dataset: Dataset, result: ClusteringResult) -> str:
-    """2-D scatter with one color per cluster and ringed center points."""
-    return "".join(_scatter_chunks(dataset, result))
+def scatter_svg(result: ClusteringResult) -> str:
+    """2-D scatter of the result's points, one color per cluster, centers ringed."""
+    return "".join(_scatter_chunks(result))
 
 
 def _dendrogram_chunks(dendrogram: Dendrogram) -> Iterator[str]:

@@ -43,8 +43,8 @@ class Mutant(NamedTuple):
     reason: str
 
 
-EMST, METRICS, DIVISIVE, MODEL, IO, SVG = (
-    f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model", "io", "svg")
+EMST, METRICS, DIVISIVE, MODEL, IO, SVG, META = (
+    f"src/emstclust/{m}.py" for m in ("emst", "metrics", "divisive", "model", "io", "svg", "meta")
 )
 KERNEL_WORK = ("tests/test_emst.py::TestKdTreeKernelWork",)
 
@@ -222,6 +222,22 @@ KILLED = [
         'center = _whole_ids(self.center, "center ids")',
         ("tests/test_model.py::TestCallerArrays",),
         "ClusteringResult freezes its own copy of the caller's center array",
+    ),
+    Mutant(
+        "point_count_unchecked", DIVISIVE,
+        "        if len(self.dataset) != n:\n"
+        "            raise InputError(f\"a forest of {n} vertices needs {n} points, got {len(self.dataset)}\")\n",
+        "",
+        ("tests/test_divisive.py::TestEmstrd::test_dataset_of_another_length_refused",),
+        "a ClusteringResult holds one point per vertex, since compactness, the scatter and the"
+        " meta stage's centers are all read from its dataset",
+    ),
+    Mutant(
+        "meta_rewords_every_input_error", META,
+        "    except _Overflow:\n",
+        "    except InputError:\n",
+        ("tests/test_meta.py::TestEmstucc::test_other_input_errors_pass_unchanged",),
+        "emstucc rewords only the EMST's overflow refusal; every other InputError passes unchanged",
     ),
     Mutant(
         "empty_record_is_data", IO,

@@ -250,8 +250,27 @@ class TestEmstrd:
             removed[i] = removed[i][:-1]
             with pytest.raises(InputError, match=message):
                 dataclasses.replace(result, removed=tuple(removed))
-        with pytest.raises(InputError, match=message):
-            dataclasses.replace(result, center_set=Dataset._of_array(np.zeros((2, 1))))
+        with pytest.raises(InputError, match="a forest of 5 vertices needs 5 points, got 2"):
+            dataclasses.replace(result, dataset=Dataset._of_array(np.zeros((2, 1))))
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_dataset_of_another_length_refused(self, rows):
+        # Compactness, the scatter and the meta stage's centers are all
+        # worked out from the result's own points, one per vertex.
+        result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)
+        other = Dataset._of_array(np.arange(rows, dtype=np.float64).reshape(-1, 1))
+        with pytest.raises(InputError, match=f"a forest of 5 vertices needs 5 points, got {rows}$"):
+            dataclasses.replace(result, dataset=other)
+
+    @pytest.mark.parametrize("config", [STD, ZAHN])
+    def test_center_set_is_the_rows_of_the_centers(self, config):
+        ds = Dataset._of_array(np.random.default_rng(4).random((100, 3)))
+        result = emstrd(ds, 5, config)
+        assert result.dataset is ds
+        rows = ds.coords[result.center]
+        assert result.center_set.coords.shape == rows.shape
+        assert result.center_set.coords.tobytes() == rows.tobytes()
+        assert result.centers == result.center_set.points
 
     def test_negative_ids_and_weights_refused(self):
         result = emstrd(dataset_1d(0, 1, 3, 6, 10), 3)

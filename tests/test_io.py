@@ -379,6 +379,15 @@ class TestWriteOutputs:
         for pa, pb in zip(paths_a, paths_b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_str_directory_accepted(self, tmp_path):
+        config = chain_config(tmp_path, svg=True)
+        result = emstrd(read_points_csv(config.input_path), config.k)
+        written = write_outputs(result, str(tmp_path / "from_str"), emit_svg=True)
+        expected = run_pipeline(config)
+        assert [p.parent for p in written] == [tmp_path / "from_str"] * len(expected)
+        assert [p.name for p in written] == [p.name for p in expected]
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+
     def test_no_temporary_files_left(self, tmp_path):
         config = chain_config(tmp_path)
         run_pipeline(config)
@@ -422,8 +431,9 @@ class TestWriteOutputs:
 
     def test_scatter_refuses_3d_data(self):
         dataset = Dataset._of_array(np.eye(3))
-        with pytest.raises(ValueError, match="scatter rendering needs 2-D data"):
-            scatter_svg(dataset, emstrd(dataset, 1))
+        with pytest.raises(ValueError, match="scatter rendering needs 2-D data") as caught:
+            scatter_svg(emstrd(dataset, 1))
+        assert type(caught.value) is InputError
 
     def test_k1_outputs(self, tmp_path):
         config = chain_config(tmp_path, k=1)
@@ -445,8 +455,7 @@ def test_json_files_read_back_exactly(ds, data):
         meta = emstucc(result.center_set)
         compactness = cluster_compactness(result.clusters, ds)
         with tempfile.TemporaryDirectory() as out:
-            config = RunConfig(Path("unused.csv"), k, CriterionConfig(mode=mode), Path(out))
-            write_outputs(result, meta, config, ds)
+            write_outputs(result, out)
             read = {
                 name: json.loads((Path(out) / name).read_text(), object_pairs_hook=list)
                 for name in ("clusters.json", "dendrogram.json", "meta.json")
@@ -556,9 +565,8 @@ def traced_peak(fn, *args) -> tuple[object, int]:
 @pytest.fixture(scope="module")
 def every_point_a_cluster():
     """k = n = 20000: every writer's largest output per point."""
-    dataset = Dataset._of_array(np.random.default_rng(3).random((20_000, 2)))
-    result = emstrd(dataset, len(dataset))
-    return dataset, result, emstucc(result.center_set)
+    result = emstrd(Dataset._of_array(np.random.default_rng(3).random((20_000, 2))), 20_000)
+    return result, emstucc(result.center_set)
 
 
 @pytest.fixture(scope="module")
@@ -566,8 +574,7 @@ def one_cluster():
     """k = 1 on 50000 points: the longest member list per point. The member
     ids are the bulk of clusters.json only past 20000 points or so; below,
     compactness's arrays outweigh the file."""
-    dataset = Dataset._of_array(np.random.default_rng(3).random((50_000, 2)))
-    return emstrd(dataset, 1), dataset
+    return emstrd(Dataset._of_array(np.random.default_rng(3).random((50_000, 2))), 1)
 
 
 class TestBoundedMemory:
@@ -587,13 +594,13 @@ class TestBoundedMemory:
         "name", ["scatter.svg", "dendrogram.svg", "assignments.csv", "clusters.json"]
     )
     def test_writer_peak_is_a_fraction_of_its_file(self, every_point_a_cluster, one_cluster, name):
-        dataset, result, meta = every_point_a_cluster
+        result, meta = every_point_a_cluster
         # The chunks write_outputs streams into each file.
         chunks = {
-            "scatter.svg": lambda: emst_io._scatter_chunks(dataset, result),
+            "scatter.svg": lambda: emst_io._scatter_chunks(result),
             "dendrogram.svg": lambda: emst_io._dendrogram_chunks(meta.dendrogram),
             "assignments.csv": lambda: emst_io._joined(emst_io._assignments_csv(result)),
-            "clusters.json": lambda: emst_io._joined(emst_io._clusters_json(*one_cluster)),
+            "clusters.json": lambda: emst_io._joined(emst_io._clusters_json(one_cluster)),
         }[name]
         size, peak = traced_peak(lambda: sum(map(len, chunks())))
         # Whole-file lists of lines and the joined text took 4 to 12 times
@@ -610,7 +617,7 @@ class TestBoundedMemory:
         assert peak < fraction.get(name, 1 / 2) * size
 
     def test_newick_string_peak_is_its_chunks_and_their_join(self, every_point_a_cluster):
-        _, _, meta = every_point_a_cluster
+        _, meta = every_point_a_cluster
         text, peak = traced_peak(emst_io.newick_string, meta.dendrogram)
         # The chunks of the text and their join: 2.01 times the 1.06 MB
         # text (2.07 with a bytearray grown a token at a time, over ten
@@ -618,10 +625,9 @@ class TestBoundedMemory:
         assert peak < 2.5 * len(text)
 
     def test_string_renderers_equal_the_streamed_files(self, every_point_a_cluster, tmp_path):
-        dataset, result, meta = every_point_a_cluster
-        config = RunConfig(tmp_path / "unused.csv", len(dataset), CriterionConfig(), tmp_path, True)
-        write_outputs(result, meta, config, dataset)
-        assert scatter_svg(dataset, result) == (tmp_path / "scatter.svg").read_text()
+        result, meta = every_point_a_cluster
+        write_outputs(result, tmp_path, emit_svg=True)
+        assert scatter_svg(result) == (tmp_path / "scatter.svg").read_text()
         assert dendrogram_svg(meta.dendrogram) == (tmp_path / "dendrogram.svg").read_text()
         assert newick_string(meta.dendrogram) + "\n" == (tmp_path / "dendrogram.newick").read_text()
 

@@ -281,7 +281,8 @@ def report(radius, diameter, variance=1.0, center=1):
     the given center, radius, diameter and variance."""
     forest = SpanningForest(3, [0, 1], [1, 2], [1.0, 1.0])
     return ClusteringResult(
-        forest, [center], [radius], [diameter], [variance], Dataset([p(0)]), ([], [], [], [])
+        forest, [center], [radius], [diameter], [variance], Dataset([p(0), p(1), p(2)]),
+        ([], [], [], []),
     )
 
 
@@ -339,7 +340,7 @@ class TestClusterReport:
 
     def test_first_failing_cluster_is_named(self):
         forest = SpanningForest(4, [0, 2], [1, 3], [1.0, 1.0])
-        points = Dataset([p(0), p(2)])
+        points = Dataset([p(0), p(1), p(2), p(3)])
         removed = ([1], [2], [1.0], [1])
         with pytest.raises(InputError, match="cluster 1: radius 2.0 exceeds diameter 1.0"):
             ClusteringResult(forest, [0, 2], [1.0, 2.0], [1.0, 1.0], [0.5, 0.5], points, removed)
@@ -360,7 +361,7 @@ class TestCallerArrays:
         forest = SpanningForest(4, u, v, w)
         Cluster(ids, u, v, w)
         result = ClusteringResult(
-            forest, center, [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], Dataset([p(0), p(1)]),
+            forest, center, [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], Dataset([p(x) for x in range(4)]),
             (cut_u, cut_v, [5.0], fired),
         )
         for array, copy in zip(arrays, before):
