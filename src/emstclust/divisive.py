@@ -5,11 +5,13 @@ clusters takes exactly k - 1 removals, all chosen by one routine
 (_removals). Edge weight statistics are computed once on the original tree
 and reused unchanged for every removal decision. The zahn scan deletes each
 removed edge from the one adjacency (model._neighbors) that it builds.
+A ClusteringResult takes only the kept forest, the points and the removal
+log, and works out each cluster's center, radius, diameter and variance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -156,78 +158,71 @@ def select_edge_to_remove(
     return Edge(forest.u[e], forest.v[e], forest.w[e]), _CRITERIA[fired]
 
 
+def _reports(forest: SpanningForest, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each component's center (int64), radius, diameter and variance
+    (float64): _center on its subtree and _rms_spread of its rows of coords."""
+    k = forest.component_count
+    center = np.empty(k, dtype=np.int64)
+    radius, diameter, variance = np.empty((3, k))
+    for c in range(k):
+        ids = forest.members_of(c)
+        center[c], radius[c], diameter[c] = _center(ids, *forest.edges_of(c))
+        variance[c] = _rms_spread(coords[ids])
+    return center, radius, diameter, variance
+
+
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Outcome of a divisive run, held as read-only arrays.
 
     forest is the EMST of dataset, the clustered points, less the removed
-    edges; its components are the clusters. center (int64), radius, diameter
-    and variance (float64) run parallel to them. removed holds the removal
-    log as arrays (u, v, w, criterion), in removal order, each criterion a
+    edges; its components are the clusters. removed holds the removal log
+    as arrays (u, v, w, criterion), in removal order, each criterion a
     uint8 index in _CRITERIA. The constructor copies and checks them once:
-    one point per vertex, lengths, ids in range, each center in its own
-    cluster and each removed edge between two, values finite and >= 0, and
-    radius <= diameter <= 2 * radius exactly. center_set, clusters, centers
-    and removed_edges give the center points as a Dataset and the same as
+    one point per vertex, k - 1 removals, edge ends in range, weights
+    finite and >= 0, and each removed edge between two clusters. It then
+    works out center (int64), radius, diameter and variance (float64),
+    parallel to the clusters (_reports); no caller can set them, and
+    radius <= diameter <= 2 * radius holds exactly by their rounding
+    (metrics._eccentricities). center_set, clusters, centers and
+    removed_edges give the center points as a Dataset and the same as
     objects (Cluster, Point, (Edge, criterion name)) on first access.
     """
 
     forest: SpanningForest
-    center: np.ndarray
-    radius: np.ndarray
-    diameter: np.ndarray
-    variance: np.ndarray
     dataset: Dataset
     removed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    center: np.ndarray = field(init=False)
+    radius: np.ndarray = field(init=False)
+    diameter: np.ndarray = field(init=False)
+    variance: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         k, n, labels = self.forest.component_count, self.forest.vertex_count, self.forest.labels
         if len(self.dataset) != n:
             raise InputError(f"a forest of {n} vertices needs {n} points, got {len(self.dataset)}")
-        shape = f"{k} clusters need {k} centers, radii, diameters, variances and {k - 1} removals"
+        shape = f"{k} clusters need {k - 1} removals"
         u, v, w, fired = self.removed
-        center = _whole_ids(self.center, "center ids").copy()
         ends = _whole_ids(_as_array((u, v), None, shape), "removed edge endpoints")
         fired = _whole_ids(fired, "removal criteria")
-        values = _as_array((self.radius, self.diameter, self.variance), np.float64, shape)
         w = _as_array(w, np.float64, shape).copy()
-        if not (center.shape == (k,) and values.shape == (3, k)
-                and ends.shape == (2, k - 1) == (2, *w.shape) == (2, *fired.shape)):
+        if not ends.shape == (2, k - 1) == (2, *w.shape) == (2, *fired.shape):
             raise InputError(shape)
-        ids = np.append(center, ends)
-        if ((ids < 0) | (ids >= n)).any():
-            raise InputError(f"center ids and removed edge ends must lie in 0..{n - 1}")
+        if ((ends < 0) | (ends >= n)).any():
+            raise InputError(f"removed edge ends must lie in 0..{n - 1}")
         if not (np.isfinite(w) & (w >= 0.0)).all():
             raise InputError("removed edge weights must be finite and >= 0")
         if ((fired < 0) | (fired >= len(_CRITERIA))).any():
             raise InputError(f"removal criteria must be among 0..{len(_CRITERIA) - 1}")
-        away = labels[center] != np.arange(k)
-        if away.any():
-            c = int(np.argmax(away))
-            raise InputError(f"cluster {c}'s center {center[c]} is in cluster {labels[center[c]]}")
         inside = labels[ends[0]] == labels[ends[1]]
         if inside.any():
             a, b = ends[:, np.argmax(inside)].tolist()
             raise InputError(f"removed edge ({a}, {b}) is inside cluster {labels[a]}")
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if bad.any():
-            c, i = np.argwhere(bad.T)[0]
-            name, value = ("radius", "diameter", "variance")[i], values[i, c].item()
-            raise InputError(f"cluster {c}: {name} must be finite and >= 0, got {value!r}")
-        radius, diameter = values[0], values[1]
-        with np.errstate(over="ignore"):  # 2 * radius may be inf, which bounds nothing
-            fails = (radius > diameter) | (diameter > 2.0 * radius)
-        if fails.any():
-            c = int(np.argmax(fails))
-            r, d = radius[c].item(), diameter[c].item()
-            raise InputError(
-                f"cluster {c}: radius {r} exceeds diameter {d}" if r > d
-                else f"cluster {c}: diameter {d} exceeds twice the radius {r}"
-            )
-        for name, array in zip(("center", "radius", "diameter", "variance"), (center, *values)):
-            object.__setattr__(self, name, _read_only(array))
         removed = (*ends, w, fired.astype(np.uint8))
         object.__setattr__(self, "removed", tuple(map(_read_only, removed)))
+        reports = _reports(self.forest, self.dataset.coords)
+        for name, array in zip(("center", "radius", "diameter", "variance"), reports):
+            object.__setattr__(self, name, _read_only(array))
 
     @property
     def cluster_count(self) -> int:
@@ -266,16 +261,16 @@ def emstrd(
     remaining forest, tagged "zahn", and falls back to the first remaining
     edge, tagged "longest", when none is flagged. The clusters are the
     components of the kept edges. Each forest, the EMST and the kept edges,
-    is checked once, by SpanningForest's constructor, and the result once,
-    by its own.
+    is checked once, by SpanningForest's constructor, and the removal log
+    once, by ClusteringResult's, which works out each cluster's center,
+    radius, diameter and variance from the kept forest and the points.
     Because each removal depends only on the original statistics and the
     current forest, the k + 1 clustering removes the same edges as the k
     clustering and one more, so it refines it.
     """
     if config is None:
         config = CriterionConfig()
-    coords = dataset.coords
-    n = len(coords)
+    n = len(dataset)
     k = _whole(k, "k", InputError)
     if k < 1 or k > n:
         raise InputError(f"k must be in [1, {n}], got {k}")
@@ -290,11 +285,4 @@ def emstrd(
     del tree, u, v, w
     forest = SpanningForest(n, *kept)
     del kept
-
-    center = np.empty(k, dtype=np.int64)
-    radius, diameter, variance = np.empty((3, k))
-    for c in range(k):
-        ids = forest.members_of(c)
-        center[c], radius[c], diameter[c] = _center(ids, *forest.edges_of(c))
-        variance[c] = _rms_spread(coords[ids])
-    return ClusteringResult(forest, center, radius, diameter, variance, dataset, removed)
+    return ClusteringResult(forest, dataset, removed)

@@ -54,10 +54,12 @@ class _Overflow(InputError):  # both builders' refusal of an infinite d^2; emstu
                          " to square in float64, so the EMST cannot be built")
 
 
-# The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension:
-# where it was faster on uniform points in sweeps over n = 500 .. 32000 and
-# d = 1 .. 5, and over n = 50 .. 500 for d = 1 (CHANGES.md). Higher d always
-# uses Prim.
+# The k-d tree Boruvka replaces dense Prim from these sizes on, per dimension
+# (higher d always uses Prim): where it was faster on uniform points in sweeps
+# over n = 500 .. 32000 and d = 1 .. 5, and over n = 50 .. 500 for d = 1, run
+# against both builders as they were before d^2 moved to coordinate planes
+# (CHANGES.md). Today's k-d tree is faster below some of them; ROADMAP's
+# 1M-point item re-derives them from its bench matrix.
 _KDTREE_MIN_N = {1: 400, 2: 1000, 3: 3000, 4: 12000, 5: 24000}
 # The builders see the rows scaled by the power of two that brings the
 # largest |coordinate| just below 2^_SCALE_EXP, or unscaled when it is
@@ -118,8 +120,8 @@ def _emst_arrays(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     without duplicates pays that sort and one comparison.
 
     Two builders return the tree of the distinct rows, chosen by dimension
-    d and the number m of distinct points at a crossover measured on
-    uniform points (see _KDTREE_MIN_N):
+    d and the number m of distinct points at crossovers measured on uniform
+    points against the builders' older kernels, not today's (_KDTREE_MIN_N):
 
     - d <= 5 and m >= 400 (d = 1), 1000 (d = 2), 3000 (d = 3), 12000
       (d = 4) or 24000 (d = 5): dual-tree Boruvka over a k-d tree of leaf

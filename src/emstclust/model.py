@@ -3,11 +3,11 @@
 Vertices are always identified by their 0-based position in the dataset, so
 an edge or a cluster can be interpreted without carrying the coordinates
 around. Points, forests with their components, dendrograms and stage one's
-per-cluster values and removal log (divisive.ClusteringResult) are held as
-read-only numpy arrays, each behind one constructor that checks them with a
-handful of numpy operations; a Dataset built by the library's own array
-routines (Dataset._of_array) was checked once where the data entered. Their
-object forms (Point, Edge, frozensets) are views built on first access.
+result (divisive.ClusteringResult) are held as read-only numpy arrays, each
+behind one constructor that checks what it is handed with a handful of numpy
+operations; a Dataset built by the library's own array routines
+(Dataset._of_array) was checked once where the data entered. Their object
+forms (Point, Edge, frozensets) are views built on first access.
 """
 
 from __future__ import annotations

@@ -217,11 +217,12 @@ KILLED = [
         "an int64 array passes the id check as it is, so the constructors must not write into it",
     ),
     Mutant(
-        "center_not_copied", DIVISIVE,
-        'center = _whole_ids(self.center, "center ids").copy()',
-        'center = _whole_ids(self.center, "center ids")',
-        ("tests/test_model.py::TestCallerArrays",),
-        "ClusteringResult freezes its own copy of the caller's center array",
+        "report_reads_another_cluster", DIVISIVE,
+        "variance[c] = _rms_spread(coords[ids])",
+        "variance[c] = _rms_spread(coords[forest.members_of(k - 1 - c)])",
+        ("tests/test_divisive.py::TestEmstrd::test_chain_k2_worked_example",),
+        "each cluster's variance is the spread of its own points; read from the cluster at the"
+        " other end, the chain 0, 1, 3, 6, 10 at k = 2 reports variance 0 for its 4-point cluster",
     ),
     Mutant(
         "point_count_unchecked", DIVISIVE,

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from emstclust import (
     Dataset,
     Edge,
     InputError,
+    MetaResult,
     Point,
     build_emst,
     central_cluster,
+    emstrd,
     emstucc,
 )
 from emstclust import meta as emst_meta
@@ -141,3 +145,31 @@ class TestEmstucc:
         seen.update(result.dendrogram.left.tolist())
         seen.update(result.dendrogram.right.tolist())
         assert set(range(12)) <= seen
+
+
+class TestMetaResult:
+    """A MetaResult works out its dendrogram and central cluster from the
+    meta tree alone."""
+
+    def test_worked_out_from_the_meta_tree(self):
+        # The centers of 100 uniform 3-D points at k = 5.
+        centers = emstrd(Dataset._of_array(np.random.default_rng(4).random((100, 3))), 5).center_set
+        meta = emstucc(centers)
+        again = MetaResult(meta.meta_tree)
+        assert (again.central_cluster, again.meta_radius) == (meta.central_cluster, meta.meta_radius) == (
+            3, 0.830444140466861
+        )
+        for name in ("left", "right", "level"):
+            assert getattr(again.dendrogram, name).tobytes() == getattr(meta.dendrogram, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "name, value", [("dendrogram", None), ("central_cluster", 0), ("meta_radius", 1.0)]
+    )
+    def test_values_cannot_be_handed_in(self, name, value):
+        meta = emstucc([p(0), p(1), p(5)])
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(meta, **{name: value})
+
+    def test_disconnected_meta_tree_refused(self):
+        with pytest.raises(InputError, match="the meta tree must be a single connected component"):
+            MetaResult(tree_as_forest(3, [Edge(0, 1, 1.0)]))

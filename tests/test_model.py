@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -276,76 +277,44 @@ class TestCluster:
             Cluster([[0], [1, 2]], [0, 1], [1, 2], [1.0, 1.0])
 
 
-def report(radius, diameter, variance=1.0, center=1):
-    """A ClusteringResult whose one cluster, the path 0 - 1 - 2, reports
-    the given center, radius, diameter and variance."""
-    forest = SpanningForest(3, [0, 1], [1, 2], [1.0, 1.0])
-    return ClusteringResult(
-        forest, [center], [radius], [diameter], [variance], Dataset([p(0), p(1), p(2)]),
-        ([], [], [], []),
-    )
+def report(r):
+    """The ClusteringResult of the 1-D points 0, r and 2r at k = 1: one
+    cluster, the path 0 - 1 - 2 with both edges of weight r."""
+    forest = SpanningForest(3, [0, 1], [1, 2], [r, r])
+    return ClusteringResult(forest, Dataset([p(0.0), p(r), p(2.0 * r)]), ([], [], [], []))
 
 
 class TestClusterReport:
-    """The per-cluster arrays of a ClusteringResult, checked by its
-    constructor: radius <= diameter <= 2 * radius, exactly, and every value
-    finite and >= 0, with the first cluster that fails named."""
+    """The per-cluster arrays a ClusteringResult works out from its forest
+    and points; radius <= diameter <= 2 * radius holds exactly."""
 
     def test_valid_report(self):
-        result = report(3.0, 6.0, 2.0)
-        assert result.radius.tolist() == [3.0]
+        result = report(3.0)
+        assert (result.center.tolist(), result.radius.tolist()) == ([1], [3.0])
+        assert (result.diameter.tolist(), result.variance.tolist()) == ([6.0], [math.sqrt(6.0)])
         assert (result.center.dtype, result.radius.dtype) == (np.int64, np.float64)
-
-    def test_radius_cannot_exceed_diameter(self):
-        with pytest.raises(InputError, match="cluster 0: radius 5.0 exceeds diameter 4.0"):
-            report(5.0, 4.0)
-
-    def test_diameter_capped_by_twice_radius(self):
-        with pytest.raises(InputError, match="cluster 0: diameter 2.5 exceeds twice the radius 1.0"):
-            report(1.0, 2.5)
 
     def test_singleton_zeros(self):
         forest = SpanningForest(2, [], [], [])
-        result = ClusteringResult(
-            forest, [0, 1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], Dataset([p(0), p(1)]),
-            ([0], [1], [1.0], [1]),
-        )
-        assert result.diameter.tolist() == [0.0, 0.0]
+        result = ClusteringResult(forest, Dataset([p(0), p(1)]), ([0], [1], [1.0], [1]))
+        assert result.center.tolist() == [0, 1]
+        for values in (result.radius, result.diameter, result.variance):
+            assert values.tolist() == [0.0, 0.0]
         assert result.removed_edges == ((Edge(0, 1, 1.0), "longest"),)
 
     @pytest.mark.parametrize("radius", [1.0, 0.1, 3e-300, 7.5e200])
     def test_one_ulp_over_either_bound_is_refused(self, radius):
-        report(radius, radius)
-        report(radius, 2.0 * radius)
-        with pytest.raises(InputError, match="exceeds diameter"):
-            report(math.nextafter(radius, math.inf), radius)
-        with pytest.raises(InputError, match="exceeds twice the radius"):
-            report(radius, math.nextafter(2.0 * radius, math.inf))
-
-    def test_largest_radius_bounds_any_diameter(self):
-        big = 1.5e308  # 2 * big overflows, and the bound holds
-        assert report(big, big).diameter.tolist() == [big]
-
-    @pytest.mark.parametrize(
-        "values, message",
-        [
-            ((-1.0, 1.0, 1.0), "radius must be finite and >= 0, got -1.0"),
-            ((1.0, math.inf, 1.0), "diameter must be finite and >= 0, got inf"),
-            ((1.0, 1.0, math.nan), "variance must be finite and >= 0, got nan"),
-        ],
-    )
-    def test_non_finite_or_negative_refused(self, values, message):
-        with pytest.raises(InputError, match=re.escape(f"cluster 0: {message}")):
-            report(*values)
-
-    def test_first_failing_cluster_is_named(self):
-        forest = SpanningForest(4, [0, 2], [1, 3], [1.0, 1.0])
-        points = Dataset([p(0), p(1), p(2), p(3)])
-        removed = ([1], [2], [1.0], [1])
-        with pytest.raises(InputError, match="cluster 1: radius 2.0 exceeds diameter 1.0"):
-            ClusteringResult(forest, [0, 2], [1.0, 2.0], [1.0, 1.0], [0.5, 0.5], points, removed)
-        with pytest.raises(InputError, match="cluster 1: variance must be finite"):
-            ClusteringResult(forest, [0, 2], [1.0, 1.0], [1.0, 1.0], [0.5, -0.5], points, removed)
+        # The path's center meets the upper bound, diameter = 2 * radius,
+        # exactly, and no caller can hand the result another value.
+        result = report(radius)
+        assert result.center.tolist() == [1]
+        assert (result.radius.tolist(), result.diameter.tolist()) == ([radius], [2.0 * radius])
+        for name, value in (
+            ("radius", math.nextafter(radius, math.inf)),
+            ("diameter", math.nextafter(2.0 * radius, math.inf)),
+        ):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(result, **{name: [value]})
 
 
 class TestCallerArrays:
@@ -353,21 +322,20 @@ class TestCallerArrays:
         # An int64 array passes the id check as it is, so each constructor
         # must copy before it orders, swaps or freezes what it keeps.
         u, v = np.array([2, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64)
-        ids, center = np.array([2, 0, 1], dtype=np.int64), np.array([1, 3], dtype=np.int64)
+        ids = np.array([2, 0, 1], dtype=np.int64)
         cut_u, cut_v, fired = (np.array([x], dtype=np.int64) for x in (2, 3, 0))
-        arrays = (u, v, ids, center, cut_u, cut_v, fired)
+        arrays = (u, v, ids, cut_u, cut_v, fired)
         before = [a.copy() for a in arrays]
         w = np.array([1.0, 1.0])
         forest = SpanningForest(4, u, v, w)
         Cluster(ids, u, v, w)
         result = ClusteringResult(
-            forest, center, [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], Dataset([p(x) for x in range(4)]),
-            (cut_u, cut_v, [5.0], fired),
+            forest, Dataset([p(x) for x in range(4)]), (cut_u, cut_v, [5.0], fired)
         )
         for array, copy in zip(arrays, before):
             assert array.flags.writeable
             assert np.array_equal(array, copy)
-        assert not result.center.flags.writeable
+        assert not any(a.flags.writeable for a in (result.center, *result.removed))
 
 
 class TestDendrogram:
